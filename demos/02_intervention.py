@@ -25,13 +25,23 @@ params = CombatParams(
     comparative_threshold=0.1,
 )
 
-log = []
-state = run_intervention(chain, false_creators=[0], true_creators=[3], params=params, step_log=log)
+state = run_intervention(chain, false_creators=[0], true_creators=[3], params=params)
+
+
+# Step t updates true layer t - 1, then false layer t: the false process
+# never waits for the true one, so each of its layers lands a step earlier.
+def update_step(layer, delay):
+    if layer is None:
+        return "never"
+    return "creator" if layer == 0 else f"step {layer + delay}"
+
 
 print("false creator at node 0, true creator at node 3")
-print("update schedule (step, process, layer):")
-for entry in log:
-    print(f"  {entry}")
+print("when each node updates (false process, true process):")
+for v in range(4):
+    false_at = update_step(state.false_layers.layer(v), 0)
+    true_at = update_step(state.true_layers.layer(v), 1)
+    print(f"  node {v}: false {false_at}, true {true_at}")
 print("\nfinal state:")
 for v in range(4):
     print(

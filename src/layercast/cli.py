@@ -122,12 +122,12 @@ def _cmd_centrality(args) -> int:
 # -- diffuse / intervene ------------------------------------------------------
 
 
-def _pick_seeds(g, explicit, strategy, count, rng_seed, explicit_flag: str, side: str) -> np.ndarray:
+def _pick_seeds(g, explicit, strategy, count, rng_seed, explicit_flag: str, prefix: str = "") -> np.ndarray:
     if explicit is not None:
         return _parse_node_list(explicit)
     if strategy is None or count is None:
         raise InputError(
-            f"provide either --{explicit_flag} or --{side}-strategy with --{side}-count"
+            f"provide either --{explicit_flag} or --{prefix}strategy with --{prefix}count"
         )
     kind = CentralityKind(strategy)
     if kind is CentralityKind.RANDOM and rng_seed is None:
@@ -137,15 +137,7 @@ def _pick_seeds(g, explicit, strategy, count, rng_seed, explicit_flag: str, side
 
 def _cmd_diffuse(args) -> int:
     g = load_edge_list(args.graph)
-    if args.ic is not None:
-        ic = _parse_node_list(args.ic)
-    else:
-        if args.strategy is None or args.count is None:
-            raise InputError("provide either --ic or --strategy with --count")
-        kind = CentralityKind(args.strategy)
-        if kind is CentralityKind.RANDOM and args.seed is None:
-            raise InputError("--seed is required when --strategy random is used")
-        ic = select_seeds(g, kind, args.count, args.seed)
+    ic = _pick_seeds(g, args.ic, args.strategy, args.count, args.seed, "ic")
     params = DiffusionParams(transmission_prob=args.transmission_prob, threshold=args.threshold)
     state = run_single_diffusion(g, ic, params)
 
@@ -177,8 +169,8 @@ def _cmd_intervene(args) -> int:
     if seed is not None:
         false_seed = np.random.SeedSequence(seed, spawn_key=(0,))
         true_seed = np.random.SeedSequence(seed, spawn_key=(1,))
-    ic_f = _pick_seeds(g, args.ic_f, args.false_strategy, args.false_count, false_seed, "ic-f", "false")
-    ic_t = _pick_seeds(g, args.ic_t, args.true_strategy, args.true_count, true_seed, "ic-t", "true")
+    ic_f = _pick_seeds(g, args.ic_f, args.false_strategy, args.false_count, false_seed, "ic-f", "false-")
+    ic_t = _pick_seeds(g, args.ic_t, args.true_strategy, args.true_count, true_seed, "ic-t", "true-")
     params = CombatParams(
         false_transmission_prob=args.pf,
         true_transmission_prob=args.pt,

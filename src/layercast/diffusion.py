@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, LayeredView, layer_from_sources
+from .graph import Graph, LayeredView, _closed_triplets, layer_from_sources
 
 
 class Label(enum.IntEnum):
@@ -74,16 +74,46 @@ def update_from_source(source_belief: float, transmission_prob: float, effective
     return source_belief * transmission_factor(transmission_prob, effective_edges)
 
 
-def _count_effective(g: Graph, layer_of: np.ndarray, target: int, source: int, target_layer: int) -> int:
-    """Unchecked effective-edge count for the propagation inner loop."""
-    set_t = g.neighbor_set(target)
-    set_s = g.neighbor_set(source)
-    common = set_t & set_s if len(set_t) <= len(set_s) else set_s & set_t
-    n_eff = 0
-    for i in common:
-        if layer_of[i] == target_layer:
-            n_eff += 1
-    return n_eff
+def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
+    """Accumulate belief layer by layer from ``lv``'s sources.
+
+    Every node of layer L is updated once, from its layer L - 1 neighbors,
+    through the complement product.  ``stop(L)``, when given, returns a bool
+    mask of nodes that neither receive nor transmit while layer L updates;
+    a halted layer-L node keeps belief 0 and is flagged in ``blocked``.
+    Returns ``(p, p_bar, blocked)``.
+    """
+    n = g.node_count
+    p_bar = np.ones(n)
+    p_bar[lv.sources] = 0.0
+    p = np.zeros(n)
+    p[lv.sources] = 1.0
+    blocked = np.zeros(n, dtype=bool)
+
+    factors = {0: P}
+    layer_of = lv.layer_of
+    for L in range(1, lv.depth + 1):
+        prev = L - 1
+        halted = None if stop is None else stop(L)
+        for u in lv.layers[L]:
+            if halted is not None and halted[u]:
+                blocked[u] = True
+                continue
+            acc = p_bar[u]
+            for v in g.neighbors(u):
+                if layer_of[v] != prev or p[v] == 0.0:
+                    continue
+                if halted is not None and halted[v]:
+                    continue
+                n_eff = _closed_triplets(g, layer_of, u, v, L)
+                f = factors.get(n_eff)
+                if f is None:
+                    f = transmission_factor(P, n_eff)
+                    factors[n_eff] = f
+                acc *= 1.0 - p[v] * f
+            p_bar[u] = acc
+            p[u] = 1.0 - acc
+    return p, p_bar, blocked
 
 
 def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> DiffusionState:
@@ -95,30 +125,7 @@ def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> Diffusi
     iterations equals the layering depth (further sweeps would be no-ops).
     """
     lv = layer_from_sources(g, creators)
-    n = g.node_count
-    p_bar = np.ones(n)
-    p_bar[lv.sources] = 0.0
-    p_i = np.zeros(n)
-    p_i[lv.sources] = 1.0
-
-    P = params.transmission_prob
-    factors = {0: P}
-    layer_of = lv.layer_of
-    for L in range(lv.depth):
-        for u in lv.layers[L + 1]:
-            acc = p_bar[u]
-            for v in g.neighbors(u):
-                if layer_of[v] != L or p_i[v] == 0.0:
-                    continue
-                n_eff = _count_effective(g, layer_of, u, v, L + 1)
-                f = factors.get(n_eff)
-                if f is None:
-                    f = transmission_factor(P, n_eff)
-                    factors[n_eff] = f
-                acc *= 1.0 - p_i[v] * f
-            p_bar[u] = acc
-            p_i[u] = 1.0 - acc
-
+    p_i, p_bar, _ = _spread(g, lv, params.transmission_prob)
     return DiffusionState(
         p_i=p_i,
         p_i_bar=p_bar,

@@ -159,6 +159,18 @@ def layer_from_sources(g: Graph, sources) -> LayeredView:
     return LayeredView(sources=src, layer_of=layer_of, layers=tuple(layers))
 
 
+def _closed_triplets(g: Graph, layer_of: np.ndarray, target: int, source: int, target_layer: int) -> int:
+    """Common neighbors of ``target`` and ``source`` that lie in ``target_layer``.
+
+    Unchecked: the diffusion kernel calls it only on consecutive-layer edges.
+    """
+    n_eff = 0
+    for i in g.neighbor_set(target) & g.neighbor_set(source):
+        if layer_of[i] == target_layer:
+            n_eff += 1
+    return n_eff
+
+
 def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) -> int:
     """Number of closed triplets boosting a transmission from source to target.
 
@@ -175,9 +187,7 @@ def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) ->
         )
     if not g.has_edge(target, source):
         raise ContractError(f"no edge between target {target} and source {source}")
-    common = g.neighbor_set(target) & g.neighbor_set(source)
-    layer_of = lv.layer_of
-    return sum(1 for i in common if layer_of[i] == lt)
+    return _closed_triplets(g, lv.layer_of, target, source, lt)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -214,17 +214,12 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
         )
     except GenerationError as exc:
         raise GenerationError(f"graph {graph_index}: {exc}") from None
+    # select_seeds reads the stream-2 seed only for the random strategy
+    strategy_seed = derive_seed(master, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
     out = {}
     if point.mode == "single":
-        k = point.info_starter
         for strategy in point.strategies:
-            if strategy is CentralityKind.RANDOM:
-                ic = select_seeds(
-                    g, strategy, k,
-                    derive_seed(master, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index),
-                )
-            else:
-                ic = select_seeds(g, strategy, k)
+            ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
             state = run_single_diffusion(g, ic, point.model)
             iterations, sum_p_i = diffusion_metrics(state)
             infected = int(np.count_nonzero(state.labels == Label.INFECTED))
@@ -239,15 +234,8 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
             derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index)
         )
         ic_f = rng_false.choice(g.node_count, size=point.false_info_starter, replace=False)
-        k = point.true_info_starter
         for strategy in point.strategies:
-            if strategy is CentralityKind.RANDOM:
-                ic_t = select_seeds(
-                    g, strategy, k,
-                    derive_seed(master, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index),
-                )
-            else:
-                ic_t = select_seeds(g, strategy, k)
+            ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
             state = run_intervention(g, ic_f, ic_t, point.model)
             sum_p_it, infected, susceptible, protected = intervention_metrics(state)
             out[strategy.value] = {

@@ -3,8 +3,10 @@
 Two layered diffusion processes share one timeline: the false process runs
 one global step ahead of the true process.  A node whose false-belief
 probability has reached the decisive threshold becomes unavailable to the
-true process, both for receiving and for transmitting.  Final three-way
-labels compare the two accumulated probabilities.
+true process, both for receiving and for transmitting.  The false process
+never reads the true one, so a run is a false spread followed by a true
+spread halted by it.  Final three-way labels compare the two accumulated
+probabilities.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
-from .diffusion import Label, _count_effective, transmission_factor
+from .diffusion import Label, _spread
 from .errors import InputError
 from .graph import Graph, LayeredView, layer_from_sources
 
@@ -40,7 +42,7 @@ class CombatParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{name} must be in [0, 1], got {v}")
-        if self.decisive_threshold < 0.0:
+        if not self.decisive_threshold >= 0.0:  # also rejects NaN
             raise InputError(
                 f"decisive_threshold must be >= 0, got {self.decisive_threshold}"
             )
@@ -78,83 +80,32 @@ def _combat_labels(p_if: np.ndarray, p_it: np.ndarray, comparative_threshold: fl
     return labels
 
 
-def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams, step_log=None) -> CombatState:
+def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams) -> CombatState:
     """Run the competing diffusion of false and true information.
 
-    At global step t the true process updates its layer t - 1, then the false
-    process updates its layer t, so the false front keeps a one-iteration head
-    start (its first layer update lands a full step before the true
-    process's).  A true-layer target whose false belief has reached the
-    decisive threshold by the end of the previous step is blocked and receives
-    nothing; a source in the same condition transmits nothing.  Creator sets
-    may overlap (both beliefs start at 1).
+    On the shared timeline, step t updates true layer t - 1 and then false
+    layer t, so the false front keeps a one-step head start.  A true-layer
+    target whose false belief has reached the decisive threshold is blocked
+    and receives nothing; a source in the same condition transmits nothing.
+    Creator sets may overlap (both beliefs start at 1).
 
-    ``step_log``, if given, receives ``(step, process, layer)`` tuples and
-    exposes the interleaving for verification.
+    The false process never reads the true one, so it runs alone first.  When
+    true layer L updates, false layers 0..L are done and every deeper or
+    unreached node still holds false belief 0; the true process therefore
+    halts, while layer L updates, exactly the nodes in
+    ``np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td``.
     """
     false_lv = layer_from_sources(g, false_creators)
     true_lv = layer_from_sources(g, true_creators)
-    n = g.node_count
+    p_if, _, _ = _spread(g, false_lv, params.false_transmission_prob)
 
-    p_if_bar = np.ones(n)
-    p_if_bar[false_lv.sources] = 0.0
-    p_if = np.zeros(n)
-    p_if[false_lv.sources] = 1.0
-    p_it_bar = np.ones(n)
-    p_it_bar[true_lv.sources] = 0.0
-    p_it = np.zeros(n)
-    p_it[true_lv.sources] = 1.0
-    blocked = np.zeros(n, dtype=bool)
-
-    pf, pt = params.false_transmission_prob, params.true_transmission_prob
-    td = params.decisive_threshold
-    false_factors = {0: pf}
-    true_factors = {0: pt}
     f_layer = false_lv.layer_of
-    t_layer = true_lv.layer_of
+    td = params.decisive_threshold
 
-    last_step = max(false_lv.depth, true_lv.depth + 1)
-    for step in range(1, last_step + 1):
-        true_layer = step - 1
-        if 1 <= true_layer <= true_lv.depth:
-            if step_log is not None:
-                step_log.append((step, "true", true_layer))
-            for u in true_lv.layers[true_layer]:
-                if p_if[u] >= td:
-                    blocked[u] = True
-                    continue
-                acc = p_it_bar[u]
-                for v in g.neighbors(u):
-                    if t_layer[v] != true_layer - 1 or p_it[v] == 0.0:
-                        continue
-                    if p_if[v] >= td:
-                        continue  # source no longer transmits true information
-                    n_eff = _count_effective(g, t_layer, u, v, true_layer)
-                    f = true_factors.get(n_eff)
-                    if f is None:
-                        f = transmission_factor(pt, n_eff)
-                        true_factors[n_eff] = f
-                    acc *= 1.0 - p_it[v] * f
-                p_it_bar[u] = acc
-                p_it[u] = 1.0 - acc
+    def stop(L):
+        return np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td
 
-        if step <= false_lv.depth:
-            if step_log is not None:
-                step_log.append((step, "false", step))
-            for u in false_lv.layers[step]:
-                acc = p_if_bar[u]
-                for v in g.neighbors(u):
-                    if f_layer[v] != step - 1 or p_if[v] == 0.0:
-                        continue
-                    n_eff = _count_effective(g, f_layer, u, v, step)
-                    f = false_factors.get(n_eff)
-                    if f is None:
-                        f = transmission_factor(pf, n_eff)
-                        false_factors[n_eff] = f
-                    acc *= 1.0 - p_if[v] * f
-                p_if_bar[u] = acc
-                p_if[u] = 1.0 - acc
-
+    p_it, _, blocked = _spread(g, true_lv, params.true_transmission_prob, stop)
     return CombatState(
         p_if=p_if,
         p_it=p_it,

@@ -140,6 +140,76 @@ def rational_intervention(n, edges, ic_f, ic_t, pf, pt, td, tc):
     return p_if, p_it, labels
 
 
+def interleaved_intervention(g, false_creators, true_creators, params):
+    """The combat run as an interleaved step loop, in float64.
+
+    The package's earlier scalar implementation, kept as the bitwise
+    reference for the false-then-true decomposition: at step t the true
+    process updates its layer t - 1, then the false process its layer t.
+    Returns ``(p_if, p_it, blocked, labels)``.
+    """
+    from layercast.diffusion import Label, transmission_factor
+    from layercast.graph import layer_from_sources
+
+    def count_effective(layer_of, target, source, target_layer):
+        common = g.neighbor_set(target) & g.neighbor_set(source)
+        return sum(1 for i in common if layer_of[i] == target_layer)
+
+    false_lv = layer_from_sources(g, false_creators)
+    true_lv = layer_from_sources(g, true_creators)
+    n = g.node_count
+
+    p_if_bar = np.ones(n)
+    p_if_bar[false_lv.sources] = 0.0
+    p_if = np.zeros(n)
+    p_if[false_lv.sources] = 1.0
+    p_it_bar = np.ones(n)
+    p_it_bar[true_lv.sources] = 0.0
+    p_it = np.zeros(n)
+    p_it[true_lv.sources] = 1.0
+    blocked = np.zeros(n, dtype=bool)
+
+    pf, pt = params.false_transmission_prob, params.true_transmission_prob
+    td = params.decisive_threshold
+    f_layer = false_lv.layer_of
+    t_layer = true_lv.layer_of
+
+    last_step = max(false_lv.depth, true_lv.depth + 1)
+    for step in range(1, last_step + 1):
+        true_layer = step - 1
+        if 1 <= true_layer <= true_lv.depth:
+            for u in true_lv.layers[true_layer]:
+                if p_if[u] >= td:
+                    blocked[u] = True
+                    continue
+                acc = p_it_bar[u]
+                for v in g.neighbors(u):
+                    if t_layer[v] != true_layer - 1 or p_it[v] == 0.0:
+                        continue
+                    if p_if[v] >= td:
+                        continue  # source no longer transmits true information
+                    n_eff = count_effective(t_layer, u, v, true_layer)
+                    acc *= 1.0 - p_it[v] * transmission_factor(pt, n_eff)
+                p_it_bar[u] = acc
+                p_it[u] = 1.0 - acc
+
+        if step <= false_lv.depth:
+            for u in false_lv.layers[step]:
+                acc = p_if_bar[u]
+                for v in g.neighbors(u):
+                    if f_layer[v] != step - 1 or p_if[v] == 0.0:
+                        continue
+                    n_eff = count_effective(f_layer, u, v, step)
+                    acc *= 1.0 - p_if[v] * transmission_factor(pf, n_eff)
+                p_if_bar[u] = acc
+                p_if[u] = 1.0 - acc
+
+    labels = np.full(n, Label.PROTECTED, dtype=np.int8)
+    labels[p_if >= p_it] = Label.SUSCEPTIBLE
+    labels[p_if - p_it >= params.comparative_threshold] = Label.INFECTED
+    return p_if, p_it, blocked, labels
+
+
 def optimal_minimum_true_seeds(n, edges, ic_f, pf, pt, td, tc, k_max):
     """Exhaustive search: smallest k for which SOME true seed set completes."""
     for k in range(1, k_max + 1):

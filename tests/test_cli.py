@@ -117,6 +117,15 @@ class TestDiffuse:
         assert code == 1
         assert err.startswith("error: input:")
 
+    def test_missing_creator_spec_names_its_flags(self, capsys, chain_file):
+        code, _, err = run_cli(
+            capsys, "diffuse", "--graph", chain_file, "--p", "0.5", "--threshold", "0.5",
+            "--strategy", "degree",
+        )
+        assert code == 1
+        assert err.startswith("error: input:")
+        assert all(flag in err for flag in ("--ic", "--strategy", "--count"))
+
     def test_strategy_selection(self, capsys, chain_file):
         code, out, _ = run_cli(
             capsys, "diffuse", "--graph", chain_file, "--p", "0.5", "--threshold", "0.5",
@@ -160,6 +169,14 @@ class TestIntervene:
         assert code == 0
         metrics = json.loads(metrics_file.read_text())
         assert metrics == {"sum_p_it": 1.4, "infected": 2, "susceptible": 0, "protected": 2}
+
+    def test_nan_decisive_threshold_rejected(self, capsys, chain_file):
+        code, _, err = run_cli(
+            capsys, "intervene", "--graph", chain_file, "--ic-f", "0", "--ic-t", "3",
+            "--pf", "0.5", "--pt", "0.4", "--td", "nan", "--tc", "0.1",
+        )
+        assert code == 1
+        assert err.startswith("error: input:")
 
     def test_strategy_sides(self, capsys, chain_file):
         code, out, _ = run_cli(

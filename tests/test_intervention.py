@@ -17,7 +17,7 @@ from layercast import (
     run_single_diffusion,
 )
 
-from oracles import optimal_minimum_true_seeds, rational_intervention
+from oracles import interleaved_intervention, optimal_minimum_true_seeds, rational_intervention
 
 FIG45 = CombatParams(
     false_transmission_prob=0.5,
@@ -25,6 +25,26 @@ FIG45 = CombatParams(
     decisive_threshold=0.5,
     comparative_threshold=0.1,
 )
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"decisive_threshold": -0.1},
+        {"decisive_threshold": float("nan")},
+        {"false_transmission_prob": 1.5},
+    ],
+    ids=["negative-td", "nan-td", "pf-above-1"],
+)
+def test_combat_params_rejects_invalid(override):
+    fields = {
+        "false_transmission_prob": 0.5,
+        "true_transmission_prob": 0.4,
+        "decisive_threshold": 0.5,
+        "comparative_threshold": 0.1,
+    }
+    with pytest.raises(InputError):
+        CombatParams(**{**fields, **override})
 
 
 class TestDetermineCombatLabel:
@@ -52,16 +72,6 @@ class TestChainWalkthrough:
         sum_p_it, infected, susceptible, protected = intervention_metrics(state)
         assert sum_p_it == pytest.approx(1.4, abs=1e-12)
         assert (infected, susceptible, protected) == (2, 0, 2)
-
-    def test_head_start_visible_in_step_log(self, chain4):
-        log = []
-        run_intervention(chain4, [0], [3], FIG45, step_log=log)
-        first_false = next(s for s, proc, _ in log if proc == "false")
-        first_true = next(s for s, proc, _ in log if proc == "true")
-        assert first_false == 1
-        assert first_true == 2
-        # within a step the true process moves first, one layer behind
-        assert log == [(1, "false", 1), (2, "true", 1), (2, "false", 2), (3, "true", 2), (3, "false", 3), (4, "true", 3)]
 
 
 class TestSeedCases:
@@ -139,6 +149,33 @@ class TestInvariants:
         assert np.array_equal(state.p_if, false_solo.p_i)
         assert np.array_equal(state.p_it, true_solo.p_i)
         assert not state.blocked.any()
+
+    @pytest.mark.parametrize("creators", ["disjoint", "overlapping", "isolated"])
+    @pytest.mark.parametrize("td", [0.0, 0.3, 0.5, 1.01])
+    def test_bitwise_equal_to_interleaved_steps(self, random_graph_factory, td, creators):
+        # the false-then-true decomposition reproduces the interleaved step
+        # loop exactly, and the false process is a plain single diffusion
+        params = CombatParams(0.5, 0.4, td, 0.1)
+        for seed in range(5):
+            g, edges = random_graph_factory(seed=700 + seed, n=40, p=0.08)
+            rng = np.random.default_rng(seed)
+            nodes = rng.choice(40, 7, replace=False)
+            ic_f, ic_t = list(nodes[:3]), list(nodes[3:])
+            if creators == "overlapping":
+                ic_t.append(ic_f[0])
+            elif creators == "isolated":
+                # two extra nodes with no edges, one creator on each side
+                g = build_graph(42, edges)
+                ic_f.append(40)
+                ic_t.append(41)
+            state = run_intervention(g, ic_f, ic_t, params)
+            p_if, p_it, blocked, labels = interleaved_intervention(g, ic_f, ic_t, params)
+            assert np.array_equal(state.p_if, p_if)
+            assert np.array_equal(state.p_it, p_it)
+            assert np.array_equal(state.blocked, blocked)
+            assert np.array_equal(state.labels, labels)
+            solo = run_single_diffusion(g, ic_f, DiffusionParams(0.5, 0.5))
+            assert np.array_equal(solo.p_i, p_if)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_rational_oracle(self, random_graph_factory, seed):

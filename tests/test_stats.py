@@ -164,13 +164,3 @@ class TestEngagementData:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_engagement(tmp_path / "none.csv")
-
-    def test_repo_copy_matches_bundled_data(self):
-        # data/engagement.csv at the repo root must never drift from the
-        # copy bundled inside the package
-        import importlib.resources
-        from pathlib import Path
-
-        repo_copy = Path(__file__).resolve().parent.parent / "data" / "engagement.csv"
-        bundled = importlib.resources.files("layercast").joinpath("data/engagement.csv")
-        assert repo_copy.read_bytes() == bundled.read_bytes()
