@@ -7,10 +7,9 @@ Run: python demos/05_experiment_battery.py [out.csv]
 
 import sys
 
-from layercast import CentralityKind, export_results, run_experiment
-from layercast.harness import dense_er_single_preset
+from layercast import CentralityKind, export_results, preset, run_experiment
 
-config = dense_er_single_preset("desk")
+config = preset("dense_er_single")
 print(
     f"battery: {config.ensemble_size} graphs of {config.generator.n} nodes "
     f"(edge probability {config.generator.edge_exist_prob}), "

@@ -11,19 +11,22 @@ Run: python demos/06_density_and_minimum_seeds.py   (about two minutes)
 
 import dataclasses
 
-from layercast import CentralityKind, run_density_sweep
-from layercast.harness import dense_er_single_preset, er_intervention_preset, minimum_seed_battery
+from layercast import CentralityKind, SweepSpec, minimum_seed_battery, preset, run_experiment
 
 # Degree vs random only: at the sparsest grid points the graph shatters into
 # near-tied components and eigenvector power iteration rightly refuses to
 # pick a winner.
-base = dataclasses.replace(
-    dense_er_single_preset("desk"),
-    ensemble_size=15,
-    strategies=(CentralityKind.DEGREE, CentralityKind.RANDOM),
-)
+base = preset("dense_er_single")
 grid = (0.005, 0.02, 0.05, 0.2, 0.6)
-result = run_density_sweep(dataclasses.replace(base, generator=dataclasses.replace(base.generator, n=150)), grid)
+result = run_experiment(
+    dataclasses.replace(
+        base,
+        generator=dataclasses.replace(base.generator, n=150),
+        ensemble_size=15,
+        strategies=(CentralityKind.DEGREE, CentralityKind.RANDOM),
+        sweep=SweepSpec("edge_exist_prob", grid),
+    )
+)
 
 print("degree-strategy advantage over random (mean sum of beliefs):")
 for density in grid:
@@ -32,7 +35,7 @@ for density in grid:
     print(f"  density {density:<6}: {advantage:+7.2f}  {bar}")
 
 print("\nminimum true creators for a complete intervention (30 graphs, 200 nodes):")
-config = er_intervention_preset("desk")
+config = preset("er_intervention")
 minimums = minimum_seed_battery(config, k_max=80)
 for name, k in minimums.items():
     print(f"  {name:<12} {k}")

@@ -52,7 +52,9 @@ from .graph import (
     parse_edge_list,
     save_edge_list,
 )
+# the three *_preset names stay because the benchmark's workloads call them
 from .harness import (
+    PRESETS,
     ExperimentConfig,
     ExperimentResult,
     MetricRecord,
@@ -65,17 +67,12 @@ from .harness import (
     dense_er_single_preset,
     er_intervention_preset,
     export_results,
-    gaussian_intervention_preset,
-    gaussian_single_preset,
     lfr_intervention_preset,
-    lfr_single_preset,
     load_config,
     minimum_seed_battery,
+    preset,
     read_records,
-    run_density_sweep,
     run_experiment,
-    run_variance_sweep,
-    sparse_er_single_preset,
 )
 from .intervention import (
     CombatParams,

@@ -126,22 +126,16 @@ def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> Diffusi
     """
     lv = layer_from_sources(g, creators)
     p_i, p_bar, _ = _spread(g, lv, params.transmission_prob)
-    return DiffusionState(
-        p_i=p_i,
-        p_i_bar=p_bar,
-        layers=lv,
-        iterations_run=lv.depth,
-        labels=_labels_from_belief(p_i, params.threshold),
+    state = DiffusionState(
+        p_i=p_i, p_i_bar=p_bar, layers=lv, iterations_run=lv.depth, labels=None
     )
-
-
-def _labels_from_belief(p_i: np.ndarray, threshold: float) -> np.ndarray:
-    return np.where(p_i >= threshold, Label.INFECTED, Label.SUSCEPTIBLE).astype(np.int8)
+    state.labels = label_nodes(state, params.threshold)
+    return state
 
 
 def label_nodes(state: DiffusionState, threshold: float) -> np.ndarray:
     """Infected where p_i >= threshold (boundary inclusive), else susceptible."""
-    return _labels_from_belief(state.p_i, threshold)
+    return np.where(state.p_i >= threshold, Label.INFECTED, Label.SUSCEPTIBLE).astype(np.int8)
 
 
 def diffusion_metrics(state: DiffusionState):

@@ -60,9 +60,9 @@ class GaussianPartitionParams:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        if self.mean_size < 1:
+        if not self.mean_size >= 1:  # also rejects NaN
             raise InputError(f"mean_size must be >= 1, got {self.mean_size}")
-        if self.shape <= 0:
+        if not self.shape > 0:
             raise InputError(f"shape must be > 0, got {self.shape}")
         for name in ("p_in", "p_out"):
             p = getattr(self, name)
@@ -84,11 +84,11 @@ class LfrParams:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        if self.tau1 <= 1 or self.tau2 <= 1:
+        if not (self.tau1 > 1 and self.tau2 > 1):  # also rejects NaN
             raise InputError("tau1 and tau2 must both be > 1")
         if not 0.0 < self.mu < 1.0:
             raise InputError(f"mu must be in (0, 1), got {self.mu}")
-        if self.average_degree <= 0:
+        if not self.average_degree > 0:
             raise InputError(f"average_degree must be > 0, got {self.average_degree}")
         if self.min_community < 1:
             raise InputError(f"min_community must be >= 1, got {self.min_community}")

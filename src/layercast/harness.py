@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -67,7 +68,6 @@ METRIC_ALTERNATIVE = {
 _SINGLE_COLUMNS = ("iterations", "sum_p_i", "infected", "susceptible")
 _COMBAT_COLUMNS = ("sum_p_it", "infected", "susceptible", "protected")
 _SINGLE_TESTED = ("iterations", "sum_p_i")
-_COMBAT_TESTED = ("sum_p_it", "infected", "susceptible", "protected")
 
 GeneratorParams = ErParams | GaussianPartitionParams | LfrParams
 
@@ -294,7 +294,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                     )
                 )
         if CentralityKind.RANDOM in point.strategies:
-            tested = _SINGLE_TESTED if point.mode == "single" else _COMBAT_TESTED
+            tested = _SINGLE_TESTED if point.mode == "single" else _COMBAT_COLUMNS
             baseline = {
                 m: np.array([per_graph[i][CentralityKind.RANDOM.value][m] for i in indices], dtype=np.float64)
                 for m in tested
@@ -311,24 +311,19 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                             PairedSample(x=own, y=baseline[metric]),
                             METRIC_ALTERNATIVE[metric],
                         )
-                        entry = PValueEntry(
-                            strategy=strategy.value,
-                            metric=metric,
-                            sweep_value=sweep_value,
-                            p=res.p_one_tailed,
-                            method=res.method,
-                            degenerate=False,
-                        )
+                        p, method = res.p_one_tailed, res.method
                     except DegenerateSampleError:
-                        entry = PValueEntry(
+                        p, method = 1.0, "degenerate"
+                    p_values.append(
+                        PValueEntry(
                             strategy=strategy.value,
                             metric=metric,
                             sweep_value=sweep_value,
-                            p=1.0,
-                            method="degenerate",
-                            degenerate=True,
+                            p=p,
+                            method=method,
+                            degenerate=method == "degenerate",
                         )
-                    p_values.append(entry)
+                    )
 
     provenance = Provenance(
         config_hash=config_hash(config),
@@ -336,22 +331,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
     return ExperimentResult(config=config, records=records, p_values=p_values, provenance=provenance)
-
-
-def run_density_sweep(base: ExperimentConfig, density_grid) -> ExperimentResult:
-    """One sub-experiment per edge-existence probability."""
-    if not isinstance(base.generator, ErParams):
-        raise InputError("density sweeps require an Erdős–Rényi generator")
-    sweep = SweepSpec(parameter="edge_exist_prob", values=tuple(density_grid))
-    return run_experiment(dataclasses.replace(base, sweep=sweep))
-
-
-def run_variance_sweep(base: ExperimentConfig, shape_grid) -> ExperimentResult:
-    """One sub-experiment per community-size shape value (variance = mean/shape)."""
-    if not isinstance(base.generator, GaussianPartitionParams):
-        raise InputError("variance sweeps require a Gaussian-partition generator")
-    sweep = SweepSpec(parameter="shape", values=tuple(shape_grid))
-    return run_experiment(dataclasses.replace(base, sweep=sweep))
 
 
 # -- ensembles and the minimum-seed search -------------------------------------
@@ -425,122 +404,67 @@ def apply_scale(config: ExperimentConfig, scale: str) -> ExperimentConfig:
     )
 
 
-def dense_er_single_preset(scale: str = "desk") -> ExperimentConfig:
-    """Dense one-community battery (paper scale: n=1000, p=0.04, 50 graphs)."""
-    cfg = ExperimentConfig(
-        generator=ErParams(n=1000, edge_exist_prob=0.04),
-        ensemble_size=50,
-        mode="single",
-        strategies=ALL_STRATEGIES,
-        model=DiffusionParams(transmission_prob=0.5, threshold=0.5),
-        info_starter=3,
-        master_rng_seed=_PRESET_SEED,
-    )
-    return apply_scale(cfg, scale)
+_SINGLE = ExperimentConfig(
+    generator=ErParams(n=1000, edge_exist_prob=0.04),
+    ensemble_size=50,
+    mode="single",
+    strategies=ALL_STRATEGIES,
+    model=DiffusionParams(transmission_prob=0.5, threshold=0.5),
+    info_starter=3,
+    master_rng_seed=_PRESET_SEED,
+)
+_INTERVENTION = ExperimentConfig(
+    generator=ErParams(n=1000, edge_exist_prob=0.03),
+    ensemble_size=50,
+    mode="intervention",
+    strategies=ALL_STRATEGIES,
+    model=CombatParams(
+        false_transmission_prob=0.5,
+        true_transmission_prob=0.4,
+        decisive_threshold=0.4,
+        comparative_threshold=0.1,
+    ),
+    false_info_starter=3,
+    true_info_starter=10,
+    master_rng_seed=_PRESET_SEED,
+)
+# community sizes ~ Normal(40, 40/shape): near-equal (shape 40) or varying (shape 1)
+_GAUSSIAN_SIMILAR = GaussianPartitionParams(n=1000, mean_size=40, shape=40, p_in=0.1, p_out=0.001)
+_GAUSSIAN_VARYING = dataclasses.replace(_GAUSSIAN_SIMILAR, shape=1)
+_LFR = LfrParams(n=1000, tau1=3.0, tau2=1.5, mu=0.1, average_degree=5.0, min_community=50)
+
+#: The paper's batteries at paper scale, one per network family and mode.
+PRESETS = {
+    "dense_er_single": _SINGLE,
+    "sparse_er_single": dataclasses.replace(
+        _SINGLE, generator=ErParams(n=1000, edge_exist_prob=0.0005)
+    ),
+    "gaussian_similar_single": dataclasses.replace(_SINGLE, generator=_GAUSSIAN_SIMILAR),
+    "gaussian_varying_single": dataclasses.replace(_SINGLE, generator=_GAUSSIAN_VARYING),
+    "lfr_single": dataclasses.replace(_SINGLE, generator=_LFR),
+    "er_intervention": _INTERVENTION,
+    "gaussian_similar_intervention": dataclasses.replace(_INTERVENTION, generator=_GAUSSIAN_SIMILAR),
+    "gaussian_varying_intervention": dataclasses.replace(_INTERVENTION, generator=_GAUSSIAN_VARYING),
+    # the paper uses decisive threshold 0.5 on the LFR family
+    "lfr_intervention": dataclasses.replace(
+        _INTERVENTION,
+        generator=_LFR,
+        model=dataclasses.replace(_INTERVENTION.model, decisive_threshold=0.5),
+    ),
+}
 
 
-def sparse_er_single_preset(scale: str = "desk") -> ExperimentConfig:
-    """Sparse one-community battery (paper scale: n=1000, p=0.0005)."""
-    cfg = dataclasses.replace(
-        dense_er_single_preset("paper"), generator=ErParams(n=1000, edge_exist_prob=0.0005)
-    )
-    return apply_scale(cfg, scale)
+def preset(name: str, scale: str = "desk") -> ExperimentConfig:
+    """The ``PRESETS`` battery ``name`` at desk or paper scale."""
+    if name not in PRESETS:
+        raise InputError(f"preset must be one of {sorted(PRESETS)}, got {name!r}")
+    return apply_scale(PRESETS[name], scale)
 
 
-def gaussian_single_preset(similar: bool = True, scale: str = "desk") -> ExperimentConfig:
-    """Multi-community battery; similar sizes (shape 40) or varying (shape 1)."""
-    cfg = ExperimentConfig(
-        generator=GaussianPartitionParams(
-            n=1000, mean_size=40, shape=40 if similar else 1, p_in=0.1, p_out=0.001
-        ),
-        ensemble_size=50,
-        mode="single",
-        strategies=ALL_STRATEGIES,
-        model=DiffusionParams(transmission_prob=0.5, threshold=0.5),
-        info_starter=3,
-        master_rng_seed=_PRESET_SEED,
-    )
-    return apply_scale(cfg, scale)
-
-
-def lfr_single_preset(scale: str = "desk") -> ExperimentConfig:
-    """LFR benchmark battery (tau1=3, tau2=1.5, mu=0.1, avg degree 5)."""
-    cfg = ExperimentConfig(
-        generator=LfrParams(
-            n=1000, tau1=3.0, tau2=1.5, mu=0.1, average_degree=5.0, min_community=50
-        ),
-        ensemble_size=50,
-        mode="single",
-        strategies=ALL_STRATEGIES,
-        model=DiffusionParams(transmission_prob=0.5, threshold=0.5),
-        info_starter=3,
-        master_rng_seed=_PRESET_SEED,
-    )
-    return apply_scale(cfg, scale)
-
-
-def er_intervention_preset(scale: str = "desk") -> ExperimentConfig:
-    """Complete-intervention battery (paper scale: n=1000, p=0.03)."""
-    cfg = ExperimentConfig(
-        generator=ErParams(n=1000, edge_exist_prob=0.03),
-        ensemble_size=50,
-        mode="intervention",
-        strategies=ALL_STRATEGIES,
-        model=CombatParams(
-            false_transmission_prob=0.5,
-            true_transmission_prob=0.4,
-            decisive_threshold=0.4,
-            comparative_threshold=0.1,
-        ),
-        false_info_starter=3,
-        true_info_starter=10,
-        master_rng_seed=_PRESET_SEED,
-    )
-    return apply_scale(cfg, scale)
-
-
-def gaussian_intervention_preset(similar: bool = True, scale: str = "desk") -> ExperimentConfig:
-    """Multi-community intervention battery (similar or varying community sizes)."""
-    cfg = ExperimentConfig(
-        generator=GaussianPartitionParams(
-            n=1000, mean_size=40, shape=40 if similar else 1, p_in=0.1, p_out=0.001
-        ),
-        ensemble_size=50,
-        mode="intervention",
-        strategies=ALL_STRATEGIES,
-        model=CombatParams(
-            false_transmission_prob=0.5,
-            true_transmission_prob=0.4,
-            decisive_threshold=0.4,
-            comparative_threshold=0.1,
-        ),
-        false_info_starter=3,
-        true_info_starter=10,
-        master_rng_seed=_PRESET_SEED,
-    )
-    return apply_scale(cfg, scale)
-
-
-def lfr_intervention_preset(scale: str = "desk") -> ExperimentConfig:
-    """LFR intervention battery (decisive threshold 0.5 on this family)."""
-    cfg = ExperimentConfig(
-        generator=LfrParams(
-            n=1000, tau1=3.0, tau2=1.5, mu=0.1, average_degree=5.0, min_community=50
-        ),
-        ensemble_size=50,
-        mode="intervention",
-        strategies=ALL_STRATEGIES,
-        model=CombatParams(
-            false_transmission_prob=0.5,
-            true_transmission_prob=0.4,
-            decisive_threshold=0.5,
-            comparative_threshold=0.1,
-        ),
-        false_info_starter=3,
-        true_info_starter=10,
-        master_rng_seed=_PRESET_SEED,
-    )
-    return apply_scale(cfg, scale)
+# named lookups kept because the benchmark's workloads call them
+dense_er_single_preset = functools.partial(preset, "dense_er_single")
+er_intervention_preset = functools.partial(preset, "er_intervention")
+lfr_intervention_preset = functools.partial(preset, "lfr_intervention")
 
 
 # -- serialization ---------------------------------------------------------------

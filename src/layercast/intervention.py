@@ -64,20 +64,19 @@ class CombatState:
     labels: np.ndarray
 
 
-def determine_combat_label(p_if: float, p_it: float, comparative_threshold: float) -> Label:
-    """Three-way status: infected / susceptible / protected."""
-    if p_if - p_it >= comparative_threshold:
-        return Label.INFECTED
-    if p_if >= p_it:
-        return Label.SUSCEPTIBLE
-    return Label.PROTECTED
+def determine_combat_label(p_if, p_it, comparative_threshold: float) -> np.ndarray:
+    """Three-way status per node: infected / susceptible / protected.
 
-
-def _combat_labels(p_if: np.ndarray, p_it: np.ndarray, comparative_threshold: float) -> np.ndarray:
-    labels = np.full(len(p_if), Label.PROTECTED, dtype=np.int8)
-    labels[p_if >= p_it] = Label.SUSCEPTIBLE
-    labels[p_if - p_it >= comparative_threshold] = Label.INFECTED
-    return labels
+    Infected when the false belief leads by at least the comparative
+    threshold, susceptible when it otherwise leads or ties, else protected.
+    """
+    p_if = np.asarray(p_if)
+    p_it = np.asarray(p_it)
+    return np.where(
+        p_if - p_it >= comparative_threshold,
+        Label.INFECTED,
+        np.where(p_if >= p_it, Label.SUSCEPTIBLE, Label.PROTECTED),
+    ).astype(np.int8)
 
 
 def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams) -> CombatState:
@@ -112,7 +111,7 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
         false_layers=false_lv,
         true_layers=true_lv,
         blocked=blocked,
-        labels=_combat_labels(p_if, p_it, params.comparative_threshold),
+        labels=determine_combat_label(p_if, p_it, params.comparative_threshold),
     )
 
 

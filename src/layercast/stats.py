@@ -30,11 +30,10 @@ _ALTERNATIVES = ("x_less", "x_greater")
 
 @dataclass(frozen=True)
 class PairedSample:
-    """Paired observations (x_i, y_i) with optional per-pair labels."""
+    """Paired observations (x_i, y_i)."""
 
     x: np.ndarray
     y: np.ndarray
-    labels: tuple = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -51,9 +50,9 @@ class PairedSample:
         y.setflags(write=False)
 
     @classmethod
-    def from_pairs(cls, pairs, labels=None):
+    def from_pairs(cls, pairs):
         arr = np.asarray(list(pairs), dtype=np.float64).reshape(-1, 2)
-        return cls(x=arr[:, 0], y=arr[:, 1], labels=labels)
+        return cls(x=arr[:, 0], y=arr[:, 1])
 
     def __len__(self):
         return len(self.x)
@@ -208,5 +207,4 @@ def engagement_sample(records) -> PairedSample:
     return PairedSample(
         x=np.array([r.true_engagement for r in records], dtype=np.float64),
         y=np.array([r.false_engagement for r in records], dtype=np.float64),
-        labels=tuple(r.news_id for r in records),
     )

@@ -72,6 +72,21 @@ class TestGenerate:
         assert err.startswith("error: input:")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gaussian", "--n", "100", "--mean-size", "10", "--shape", "nan",
+             "--p-in", "0.1", "--p-out", "0.01"),
+            ("lfr", "--n", "120", "--tau1", "nan", "--tau2", "1.5", "--mu", "0.1",
+             "--average-degree", "4", "--min-community", "25"),
+        ],
+        ids=["gaussian-shape", "lfr-tau1"],
+    )
+    def test_nan_param_is_input_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, "generate", *argv, "--seed", "1")
+        assert code == 1
+        assert err.startswith("error: input:")
+
 class TestCentrality:
     def test_degree_csv(self, capsys, chain_file):
         code, out, _ = run_cli(capsys, "centrality", "--graph", chain_file, "--measure", "degree")

@@ -41,6 +41,27 @@ class TestParams:
             LfrParams(n=10, tau1=3, tau2=1.5, mu=0.1, average_degree=0, min_community=2)
 
 
+_GAUSSIAN_FIELDS = {"n": 10, "mean_size": 5.0, "shape": 1.0, "p_in": 0.1, "p_out": 0.1}
+_LFR_FIELDS = {"n": 10, "tau1": 3.0, "tau2": 1.5, "mu": 0.1, "average_degree": 3.0, "min_community": 2}
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name",
+    [
+        pytest.param(GaussianPartitionParams, _GAUSSIAN_FIELDS, "mean_size", id="gaussian-mean_size"),
+        pytest.param(GaussianPartitionParams, _GAUSSIAN_FIELDS, "shape", id="gaussian-shape"),
+        pytest.param(GaussianPartitionParams, _GAUSSIAN_FIELDS, "p_in", id="gaussian-p_in"),
+        pytest.param(LfrParams, _LFR_FIELDS, "tau1", id="lfr-tau1"),
+        pytest.param(LfrParams, _LFR_FIELDS, "tau2", id="lfr-tau2"),
+        pytest.param(LfrParams, _LFR_FIELDS, "mu", id="lfr-mu"),
+        pytest.param(LfrParams, _LFR_FIELDS, "average_degree", id="lfr-average_degree"),
+    ],
+)
+def test_nan_parameter_rejected(cls, fields, name):
+    with pytest.raises(InputError):
+        cls(**{**fields, name: float("nan")})
+
+
 class TestEr:
     def test_complete_graph(self):
         g = gen_er(ErParams(n=10, edge_exist_prob=1.0), 0)

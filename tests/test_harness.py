@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from layercast import (
     LfrParams,
 )
 from layercast.harness import (
+    PRESETS,
     ExperimentConfig,
     SweepSpec,
     apply_scale,
@@ -27,14 +29,14 @@ from layercast.harness import (
     generate_graph,
     load_config,
     minimum_seed_battery,
+    preset,
     read_records,
     records_to_csv_text,
-    run_density_sweep,
     run_experiment,
-    run_variance_sweep,
 )
 
 TWO_STRATEGIES = (CentralityKind.DEGREE, CentralityKind.RANDOM)
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def tiny_single_config(**overrides):
@@ -217,11 +219,15 @@ class TestRunExperiment:
         assert res.metric_column(CentralityKind.DEGREE, "sum_p_i")[3] == sum_p_i
 
 
+def run_sweep(cfg, parameter, grid):
+    return run_experiment(dataclasses.replace(cfg, sweep=SweepSpec(parameter, grid)))
+
+
 class TestSweeps:
     def test_single_point_grid_matches_plain_run(self):
         cfg = tiny_single_config()
         plain = run_experiment(cfg)
-        swept = run_density_sweep(cfg, [cfg.generator.edge_exist_prob])
+        swept = run_sweep(cfg, "edge_exist_prob", [cfg.generator.edge_exist_prob])
         assert np.array_equal(
             plain.metric_column(CentralityKind.DEGREE, "sum_p_i"),
             swept.metric_column(CentralityKind.DEGREE, "sum_p_i", cfg.generator.edge_exist_prob),
@@ -231,14 +237,14 @@ class TestSweeps:
         cfg = tiny_single_config(
             generator=ErParams(n=150, edge_exist_prob=0.05), ensemble_size=12, master_rng_seed=42
         )
-        res = run_density_sweep(cfg, [0.004, 0.05, 0.9])
+        res = run_sweep(cfg, "edge_exist_prob", [0.004, 0.05, 0.9])
         adv = {d: res.mean_advantage(CentralityKind.DEGREE, "sum_p_i", d) for d in (0.004, 0.05, 0.9)}
         assert adv[0.004] <= adv[0.05]
         assert adv[0.9] <= adv[0.05]
 
     def test_complete_graph_grid_has_no_advantage(self):
         cfg = tiny_single_config(generator=ErParams(n=30, edge_exist_prob=0.5), ensemble_size=4)
-        res = run_density_sweep(cfg, [1.0])
+        res = run_sweep(cfg, "edge_exist_prob", [1.0])
         assert res.mean_advantage(CentralityKind.DEGREE, "sum_p_i", 1.0) == pytest.approx(0.0)
 
     def test_transmission_prob_sweep_monotone_means(self):
@@ -246,7 +252,7 @@ class TestSweeps:
             generator=ErParams(n=120, edge_exist_prob=0.04), ensemble_size=8, master_rng_seed=7
         )
         grid = tuple(round(p, 1) for p in np.arange(0.1, 1.0, 0.1))
-        res = run_experiment(dataclasses.replace(cfg, sweep=SweepSpec("transmission_prob", grid)))
+        res = run_sweep(cfg, "transmission_prob", grid)
         for strategy in cfg.strategies:
             means = [res.metric_column(strategy, "sum_p_i", p).mean() for p in grid]
             assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
@@ -256,25 +262,25 @@ class TestSweeps:
             generator=GaussianPartitionParams(n=120, mean_size=20, shape=20, p_in=0.15, p_out=0.002),
             ensemble_size=4,
         )
-        res = run_variance_sweep(cfg, [20.0, 1.0])
+        res = run_sweep(cfg, "shape", [20.0, 1.0])
         for v in (20.0, 1.0):
             assert len(res.metric_column(CentralityKind.DEGREE, "sum_p_i", v)) == 4
         assert {p.sweep_value for p in res.p_values} == {20.0, 1.0}
 
     def test_variance_sweep_requires_gaussian(self):
         with pytest.raises(InputError):
-            run_variance_sweep(tiny_single_config(), [1.0])
+            run_sweep(tiny_single_config(), "shape", [1.0])
 
     def test_density_sweep_requires_er(self):
         cfg = tiny_single_config(
             generator=GaussianPartitionParams(n=60, mean_size=20, shape=20, p_in=0.1, p_out=0.01)
         )
         with pytest.raises(InputError):
-            run_density_sweep(cfg, [0.1])
+            run_sweep(cfg, "edge_exist_prob", [0.1])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
-            run_density_sweep(tiny_single_config(), [])
+            run_sweep(tiny_single_config(), "edge_exist_prob", [])
 
 
 class TestExportImport:
@@ -345,6 +351,20 @@ class TestConfigSerialization:
             load_config(incomplete)
 
 
+# row: (generator type, distinguishing field, paper value, desk value)
+PRESET_ROWS = {
+    "dense_er_single": (ErParams, "generator.edge_exist_prob", 0.04, 0.2),
+    "sparse_er_single": (ErParams, "generator.edge_exist_prob", 0.0005, 0.0025),
+    "gaussian_similar_single": (GaussianPartitionParams, "generator.shape", 40, 40),
+    "gaussian_varying_single": (GaussianPartitionParams, "generator.shape", 1, 1),
+    "lfr_single": (LfrParams, "generator.min_community", 50, 50),
+    "er_intervention": (ErParams, "generator.edge_exist_prob", 0.03, 0.15),
+    "gaussian_similar_intervention": (GaussianPartitionParams, "generator.shape", 40, 40),
+    "gaussian_varying_intervention": (GaussianPartitionParams, "generator.shape", 1, 1),
+    "lfr_intervention": (LfrParams, "model.decisive_threshold", 0.5, 0.5),
+}
+
+
 class TestScaleAndPresets:
     def test_desk_mapping_preserves_mean_degree(self):
         paper = dense_er_single_preset("paper")
@@ -369,6 +389,31 @@ class TestScaleAndPresets:
         assert desk.generator == ErParams(n=200, edge_exist_prob=0.15)
         assert desk.model.decisive_threshold == 0.4
         assert desk.false_info_starter == 3
+
+    @pytest.mark.parametrize("scale", ["paper", "desk"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_row(self, name, scale):
+        gen_type, field, paper_value, desk_value = PRESET_ROWS[name]
+        cfg = preset(name, scale)
+        assert cfg.mode == ("single" if name.endswith("_single") else "intervention")
+        assert type(cfg.generator) is gen_type
+        assert cfg.generator.n == (1000 if scale == "paper" else 200)
+        assert cfg.ensemble_size == (50 if scale == "paper" else 30)
+        assert cfg.master_rng_seed == 1729
+        part, attr = field.split(".")
+        expected = paper_value if scale == "paper" else desk_value
+        assert getattr(getattr(cfg, part), attr) == pytest.approx(expected)
+
+    def test_every_preset_row_is_pinned(self):
+        assert set(PRESET_ROWS) == set(PRESETS)
+
+    def test_unknown_preset(self):
+        with pytest.raises(InputError):
+            preset("dense_er")
+
+    @pytest.mark.parametrize("name", ["dense_er_single", "er_intervention"])
+    def test_demo_config_is_the_paper_preset(self, name):
+        assert load_config(CONFIGS / f"{name}.json") == preset(name, "paper")
 
 
 class TestMinimumSeedBattery:
