@@ -77,9 +77,11 @@ from .harness import (
 from .intervention import (
     CombatParams,
     CombatState,
+    FalseProcess,
     determine_combat_label,
     intervention_metrics,
     minimum_true_seeds,
+    run_false_process,
     run_intervention,
 )
 from .stats import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, LayeredView, _closed_triplets, layer_from_sources
+from .graph import Graph, LayeredView, layer_edges, layer_from_sources
 
 
 class Label(enum.IntEnum):
@@ -82,6 +82,11 @@ def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
     mask of nodes that neither receive nor transmit while layer L updates;
     a halted layer-L node keeps belief 0 and is flagged in ``blocked``.
     Returns ``(p, p_bar, blocked)``.
+
+    Each layer is one vectorised step.  A node's terms ``1 - p[v] * F`` are
+    multiplied left to right in ascending source order, the order of a
+    node-by-node loop, so the result is bitwise that loop's.  A skipped
+    source (belief 0 or halted) contributes exactly 1.0.
     """
     n = g.node_count
     p_bar = np.ones(n)
@@ -89,30 +94,36 @@ def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
     p = np.zeros(n)
     p[lv.sources] = 1.0
     blocked = np.zeros(n, dtype=bool)
+    if lv.depth == 0:
+        return p, p_bar, blocked
 
-    factors = {0: P}
-    layer_of = lv.layer_of
+    targets, sources, counts = layer_edges(g, lv)
+    table = np.zeros(counts.max() + 1)
+    for k in np.flatnonzero(np.bincount(counts)):
+        table[k] = transmission_factor(P, int(k))
+    factor = table[counts]
+    # one segment per updated node, in update order; every layer-L node has a
+    # layer L - 1 neighbor, so no segment is empty
+    seg = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
+    seg = np.append(seg, len(targets))
+    first = 0
     for L in range(1, lv.depth + 1):
-        prev = L - 1
-        halted = None if stop is None else stop(L)
-        for u in lv.layers[L]:
-            if halted is not None and halted[u]:
-                blocked[u] = True
-                continue
-            acc = p_bar[u]
-            for v in g.neighbors(u):
-                if layer_of[v] != prev or p[v] == 0.0:
-                    continue
-                if halted is not None and halted[v]:
-                    continue
-                n_eff = _closed_triplets(g, layer_of, u, v, L)
-                f = factors.get(n_eff)
-                if f is None:
-                    f = transmission_factor(P, n_eff)
-                    factors[n_eff] = f
-                acc *= 1.0 - p[v] * f
-            p_bar[u] = acc
-            p[u] = 1.0 - acc
+        u = lv.layers[L]
+        starts = seg[first : first + len(u) + 1]
+        first += len(u)
+        e0, e1 = starts[0], starts[-1]
+        src = sources[e0:e1]
+        terms = 1.0 - p[src] * factor[e0:e1]
+        if stop is not None:
+            halted = stop(L)
+            terms[halted[src]] = 1.0
+        acc = np.multiply.reduceat(terms, starts[:-1] - e0)
+        if stop is not None:
+            h = halted[u]
+            blocked[u[h]] = True
+            u, acc = u[~h], acc[~h]
+        p_bar[u] = acc
+        p[u] = 1.0 - acc
     return p, p_bar, blocked
 
 

@@ -1,4 +1,4 @@
-"""Immutable undirected simple graph with BFS layering and closed-triplet queries.
+"""Immutable undirected simple graph with BFS layering and closed-triplet counts.
 
 Node identity is a dense integer index in ``[0, node_count)``.  Adjacency is
 stored CSR-style (``indptr``/``indices``) with each neighbor row sorted, so
@@ -21,7 +21,7 @@ class Graph:
     threads.  Use :func:`build_graph` to construct one from a raw edge list.
     """
 
-    __slots__ = ("node_count", "edges", "_indptr", "_indices", "_nbr_sets")
+    __slots__ = ("node_count", "edges", "_indptr", "_indices")
 
     def __init__(self, node_count: int, edge_list) -> None:
         if node_count < 0:
@@ -56,7 +56,6 @@ class Graph:
         self._indices = dst[order]
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
-        self._nbr_sets = None
 
     @property
     def edge_count(self) -> int:
@@ -73,17 +72,10 @@ class Graph:
         """Sorted neighbor indices of ``v`` (read-only view)."""
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
-    def neighbor_set(self, v: int) -> frozenset:
-        if self._nbr_sets is None:
-            ind, ptr = self._indices, self._indptr
-            self._nbr_sets = tuple(
-                frozenset(ind[ptr[i] : ptr[i + 1]].tolist())
-                for i in range(self.node_count)
-            )
-        return self._nbr_sets[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_set(u)
+        row = self.neighbors(u)
+        i = np.searchsorted(row, v)
+        return bool(i < len(row) and row[i] == v)
 
     def to_csr(self):
         """Adjacency as a scipy CSR matrix of float64 (built per call)."""
@@ -159,18 +151,6 @@ def layer_from_sources(g: Graph, sources) -> LayeredView:
     return LayeredView(sources=src, layer_of=layer_of, layers=tuple(layers))
 
 
-def _closed_triplets(g: Graph, layer_of: np.ndarray, target: int, source: int, target_layer: int) -> int:
-    """Common neighbors of ``target`` and ``source`` that lie in ``target_layer``.
-
-    Unchecked: the diffusion kernel calls it only on consecutive-layer edges.
-    """
-    n_eff = 0
-    for i in g.neighbor_set(target) & g.neighbor_set(source):
-        if layer_of[i] == target_layer:
-            n_eff += 1
-    return n_eff
-
-
 def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) -> int:
     """Number of closed triplets boosting a transmission from source to target.
 
@@ -187,7 +167,43 @@ def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) ->
         )
     if not g.has_edge(target, source):
         raise ContractError(f"no edge between target {target} and source {source}")
-    return _closed_triplets(g, lv.layer_of, target, source, lt)
+    common = np.intersect1d(g.neighbors(target), g.neighbors(source), assume_unique=True)
+    return int(np.count_nonzero(lv.layer_of[common] == lt))
+
+
+def layer_edges(g: Graph, lv: LayeredView):
+    """Every consecutive-layer edge with its effective-edge count, in update order.
+
+    Returns ``(targets, sources, counts)``: for each node of layer L >= 1,
+    in layer order and then ascending node order, its layer L - 1 neighbors
+    in ascending order and, per such edge, the :func:`effective_edge_count`.
+    The counts are read from ``S @ C`` at C's entries, where S is the
+    same-layer adjacency over layers >= 1 and C the consecutive-layer
+    adjacency directed from the deeper node to the shallower one.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = g.node_count
+    rows = np.repeat(np.arange(n), g.degrees)
+    cols = g._indices
+    row_layer = lv.layer_of[rows]
+    col_layer = lv.layer_of[cols]
+    deep = row_layer >= 1
+    cross = deep & (col_layer == row_layer - 1)
+    same = deep & (col_layer == row_layer)
+
+    def adjacency(mask):
+        # rows and cols are in CSR order, so each masked subset is canonical CSR
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[mask], minlength=n), out=indptr[1:])
+        data = np.ones(int(indptr[-1]), dtype=np.int64)
+        return csr_matrix((data, cols[mask], indptr), shape=(n, n))
+
+    targets, sources = rows[cross], cols[cross]
+    counts = np.asarray((adjacency(same) @ adjacency(cross))[targets, sources]).ravel()
+    # stable: inside a layer the CSR order (target, then source) is kept
+    order = np.argsort(row_layer[cross], kind="stable")
+    return targets[order], sources[order], counts[order]
 
 
 def format_edge_list(g: Graph) -> str:

@@ -38,7 +38,13 @@ from .generators import (
     gen_gaussian_partition,
     gen_lfr,
 )
-from .intervention import CombatParams, intervention_metrics, minimum_true_seeds, run_intervention
+from .intervention import (
+    CombatParams,
+    intervention_metrics,
+    minimum_true_seeds,
+    run_false_process,
+    run_intervention,
+)
 from .stats import PairedSample, compare_strategies
 
 _STREAM_GRAPH = 0
@@ -234,9 +240,10 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
             derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index)
         )
         ic_f = rng_false.choice(g.node_count, size=point.false_info_starter, replace=False)
+        false_process = run_false_process(g, ic_f, point.model)
         for strategy in point.strategies:
             ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
-            state = run_intervention(g, ic_f, ic_t, point.model)
+            state = run_intervention(g, ic_f, ic_t, point.model, false_process=false_process)
             sum_p_it, infected, susceptible, protected = intervention_metrics(state)
             out[strategy.value] = {
                 "sum_p_it": sum_p_it,

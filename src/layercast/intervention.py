@@ -18,7 +18,7 @@ import numpy as np
 
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread
-from .errors import InputError
+from .errors import ContractError, InputError
 from .graph import Graph, LayeredView, layer_from_sources
 
 
@@ -79,7 +79,30 @@ def determine_combat_label(p_if, p_it, comparative_threshold: float) -> np.ndarr
     ).astype(np.int8)
 
 
-def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams) -> CombatState:
+@dataclass(frozen=True)
+class FalseProcess:
+    """The false spread of a combat run, computed once per graph and creator set.
+
+    The false process never reads the true one, so every true-creator set on
+    the same graph can reuse it.  ``p_if`` is read-only because it is shared.
+    """
+
+    layers: LayeredView
+    p_if: np.ndarray
+    transmission_prob: float
+
+
+def run_false_process(g: Graph, false_creators, params: CombatParams) -> FalseProcess:
+    """Layer the false creators and spread false belief without interference."""
+    lv = layer_from_sources(g, false_creators)
+    p_if, _, _ = _spread(g, lv, params.false_transmission_prob)
+    p_if.setflags(write=False)
+    return FalseProcess(layers=lv, p_if=p_if, transmission_prob=params.false_transmission_prob)
+
+
+def run_intervention(
+    g: Graph, false_creators, true_creators, params: CombatParams, *, false_process=None
+) -> CombatState:
     """Run the competing diffusion of false and true information.
 
     On the shared timeline, step t updates true layer t - 1 and then false
@@ -93,10 +116,24 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
     unreached node still holds false belief 0; the true process therefore
     halts, while layer L updates, exactly the nodes in
     ``np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td``.
+
+    ``false_process``, when given, is :func:`run_false_process` for the same
+    graph, false creators and false transmission probability, and is used
+    instead of spreading the false belief again; a mismatched one raises
+    :class:`ContractError`.
     """
-    false_lv = layer_from_sources(g, false_creators)
+    if false_process is None:
+        false_process = run_false_process(g, false_creators, params)
+    else:
+        creators = np.unique(np.asarray(list(false_creators), dtype=np.int64))
+        if not np.array_equal(false_process.layers.sources, creators):
+            raise ContractError("false_process was spread from other false creators")
+        if false_process.transmission_prob != params.false_transmission_prob:
+            raise ContractError(
+                "false_process was spread with another false transmission probability"
+            )
     true_lv = layer_from_sources(g, true_creators)
-    p_if, _, _ = _spread(g, false_lv, params.false_transmission_prob)
+    false_lv, p_if = false_process.layers, false_process.p_if
 
     f_layer = false_lv.layer_of
     td = params.decisive_threshold
@@ -162,6 +199,7 @@ def minimum_true_seeds(
     scores = None
     if strategy is not CentralityKind.RANDOM:
         scores = [compute_centrality(g, strategy).scores for g in graphs]
+    false_processes = [run_false_process(g, s, params) for g, s in zip(graphs, false_seed_sets)]
 
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))
@@ -172,7 +210,9 @@ def minimum_true_seeds(
             else:
                 rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                 ic_t = rng.choice(g.node_count, size=k, replace=False)
-            state = run_intervention(g, false_seed_sets[i], ic_t, params)
+            state = run_intervention(
+                g, false_seed_sets[i], ic_t, params, false_process=false_processes[i]
+            )
             _, inf, _, prot = intervention_metrics(state)
             protected[i] = prot
             infected[i] = inf

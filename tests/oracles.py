@@ -140,6 +140,53 @@ def rational_intervention(n, edges, ic_f, ic_t, pf, pt, td, tc):
     return p_if, p_it, labels
 
 
+def common_in_layer(g, layer_of, target, source, target_layer):
+    """Closed triplets of an edge: common neighbors lying in the target's layer."""
+    common = set(g.neighbors(target).tolist()) & set(g.neighbors(source).tolist())
+    return sum(1 for i in common if layer_of[i] == target_layer)
+
+
+def scalar_spread(g, lv, P, stop=None):
+    """The layer kernel as a node-by-node, edge-by-edge loop, in float64.
+
+    The package's earlier scalar ``diffusion._spread``, kept as the bitwise
+    reference for the vectorised kernel.  Returns ``(p, p_bar, blocked)``.
+    """
+    from layercast.diffusion import transmission_factor
+
+    n = g.node_count
+    p_bar = np.ones(n)
+    p_bar[lv.sources] = 0.0
+    p = np.zeros(n)
+    p[lv.sources] = 1.0
+    blocked = np.zeros(n, dtype=bool)
+
+    factors = {0: P}
+    layer_of = lv.layer_of
+    for L in range(1, lv.depth + 1):
+        prev = L - 1
+        halted = None if stop is None else stop(L)
+        for u in lv.layers[L]:
+            if halted is not None and halted[u]:
+                blocked[u] = True
+                continue
+            acc = p_bar[u]
+            for v in g.neighbors(u):
+                if layer_of[v] != prev or p[v] == 0.0:
+                    continue
+                if halted is not None and halted[v]:
+                    continue
+                n_eff = common_in_layer(g, layer_of, u, v, L)
+                f = factors.get(n_eff)
+                if f is None:
+                    f = transmission_factor(P, n_eff)
+                    factors[n_eff] = f
+                acc *= 1.0 - p[v] * f
+            p_bar[u] = acc
+            p[u] = 1.0 - acc
+    return p, p_bar, blocked
+
+
 def interleaved_intervention(g, false_creators, true_creators, params):
     """The combat run as an interleaved step loop, in float64.
 
@@ -152,8 +199,7 @@ def interleaved_intervention(g, false_creators, true_creators, params):
     from layercast.graph import layer_from_sources
 
     def count_effective(layer_of, target, source, target_layer):
-        common = g.neighbor_set(target) & g.neighbor_set(source)
-        return sum(1 for i in common if layer_of[i] == target_layer)
+        return common_in_layer(g, layer_of, target, source, target_layer)
 
     false_lv = layer_from_sources(g, false_creators)
     true_lv = layer_from_sources(g, true_creators)

@@ -10,11 +10,13 @@ from layercast import (
     build_graph,
     diffusion_metrics,
     label_nodes,
+    layer_from_sources,
     run_single_diffusion,
     update_from_source,
 )
 
-from oracles import rational_single_diffusion
+from layercast.diffusion import _spread
+from oracles import rational_single_diffusion, scalar_spread
 
 
 class TestUpdateFromSource:
@@ -140,3 +142,62 @@ class TestProperties:
         expected, iters = rational_single_diffusion(18, edges, [0, 1], Fraction(1, 2))
         assert state.iterations_run == iters
         assert np.all(np.abs(state.p_i - [float(x) for x in expected]) <= 1e-12)
+
+
+def _halting_by_false_belief(g, false_creators, pf, td):
+    """A ``stop(L)`` mask built the way ``run_intervention`` builds it."""
+    flv = layer_from_sources(g, false_creators)
+    p_if, _, _ = scalar_spread(g, flv, pf)
+    f_layer = flv.layer_of
+    return lambda L: np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td
+
+
+def _assert_kernel_bitwise(g, sources, P, stop=None):
+    lv = layer_from_sources(g, sources)
+    got = _spread(g, lv, P, stop)
+    want = scalar_spread(g, lv, P, stop)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestKernelBitwise:
+    """The vectorised layer kernel against the scalar node-by-node loop."""
+
+    @pytest.mark.parametrize("halting", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, random_graph_factory, seed, halting):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(2, 90))
+        g, _ = random_graph_factory(seed=900 + seed, n=n, p=float(rng.choice([0.02, 0.06, 0.15, 0.4])))
+        sources = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
+        stop = None
+        if halting:
+            false_creators = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
+            td = float(rng.choice([0.0, 0.3, 0.5, 1.01]))
+            stop = _halting_by_false_belief(g, false_creators, float(rng.random()), td)
+        _assert_kernel_bitwise(g, sources, float(rng.random()), stop)
+
+    @pytest.mark.parametrize("P", [0.0, 1.0])
+    @pytest.mark.parametrize("td", [0.0, 1.5])
+    def test_extreme_probabilities_and_thresholds(self, random_graph_factory, P, td):
+        g, _ = random_graph_factory(seed=950, n=50, p=0.1)
+        _assert_kernel_bitwise(g, [0, 7], P)
+        _assert_kernel_bitwise(g, [0, 7], P, _halting_by_false_belief(g, [3], 0.6, td))
+
+    @pytest.mark.parametrize(
+        "n, edges, sources",
+        [
+            (1, [], [0]),
+            (6, [], [1, 4]),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [0, 1, 2, 3, 4]),
+            # two components: the one without a source stays unreached
+            (8, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (4, 6), (6, 7)], [0]),
+        ],
+        ids=["n=1", "edgeless", "all-sources", "unreachable-component"],
+    )
+    @pytest.mark.parametrize("halting", [False, True])
+    def test_edge_cases(self, n, edges, sources, halting):
+        g = build_graph(n, edges)
+        stop = _halting_by_false_belief(g, [n - 1], 0.7, 0.5) if halting else None
+        _assert_kernel_bitwise(g, sources, 0.6, stop)

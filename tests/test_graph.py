@@ -42,7 +42,7 @@ class TestBuildGraph:
         g, _ = random_graph_factory(seed=3, n=40, p=0.15)
         for u in range(g.node_count):
             for v in g.neighbors(u):
-                assert u in g.neighbor_set(v)
+                assert u in g.neighbors(v)
 
     def test_immutable_arrays(self, chain4):
         with pytest.raises(ValueError):

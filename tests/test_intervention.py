@@ -6,15 +6,19 @@ import pytest
 from layercast import (
     CentralityKind,
     CombatParams,
+    ContractError,
     DiffusionParams,
     InputError,
     Label,
     build_graph,
+    compute_centrality,
     determine_combat_label,
     intervention_metrics,
     minimum_true_seeds,
+    run_false_process,
     run_intervention,
     run_single_diffusion,
+    top_k_by_score,
 )
 
 from oracles import interleaved_intervention, optimal_minimum_true_seeds, rational_intervention
@@ -177,6 +181,36 @@ class TestInvariants:
             solo = run_single_diffusion(g, ic_f, DiffusionParams(0.5, 0.5))
             assert np.array_equal(solo.p_i, p_if)
 
+    @pytest.mark.parametrize("td", [0.0, 0.4, 1.01])
+    def test_precomputed_false_process_is_bitwise_equal(self, random_graph_factory, td):
+        params = CombatParams(0.6, 0.4, td, 0.1)
+        for seed in range(4):
+            g, _ = random_graph_factory(seed=760 + seed, n=45, p=0.09)
+            rng = np.random.default_rng(seed)
+            ic_f = rng.choice(45, 3, replace=False)
+            false_process = run_false_process(g, ic_f, params)
+            for _ in range(3):
+                ic_t = rng.choice(45, 4, replace=False)
+                fresh = run_intervention(g, ic_f, ic_t, params)
+                reused = run_intervention(g, ic_f, ic_t, params, false_process=false_process)
+                for name in ("p_if", "p_it", "blocked", "labels"):
+                    a, b = getattr(fresh, name), getattr(reused, name)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
+    def test_false_process_from_other_creators_rejected(self, chain4):
+        false_process = run_false_process(chain4, [0], FIG45)
+        with pytest.raises(ContractError):
+            run_intervention(chain4, [3], [1], FIG45, false_process=false_process)
+        with pytest.raises(ContractError):
+            run_intervention(chain4, [0, 3], [1], FIG45, false_process=false_process)
+        other_pf = CombatParams(0.3, 0.4, 0.5, 0.1)
+        with pytest.raises(ContractError):
+            run_intervention(chain4, [0], [1], other_pf, false_process=false_process)
+        # the same creators in another order and with repeats are the same set
+        reused = run_intervention(chain4, [0, 0], [3], FIG45, false_process=false_process)
+        assert np.array_equal(reused.p_if, run_intervention(chain4, [0], [3], FIG45).p_if)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_rational_oracle(self, random_graph_factory, seed):
         g, edges = random_graph_factory(seed=500 + seed, n=16, p=0.2)
@@ -231,6 +265,46 @@ class TestMinimumTrueSeeds:
     def test_random_strategy_needs_seed(self, chain4):
         with pytest.raises(InputError):
             minimum_true_seeds([chain4], CentralityKind.RANDOM, [[0]], FIG45, k_max=2)
+
+    @pytest.mark.parametrize(
+        "strategy, n, p, params",
+        [
+            (CentralityKind.DEGREE, 30, 0.12, CombatParams(0.5, 0.4, 0.4, 0.1)),
+            (CentralityKind.RANDOM, 25, 0.2, CombatParams(0.6, 0.5, 0.5, 0.05)),
+            (CentralityKind.CLOSENESS, 35, 0.08, CombatParams(0.6, 0.4, 1.01, 0.2)),
+            (CentralityKind.CLOSENESS, 35, 0.08, CombatParams(0.7, 0.3, 1.01, 0.1)),
+        ],
+    )
+    def test_equals_fresh_run_per_graph_and_k(self, random_graph_factory, strategy, n, p, params):
+        # reusing each graph's false process changes no k and no curve point;
+        # the rows stop at k 8, 11, 4 and never (None)
+        graphs = [random_graph_factory(seed=810 + i, n=n, p=p)[0] for i in range(4)]
+        false_sets = [np.random.default_rng(i).choice(n, 3, replace=False) for i in range(4)]
+        k_max = 12
+        curve = []
+        got = minimum_true_seeds(
+            graphs, strategy, false_sets, params, k_max, rng_seed=11, curve_out=curve
+        )
+
+        expected_k, expected_curve = None, []
+        for k in range(1, k_max + 1):
+            protected, infected = [], []
+            for i, g in enumerate(graphs):
+                if strategy is CentralityKind.RANDOM:
+                    rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(i, k)))
+                    ic_t = rng.choice(n, size=k, replace=False)
+                else:
+                    ic_t = top_k_by_score(compute_centrality(g, strategy).scores, k)
+                _, inf, _, prot = intervention_metrics(run_intervention(g, false_sets[i], ic_t, params))
+                protected.append(prot)
+                infected.append(inf)
+            mean_prot, mean_inf = float(np.mean(protected)), float(np.mean(infected))
+            expected_curve.append((k, mean_prot, mean_inf))
+            if mean_prot > mean_inf:
+                expected_k = k
+                break
+        assert got == expected_k
+        assert curve == expected_curve
 
     def test_random_strategy_deterministic(self, random_graph_factory):
         g, _ = random_graph_factory(seed=31, n=30, p=0.15)
