@@ -13,7 +13,7 @@ from layercast import (
     effective_edge_count,
     layer_from_sources,
     run_single_diffusion,
-    update_from_source,
+    transmission_factor,
 )
 
 # A believer passes information one hop per iteration.  On a 4-node path with
@@ -37,8 +37,8 @@ lv = layer_from_sources(triangle, [0])
 n_eff = effective_edge_count(triangle, lv, target=1, source=0)
 print("\ntriangle, creator at node 0")
 print(f"  effective edges for node 1 from node 0: {n_eff}")
-print(f"  plain update:   {update_from_source(1.0, 0.5, 0):.4f}")
-print(f"  boosted update: {update_from_source(1.0, 0.5, n_eff):.4f}")
+print(f"  plain update:   {transmission_factor(0.5, 0):.4f}")
+print(f"  boosted update: {transmission_factor(0.5, n_eff):.4f}")
 state = run_single_diffusion(triangle, [0], DiffusionParams(0.5, 0.5))
 print(f"  final beliefs: {np.round(state.p_i, 4).tolist()}")
 

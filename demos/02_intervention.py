@@ -13,6 +13,7 @@ from layercast import (
     build_graph,
     intervention_metrics,
     minimum_true_seeds,
+    run_false_process,
     run_intervention,
 )
 from layercast.centrality import CentralityKind
@@ -57,7 +58,10 @@ print(f"\nmetrics: sum_p_it={sum_p_it}, infected={infected}, susceptible={suscep
 # How many true creators does the chain need for a complete intervention
 # (more protected than infected on average)?  One is not enough; two are.
 curve = []
-k = minimum_true_seeds([chain], CentralityKind.DEGREE, [[0]], params, k_max=4, curve_out=curve)
+false_process = run_false_process(chain, [0], params)
+k = minimum_true_seeds(
+    [chain], CentralityKind.DEGREE, [false_process], params, k_max=4, curve_out=curve
+)
 print("\nminimum true creators for a complete intervention (degree strategy):", k)
 for k_i, protected_mean, infected_mean in curve:
     print(f"  k={k_i}: protected {protected_mean:.0f} vs infected {infected_mean:.0f}")

@@ -23,7 +23,6 @@ from .diffusion import (
     label_nodes,
     run_single_diffusion,
     transmission_factor,
-    update_from_source,
 )
 from .errors import (
     ContractError,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .graph import Graph
+from .graph import Graph, hop_distances
 
 
 class CentralityKind(str, enum.Enum):
@@ -77,37 +77,38 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-8, max_iter: int = 1000) ->
     )
 
 
+#: Sources searched together by closeness and betweenness: their memory is
+#: O(n * _BLOCK) instead of O(n^2).
+_BLOCK = 128
+
+
+def _source_blocks(n: int):
+    """(sources, frontier) per block of at most ``_BLOCK`` single-source searches;
+    ``sources`` slices the nodes, and frontier column j starts at ``sources.start + j``."""
+    for first in range(0, n, _BLOCK):
+        sources = slice(first, min(first + _BLOCK, n))
+        yield sources, np.eye(n, sources.stop - first, -first)
+
+
 def closeness_centrality(g: Graph) -> CentralityScores:
     """Wasserman–Faust closeness with reachable-component scaling.
 
     score(v) = ((r - 1) / (n - 1)) * ((r - 1) / sum of distances), where r is
-    the size of v's reachable set.  Isolated nodes score 0.
+    the size of v's reachable set.  Isolated nodes score 0.  Sources are
+    searched in blocks of ``_BLOCK``, so memory is O(n * _BLOCK).
     """
     n = g.node_count
-    if n == 0:
-        return CentralityScores(CentralityKind.CLOSENESS, np.zeros(0))
     A = g.to_csr()
-    reached = np.eye(n, dtype=bool)  # reached[v, s]: v reached from source s
-    frontier = np.eye(n, dtype=np.float64)
     dist_sum = np.zeros(n)
-    reach_count = np.ones(n)
-    d = 0
-    while True:
-        d += 1
-        spread = A @ frontier
-        new = (spread > 0) & ~reached
-        if not new.any():
-            break
-        reached |= new
-        per_source = new.sum(axis=0)
-        dist_sum += d * per_source
-        reach_count += per_source
-        frontier = new.astype(np.float64)
+    reach_count = np.zeros(n)
+    for sources, frontier in _source_blocks(n):
+        dist, _ = hop_distances(A, frontier)
+        dist_sum[sources] = np.maximum(dist, 0).sum(axis=0)
+        reach_count[sources] = (dist >= 0).sum(axis=0)
     scores = np.zeros(n)
-    ok = dist_sum > 0
-    if n > 1:
-        r1 = reach_count - 1.0
-        scores[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
+    ok = dist_sum > 0  # empty when n <= 1, so n - 1 never divides
+    r1 = reach_count - 1.0
+    scores[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
     return CentralityScores(CentralityKind.CLOSENESS, scores)
 
 
@@ -115,40 +116,24 @@ def betweenness_centrality(g: Graph) -> CentralityScores:
     """Brandes pair-dependency accumulation, unnormalized, endpoints excluded.
 
     Undirected pairs are counted once (accumulated dependencies halved).
-    The per-source sweep is vectorized over BFS shells with sparse matvecs.
+    Sources are swept ``_BLOCK`` at a time with sparse-by-block products, and
+    their dependencies are summed in source order.
     """
     n = g.node_count
     A = g.to_csr()
     bc = np.zeros(n)
-    for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
-        dist[s] = 0
-        sigma[s] = 1.0
-        shells = [np.array([s], dtype=np.int64)]
-        fvec = np.zeros(n)
-        fvec[s] = 1.0
-        d = 0
-        while True:
-            contrib = A @ fvec  # path counts arriving one hop out
-            new = (contrib > 0) & (dist < 0)
-            if not new.any():
-                break
-            d += 1
-            dist[new] = d
-            sigma[new] = contrib[new]
-            shells.append(np.nonzero(new)[0])
-            fvec = np.where(new, contrib, 0.0)
-        delta = np.zeros(n)
-        for d in range(len(shells) - 1, 0, -1):
-            w = shells[d]
-            coef = np.zeros(n)
-            coef[w] = (1.0 + delta[w]) / sigma[w]
-            pull = A @ coef
-            prev = dist == d - 1
-            delta[prev] += sigma[prev] * pull[prev]
-        delta[s] = 0.0
-        bc += delta
+    for sources, frontier in _source_blocks(n):
+        dist, sigma = hop_distances(A, frontier)
+        delta = np.zeros_like(sigma)
+        safe_sigma = np.where(dist >= 0, sigma, 1.0)
+        # a shell mask scales by exactly 1.0 or 0.0, so each shell entry gets
+        # the same float operations as in a search from its source alone
+        for d in range(dist.max(), 0, -1):
+            coef = (1.0 + delta) / safe_sigma * (dist == d)
+            delta += sigma * (A @ coef) * (dist == d - 1)
+        np.fill_diagonal(delta[sources], 0.0)  # a source's own dependency
+        for column in delta.T:
+            bc += column
     return CentralityScores(CentralityKind.BETWEENNESS, bc / 2.0)
 
 

@@ -69,11 +69,6 @@ def transmission_factor(transmission_prob: float, effective_edges: int) -> float
     return total
 
 
-def update_from_source(source_belief: float, transmission_prob: float, effective_edges: int) -> float:
-    """Belief contribution one source node passes to a next-layer neighbor."""
-    return source_belief * transmission_factor(transmission_prob, effective_edges)
-
-
 def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
     """Accumulate belief layer by layer from ``lv``'s sources.
 

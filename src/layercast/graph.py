@@ -123,6 +123,28 @@ class LayeredView:
         return None if L < 0 else L
 
 
+def hop_distances(A, frontier):
+    """Breadth-first search on CSR adjacency ``A``, one ``A @ frontier`` per hop.
+
+    ``frontier`` is an (n,) vector or an (n, B) block of independent searches,
+    positive at the sources.  Returns ``(dist, sigma)`` of its shape: the hop
+    distance to the nearest source (-1 when unreached) and shortest-path counts.
+    """
+    sigma = np.array(frontier, dtype=np.float64)
+    dist = np.where(sigma > 0, 0, -1)
+    frontier = sigma
+    d = 0
+    while True:
+        contrib = A @ frontier  # path counts arriving one hop out
+        new = (contrib > 0) & (dist < 0)
+        if not new.any():
+            return dist, sigma
+        d += 1
+        dist[new] = d
+        frontier = np.where(new, contrib, 0.0)
+        sigma += frontier  # exact: an unreached node's count is still 0
+
+
 def layer_from_sources(g: Graph, sources) -> LayeredView:
     """Multi-source BFS: layer = hop distance to the nearest source."""
     src = np.unique(np.asarray(list(sources), dtype=np.int64))
@@ -131,24 +153,16 @@ def layer_from_sources(g: Graph, sources) -> LayeredView:
     if src.min() < 0 or src.max() >= g.node_count:
         raise InputError(f"source index out of range [0, {g.node_count})")
 
-    layer_of = np.full(g.node_count, -1, dtype=np.int64)
-    layer_of[src] = 0
-    layers = [src]
-    frontier = src
-    ind, ptr = g._indices, g._indptr
-    while frontier.size:
-        nbrs = np.concatenate([ind[ptr[v] : ptr[v + 1]] for v in frontier])
-        nxt = np.unique(nbrs)
-        nxt = nxt[layer_of[nxt] < 0]
-        if nxt.size == 0:
-            break
-        layer_of[nxt] = len(layers)
-        layers.append(nxt)
-        frontier = nxt
+    frontier = np.zeros(g.node_count)
+    frontier[src] = 1.0
+    layer_of, _ = hop_distances(g.to_csr(), frontier)
+    reached = np.flatnonzero(layer_of >= 0)
+    # stable: each layer keeps ascending node order
+    by_layer = reached[np.argsort(layer_of[reached], kind="stable")]
+    by_layer.setflags(write=False)  # and so every layer, a view of it
+    layers = tuple(np.split(by_layer, np.cumsum(np.bincount(layer_of[reached]))[:-1]))
     layer_of.setflags(write=False)
-    for arr in layers:
-        arr.setflags(write=False)
-    return LayeredView(sources=src, layer_of=layer_of, layers=tuple(layers))
+    return LayeredView(sources=layers[0], layer_of=layer_of, layers=layers)
 
 
 def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) -> int:

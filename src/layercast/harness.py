@@ -108,6 +108,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(CentralityKind(s) for s in self.strategies))
+        for name in ("ensemble_size", "master_rng_seed", "info_starter", "false_info_starter",
+                     "true_info_starter"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.mode not in ("single", "intervention"):
@@ -116,16 +120,19 @@ class ExperimentConfig:
             raise InputError("at least one strategy is required")
         if len(set(self.strategies)) != len(self.strategies):
             raise InputError("strategies must be unique")
+        if self.master_rng_seed < 0:
+            raise InputError(f"master_rng_seed must be >= 0, got {self.master_rng_seed}")
+        n = self.generator.n
         if self.mode == "single":
             if not isinstance(self.model, DiffusionParams):
                 raise InputError("single mode requires DiffusionParams")
-            if self.info_starter < 1:
-                raise InputError("single mode requires info_starter >= 1")
+            if not 1 <= self.info_starter <= n:
+                raise InputError(f"single mode requires info_starter in [1, generator.n = {n}]")
         else:
             if not isinstance(self.model, CombatParams):
                 raise InputError("intervention mode requires CombatParams")
-            if self.false_info_starter < 1 or self.true_info_starter < 1:
-                raise InputError("intervention mode requires both starter counts >= 1")
+            if not (1 <= self.false_info_starter <= n and 1 <= self.true_info_starter <= n):
+                raise InputError(f"both starter counts must be in [1, generator.n = {n}]")
 
 
 @dataclass(frozen=True)
@@ -212,6 +219,13 @@ def _apply_sweep_value(config: ExperimentConfig, parameter: str, value):
     raise InputError(f"sweep parameter {parameter!r} is neither a generator nor a model field")
 
 
+def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, graph_index: int):
+    """The graph's false process, spread from creators drawn on the false-seed stream."""
+    rng = np.random.default_rng(derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index))
+    ic_f = rng.choice(g.node_count, size=point.false_info_starter, replace=False)
+    return run_false_process(g, ic_f, point.model)
+
+
 def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, master: int):
     """All strategy runs for one ensemble member (shared graph and false seeds)."""
     try:
@@ -236,14 +250,10 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
                 "susceptible": g.node_count - infected,
             }
     else:
-        rng_false = np.random.default_rng(
-            derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index)
-        )
-        ic_f = rng_false.choice(g.node_count, size=point.false_info_starter, replace=False)
-        false_process = run_false_process(g, ic_f, point.model)
+        fp = _false_process(point, g, master, sweep_index, graph_index)
         for strategy in point.strategies:
             ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
-            state = run_intervention(g, ic_f, ic_t, point.model, false_process=false_process)
+            state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
             sum_p_it, infected, susceptible, protected = intervention_metrics(state)
             out[strategy.value] = {
                 "sum_p_it": sum_p_it,
@@ -355,24 +365,22 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     """Minimum true-creator count per strategy for a complete intervention.
 
     Reuses the config's ensemble and false-creator draws so every strategy
-    faces identical conditions.  Returns ``{strategy name: k or None}``.
+    faces identical conditions; each graph's false process is spread once.
+    Returns ``{strategy name: k or None}``.
     """
     if config.mode != "intervention":
         raise InputError("minimum_seed_battery requires an intervention config")
     graphs = [g for g, _ in build_ensemble(config)]
-    false_sets = []
-    for i, g in enumerate(graphs):
-        rng = np.random.default_rng(
-            derive_seed(config.master_rng_seed, _STREAM_FALSE_SEEDS, 0, i)
-        )
-        false_sets.append(rng.choice(g.node_count, size=config.false_info_starter, replace=False))
+    false_processes = [
+        _false_process(config, g, config.master_rng_seed, 0, i) for i, g in enumerate(graphs)
+    ]
     out = {}
     for strategy in (strategies or config.strategies):
         strategy = CentralityKind(strategy)
         out[strategy.value] = minimum_true_seeds(
             graphs,
             strategy,
-            false_sets,
+            false_processes,
             config.model,
             k_max,
             rng_seed=config.master_rng_seed,

@@ -166,7 +166,7 @@ def intervention_metrics(state: CombatState):
 def minimum_true_seeds(
     graphs,
     strategy: CentralityKind,
-    false_seed_sets,
+    false_processes,
     params: CombatParams,
     k_max: int,
     rng_seed=None,
@@ -177,19 +177,20 @@ def minimum_true_seeds(
     A complete intervention means the ensemble-mean protected count strictly
     exceeds the ensemble-mean infected count.  The search runs k = 1..k_max in
     order and returns the first qualifying k (completeness is not guaranteed
-    monotone in k), or None when no k qualifies.  ``false_seed_sets`` gives
-    each graph its fixed false creators; the random strategy draws its true
-    creators from seeds derived per (graph, k) and requires ``rng_seed``.
+    monotone in k), or None when no k qualifies.  ``false_processes`` gives
+    each graph its :func:`run_false_process`, spread once from its fixed false
+    creators; the random strategy draws its true creators from seeds derived
+    per (graph, k) and requires ``rng_seed``.
 
     ``curve_out``, if given, receives ``(k, mean_protected, mean_infected)``
     for every k examined.
     """
     graphs = list(graphs)
-    false_seed_sets = [np.asarray(s, dtype=np.int64) for s in false_seed_sets]
+    false_processes = list(false_processes)
     if not graphs:
         raise InputError("graph ensemble must be non-empty")
-    if len(false_seed_sets) != len(graphs):
-        raise InputError("one false seed set is required per graph")
+    if len(false_processes) != len(graphs):
+        raise InputError("one false process is required per graph")
     strategy = CentralityKind(strategy)
     if not 1 <= k_max <= min(g.node_count for g in graphs):
         raise InputError(f"k_max must be in [1, min node count], got {k_max}")
@@ -199,20 +200,17 @@ def minimum_true_seeds(
     scores = None
     if strategy is not CentralityKind.RANDOM:
         scores = [compute_centrality(g, strategy).scores for g in graphs]
-    false_processes = [run_false_process(g, s, params) for g, s in zip(graphs, false_seed_sets)]
 
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))
         infected = np.empty(len(graphs))
-        for i, g in enumerate(graphs):
+        for i, (g, fp) in enumerate(zip(graphs, false_processes)):
             if scores is not None:
                 ic_t = top_k_by_score(scores[i], k)
             else:
                 rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                 ic_t = rng.choice(g.node_count, size=k, replace=False)
-            state = run_intervention(
-                g, false_seed_sets[i], ic_t, params, false_process=false_processes[i]
-            )
+            state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
             _, inf, _, prot = intervention_metrics(state)
             protected[i] = prot
             infected[i] = inf

@@ -365,3 +365,126 @@ def wilcoxon_exact_brute(diffs, alternative):
         else:
             hits += w <= w_obs + 1e-12
     return hits / 2**n
+
+
+# -- the traversals hop_distances replaced -------------------------------------
+
+
+def frontier_layering(g, sources):
+    """Multi-source BFS: layer = hop distance to the nearest source.
+
+    The package's earlier frontier loop, kept as the bitwise reference for
+    ``layer_from_sources`` on ``graph.hop_distances``.
+    """
+    from layercast.errors import InputError
+    from layercast.graph import LayeredView
+
+    src = np.unique(np.asarray(list(sources), dtype=np.int64))
+    if src.size == 0:
+        raise InputError("source set must be non-empty")
+    if src.min() < 0 or src.max() >= g.node_count:
+        raise InputError(f"source index out of range [0, {g.node_count})")
+
+    layer_of = np.full(g.node_count, -1, dtype=np.int64)
+    layer_of[src] = 0
+    layers = [src]
+    frontier = src
+    ind, ptr = g._indices, g._indptr
+    while frontier.size:
+        nbrs = np.concatenate([ind[ptr[v] : ptr[v + 1]] for v in frontier])
+        nxt = np.unique(nbrs)
+        nxt = nxt[layer_of[nxt] < 0]
+        if nxt.size == 0:
+            break
+        layer_of[nxt] = len(layers)
+        layers.append(nxt)
+        frontier = nxt
+    layer_of.setflags(write=False)
+    for arr in layers:
+        arr.setflags(write=False)
+    return LayeredView(sources=src, layer_of=layer_of, layers=tuple(layers))
+
+
+def dense_closeness(g):
+    """Wasserman–Faust closeness with reachable-component scaling.
+
+    score(v) = ((r - 1) / (n - 1)) * ((r - 1) / sum of distances), where r is
+    the size of v's reachable set.  Isolated nodes score 0.
+
+    The package's earlier all-sources search with dense n x n matrices,
+    kept as the bitwise reference for the source-blocked closeness.
+    """
+    from layercast.centrality import CentralityKind, CentralityScores
+
+    n = g.node_count
+    if n == 0:
+        return CentralityScores(CentralityKind.CLOSENESS, np.zeros(0))
+    A = g.to_csr()
+    reached = np.eye(n, dtype=bool)  # reached[v, s]: v reached from source s
+    frontier = np.eye(n, dtype=np.float64)
+    dist_sum = np.zeros(n)
+    reach_count = np.ones(n)
+    d = 0
+    while True:
+        d += 1
+        spread = A @ frontier
+        new = (spread > 0) & ~reached
+        if not new.any():
+            break
+        reached |= new
+        per_source = new.sum(axis=0)
+        dist_sum += d * per_source
+        reach_count += per_source
+        frontier = new.astype(np.float64)
+    scores = np.zeros(n)
+    ok = dist_sum > 0
+    if n > 1:
+        r1 = reach_count - 1.0
+        scores[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
+    return CentralityScores(CentralityKind.CLOSENESS, scores)
+
+
+def per_source_betweenness(g):
+    """Brandes pair-dependency accumulation, unnormalized, endpoints excluded.
+
+    Undirected pairs are counted once (accumulated dependencies halved).
+    The per-source sweep is vectorized over BFS shells with sparse matvecs.
+
+    The package's earlier one-source-at-a-time Brandes sweep, kept as the
+    bitwise reference for the source-blocked betweenness.
+    """
+    from layercast.centrality import CentralityKind, CentralityScores
+
+    n = g.node_count
+    A = g.to_csr()
+    bc = np.zeros(n)
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n)
+        dist[s] = 0
+        sigma[s] = 1.0
+        shells = [np.array([s], dtype=np.int64)]
+        fvec = np.zeros(n)
+        fvec[s] = 1.0
+        d = 0
+        while True:
+            contrib = A @ fvec  # path counts arriving one hop out
+            new = (contrib > 0) & (dist < 0)
+            if not new.any():
+                break
+            d += 1
+            dist[new] = d
+            sigma[new] = contrib[new]
+            shells.append(np.nonzero(new)[0])
+            fvec = np.where(new, contrib, 0.0)
+        delta = np.zeros(n)
+        for d in range(len(shells) - 1, 0, -1):
+            w = shells[d]
+            coef = np.zeros(n)
+            coef[w] = (1.0 + delta[w]) / sigma[w]
+            pull = A @ coef
+            prev = dist == d - 1
+            delta[prev] += sigma[prev] * pull[prev]
+        delta[s] = 0.0
+        bc += delta
+    return CentralityScores(CentralityKind.BETWEENNESS, bc / 2.0)

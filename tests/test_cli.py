@@ -6,6 +6,7 @@ import pytest
 
 from layercast import (
     CentralityKind,
+    CombatParams,
     DiffusionParams,
     ErParams,
     build_graph,
@@ -305,6 +306,37 @@ class TestExperiment:
         assert written["config"]["generator"]["n"] == 200
         assert written["config"]["generator"]["edge_exist_prob"] == pytest.approx(0.2)
         assert written["config"]["ensemble_size"] == 30
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("master_rng_seed", -1),
+            ("master_rng_seed", 1.5),
+            ("false_info_starter", 5000),
+            ("true_info_starter", 2.5),
+            ("ensemble_size", 1.5),
+        ],
+    )
+    def test_bad_battery_config_is_input_error(self, capsys, tmp_path, field, value):
+        cfg = ExperimentConfig(
+            generator=ErParams(n=40, edge_exist_prob=0.12),
+            ensemble_size=2,
+            mode="intervention",
+            strategies=(CentralityKind.DEGREE,),
+            model=CombatParams(0.5, 0.4, 0.4, 0.1),
+            false_info_starter=2,
+            true_info_starter=3,
+            master_rng_seed=21,
+        )
+        data = config_to_dict(cfg)
+        data[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys, "experiment", "run", "--config", str(path), "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert err.startswith("error: input:")
 
     def test_threads_flag(self, capsys, config_file, tmp_path):
         out_dir = tmp_path / "t"

@@ -12,7 +12,7 @@ from layercast import (
     label_nodes,
     layer_from_sources,
     run_single_diffusion,
-    update_from_source,
+    transmission_factor,
 )
 
 from layercast.diffusion import _spread
@@ -21,22 +21,22 @@ from oracles import rational_single_diffusion, scalar_spread
 
 class TestUpdateFromSource:
     def test_full_belief_no_boost(self):
-        assert update_from_source(1.0, 0.5, 0) == pytest.approx(0.5)
+        assert 1.0 * transmission_factor(0.5, 0) == pytest.approx(0.5)
 
     def test_half_belief_no_boost(self):
-        assert update_from_source(0.5, 0.5, 0) == pytest.approx(0.25)
+        assert 0.5 * transmission_factor(0.5, 0) == pytest.approx(0.25)
 
     def test_one_effective_edge(self):
         # 0.5 + 0.5 * 0.5 * 1 * 0.5 = 0.625
-        assert update_from_source(1.0, 0.5, 1) == pytest.approx(0.625)
+        assert 1.0 * transmission_factor(0.5, 1) == pytest.approx(0.625)
 
     def test_zero_source_belief(self):
-        assert update_from_source(0.0, 0.7, 3) == 0.0
+        assert 0.0 * transmission_factor(0.7, 3) == 0.0
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("n_eff", [0, 1, 2, 5, 12])
     def test_bounded_and_at_least_base(self, p, n_eff):
-        value = update_from_source(1.0, p, n_eff)
+        value = 1.0 * transmission_factor(p, n_eff)
         assert 0.0 <= value <= 1.0
         assert value >= 1.0 * p - 1e-15
 

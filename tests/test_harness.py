@@ -81,6 +81,38 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             tiny_intervention_config(true_info_starter=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("master_rng_seed", -1),
+            ("master_rng_seed", 1.5),
+            ("master_rng_seed", "7"),
+            ("master_rng_seed", None),
+            ("ensemble_size", 1.5),
+            ("info_starter", 2.5),
+        ],
+    )
+    def test_counts_and_seed_must_be_nonnegative_ints(self, field, value):
+        with pytest.raises(InputError):
+            tiny_single_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (tiny_single_config, "info_starter"),
+            (tiny_intervention_config, "false_info_starter"),
+            (tiny_intervention_config, "true_info_starter"),
+        ],
+    )
+    def test_starter_above_node_count(self, make, field):
+        make(**{field: 60})
+        with pytest.raises(InputError):
+            make(**{field: 61})
+        # a sweep or a desk mapping that shrinks n below a starter is caught too
+        cfg = make(generator=ErParams(n=1000, edge_exist_prob=0.01), **{field: 300})
+        with pytest.raises(InputError):
+            apply_scale(cfg, "desk")
+
     def test_duplicate_strategies(self):
         with pytest.raises(InputError):
             tiny_single_config(strategies=(CentralityKind.DEGREE, CentralityKind.DEGREE))
@@ -429,6 +461,31 @@ class TestMinimumSeedBattery:
         assert set(out) == {"degree", "random"}
         assert out["degree"] is not None
         assert out["degree"] <= out["random"]
+
+    def test_false_process_spread_once_per_graph(self, monkeypatch):
+        from layercast import harness, intervention
+
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0])
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (harness, intervention):
+            monkeypatch.setattr(
+                module, "run_false_process", counting(module.run_false_process)
+            )
+        cfg = tiny_intervention_config(
+            generator=ErParams(n=80, edge_exist_prob=0.1),
+            ensemble_size=5,
+            strategies=(CentralityKind.DEGREE, CentralityKind.CLOSENESS, CentralityKind.RANDOM),
+        )
+        out = minimum_seed_battery(cfg, k_max=60)
+        assert len(calls) == cfg.ensemble_size
+        assert out == {"degree": 11, "closeness": 11, "random": 12}
 
     def test_build_ensemble_matches_config(self):
         cfg = tiny_intervention_config()

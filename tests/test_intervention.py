@@ -228,6 +228,11 @@ class TestInvariants:
         assert state.labels.tolist() == labels
 
 
+def search_from_node_0(g, params, strategy=CentralityKind.DEGREE, **kwargs):
+    """minimum_true_seeds on one graph whose false creator is node 0."""
+    return minimum_true_seeds([g], strategy, [run_false_process(g, [0], params)], params, **kwargs)
+
+
 class TestMinimumTrueSeeds:
     def test_chain_matches_exhaustive_oracle(self, chain4):
         # the exhaustive oracle fixes the chain's optimal-placement minimum
@@ -238,24 +243,24 @@ class TestMinimumTrueSeeds:
         assert k_opt == 2
         assert seeds_opt == (0, 2)
         # the degree strategy reaches completeness at the same k on the chain
-        got = minimum_true_seeds([chain4], CentralityKind.DEGREE, [[0]], FIG45, k_max=4)
+        got = search_from_node_0(chain4, FIG45, k_max=4)
         assert got == 2
 
     def test_single_seed_insufficient_on_chain(self, chain4):
         curve = []
-        minimum_true_seeds([chain4], CentralityKind.DEGREE, [[0]], FIG45, k_max=4, curve_out=curve)
+        search_from_node_0(chain4, FIG45, k_max=4, curve_out=curve)
         k1 = curve[0]
         assert k1[0] == 1 and not k1[1] > k1[2]
 
     def test_degenerate_false_process(self, chain4):
         params = CombatParams(0.0, 0.4, 0.5, 0.1)
-        got = minimum_true_seeds([chain4], CentralityKind.DEGREE, [[0]], params, k_max=4)
+        got = search_from_node_0(chain4, params, k_max=4)
         assert got == 1
 
     def test_none_when_never_complete(self, chain4):
         # a true process that cannot transmit never overtakes the false one
         params = CombatParams(0.5, 0.0, 0.5, 0.1)
-        got = minimum_true_seeds([chain4], CentralityKind.DEGREE, [[0]], params, k_max=2)
+        got = search_from_node_0(chain4, params, k_max=2)
         assert got is None
 
     def test_empty_ensemble_rejected(self):
@@ -264,7 +269,7 @@ class TestMinimumTrueSeeds:
 
     def test_random_strategy_needs_seed(self, chain4):
         with pytest.raises(InputError):
-            minimum_true_seeds([chain4], CentralityKind.RANDOM, [[0]], FIG45, k_max=2)
+            search_from_node_0(chain4, FIG45, CentralityKind.RANDOM, k_max=2)
 
     @pytest.mark.parametrize(
         "strategy, n, p, params",
@@ -282,8 +287,9 @@ class TestMinimumTrueSeeds:
         false_sets = [np.random.default_rng(i).choice(n, 3, replace=False) for i in range(4)]
         k_max = 12
         curve = []
+        false_processes = [run_false_process(g, s, params) for g, s in zip(graphs, false_sets)]
         got = minimum_true_seeds(
-            graphs, strategy, false_sets, params, k_max, rng_seed=11, curve_out=curve
+            graphs, strategy, false_processes, params, k_max, rng_seed=11, curve_out=curve
         )
 
         expected_k, expected_curve = None, []
@@ -308,7 +314,8 @@ class TestMinimumTrueSeeds:
 
     def test_random_strategy_deterministic(self, random_graph_factory):
         g, _ = random_graph_factory(seed=31, n=30, p=0.15)
-        args = ([g], CentralityKind.RANDOM, [[0, 1, 2]], CombatParams(0.5, 0.4, 0.4, 0.1))
+        params = CombatParams(0.5, 0.4, 0.4, 0.1)
+        args = ([g], CentralityKind.RANDOM, [run_false_process(g, [0, 1, 2], params)], params)
         a = minimum_true_seeds(*args, k_max=30, rng_seed=5)
         b = minimum_true_seeds(*args, k_max=30, rng_seed=5)
         assert a == b

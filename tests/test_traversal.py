@@ -1,0 +1,119 @@
+"""The one breadth-first primitive, ``graph.hop_distances``, and the three
+traversals built on it, each bitwise equal to the loop it replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from layercast import (
+    ErParams,
+    betweenness_centrality,
+    build_graph,
+    closeness_centrality,
+    gen_er,
+    layer_from_sources,
+)
+from layercast.centrality import _BLOCK
+from layercast.graph import hop_distances
+
+from oracles import dense_closeness, frontier_layering, per_source_betweenness
+
+
+def random_graph(n, p, seed, offset=0):
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(len(i)) < p
+    return np.stack([i[keep], j[keep]], axis=1) + offset
+
+
+def path_edges(n, offset=0):
+    return [(offset + v, offset + v + 1) for v in range(n - 1)]
+
+
+CASES = {
+    "random-40": lambda: build_graph(40, random_graph(40, 0.1, 1)),
+    "random-60-dense": lambda: build_graph(60, random_graph(60, 0.3, 2)),
+    "random-300": lambda: build_graph(300, random_graph(300, 0.02, 3)),
+    # two components, a deep path and isolated nodes
+    "disconnected": lambda: build_graph(
+        100,
+        np.concatenate(
+            [random_graph(50, 0.1, 4), random_graph(30, 0.2, 5, offset=50),
+             np.array(path_edges(15, offset=80))]
+        ),
+    ),
+    "path-deep": lambda: build_graph(_BLOCK + 1, path_edges(_BLOCK + 1)),
+    "edgeless": lambda: build_graph(_BLOCK + 1, []),
+    "n-1": lambda: build_graph(1, []),
+    "n-block-minus-1": lambda: build_graph(_BLOCK - 1, random_graph(_BLOCK - 1, 0.03, 6)),
+    "n-block": lambda: build_graph(_BLOCK, random_graph(_BLOCK, 0.03, 7)),
+    "n-block-plus-1": lambda: build_graph(_BLOCK + 1, random_graph(_BLOCK + 1, 0.03, 8)),
+    "n-2-blocks-plus-1": lambda: build_graph(
+        2 * _BLOCK + 1, random_graph(2 * _BLOCK + 1, 0.01, 9)
+    ),
+}
+
+
+@pytest.fixture(params=list(CASES), scope="module")
+def graph(request):
+    return CASES[request.param]()
+
+
+class TestHopDistances:
+    def test_counts_shortest_paths(self):
+        # the 4-cycle 0-1-2-3: two shortest paths from 0 to 2
+        A = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]).to_csr()
+        dist, sigma = hop_distances(A, np.eye(5)[0])
+        assert dist.tolist() == [0, 1, 2, 1, -1]
+        assert sigma.tolist() == [1.0, 1.0, 2.0, 1.0, 0.0]
+
+    def test_block_columns_are_independent_searches(self, graph):
+        n = graph.node_count
+        A = graph.to_csr()
+        dist, sigma = hop_distances(A, np.eye(n))
+        assert dist.shape == sigma.shape == (n, n)
+        for s in range(0, n, max(1, n // 7)):
+            d, c = hop_distances(A, np.eye(n)[s])
+            assert dist[:, s].tobytes() == d.tobytes()
+            assert sigma[:, s].tobytes() == c.tobytes()
+
+
+class TestBitwiseAgainstReplacedLoops:
+    def test_layering(self, graph):
+        n = graph.node_count
+        rng = np.random.default_rng(n)
+        source_sets = [[0], [n - 1], list(range(n))]
+        source_sets += [rng.choice(n, size=rng.integers(1, n + 1), replace=False) for _ in range(10)]
+        for sources in source_sets:
+            got = layer_from_sources(graph, sources)
+            want = frontier_layering(graph, sources)
+            assert got.sources.tobytes() == want.sources.tobytes()
+            assert got.layer_of.tobytes() == want.layer_of.tobytes()
+            assert len(got.layers) == len(want.layers)
+            for a, b in zip(got.layers, want.layers):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_closeness(self, graph):
+        got = closeness_centrality(graph).scores
+        assert got.tobytes() == dense_closeness(graph).scores.tobytes()
+
+    def test_betweenness(self, graph):
+        got = betweenness_centrality(graph).scores
+        assert got.tobytes() == per_source_betweenness(graph).scores.tobytes()
+
+
+@pytest.mark.parametrize("centrality", [closeness_centrality, betweenness_centrality])
+def test_peak_memory_grows_linearly_in_n(centrality):
+    # sparse ER of mean degree 8: doubling n at most about doubles the peak,
+    # where an n x n search would quadruple it
+    peaks = []
+    for n in (2000, 4000):
+        g = gen_er(ErParams(n=n, edge_exist_prob=8 / n), 7)
+        tracemalloc.start()
+        try:
+            centrality(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
