@@ -17,11 +17,15 @@ from .errors import ContractError, InputError
 class Graph:
     """Undirected simple graph: no self-loops, no duplicate edges.
 
-    Instances are immutable after construction and safe to share across
-    threads.  Use :func:`build_graph` to construct one from a raw edge list.
+    Instances are logically immutable and safe to share across threads.  Two
+    derived caches, the scipy adjacency (:meth:`to_csr`) and the triangle
+    index (:func:`triangle_index`), are built on first use and read-only;
+    two threads racing on first use build identical values, and either one
+    may be kept.  Use :func:`build_graph` to construct one from a raw edge
+    list.
     """
 
-    __slots__ = ("node_count", "edges", "_indptr", "_indices")
+    __slots__ = ("node_count", "edges", "_indptr", "_indices", "_csr", "_triangles")
 
     def __init__(self, node_count: int, edge_list) -> None:
         if node_count < 0:
@@ -56,6 +60,8 @@ class Graph:
         self._indices = dst[order]
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
+        self._csr = None
+        self._triangles = None
 
     @property
     def edge_count(self) -> int:
@@ -78,14 +84,19 @@ class Graph:
         return bool(i < len(row) and row[i] == v)
 
     def to_csr(self):
-        """Adjacency as a scipy CSR matrix of float64 (built per call)."""
-        from scipy.sparse import csr_matrix
+        """Adjacency as a scipy CSR matrix of float64, built once, read-only."""
+        if self._csr is None:
+            from scipy.sparse import csr_matrix
 
-        data = np.ones(len(self._indices), dtype=np.float64)
-        return csr_matrix(
-            (data, self._indices, self._indptr),
-            shape=(self.node_count, self.node_count),
-        )
+            data = np.ones(len(self._indices), dtype=np.float64)
+            A = csr_matrix(
+                (data, self._indices, self._indptr),
+                shape=(self.node_count, self.node_count),
+            )
+            for arr in (A.data, A.indices, A.indptr):
+                arr.setflags(write=False)
+            self._csr = A
+        return self._csr
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
@@ -185,36 +196,107 @@ def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) ->
     return int(np.count_nonzero(lv.layer_of[common] == lt))
 
 
+#: Wedges tested per step while indexing triangles, and the most triangles
+#: kept from the counting pass.  It bounds the index build's working memory
+#: whatever the graph's wedge count (on ER, 1/p times its triangle count).
+_CHUNK = 1 << 14
+
+
+def _closed_wedges(g: Graph, rows, fwd):
+    """Per chunk of about ``_CHUNK`` forward wedges, the entry ids of their triangles.
+
+    ``fwd`` lists the forward entries (a, b), a < b.  A forward wedge is one
+    of them with a later entry (a, c) of a's row; it closes when (b, c) is a
+    forward entry too, looked up in their sorted keys ``row * n + col``.
+    Yields ``(ab, ac, bc)`` in ascending (a, b, c) order; a single entry
+    with more wedges than ``_CHUNK`` is one chunk.
+    """
+    n, cols = g.node_count, g._indices
+    keys = rows[fwd] * n + cols[fwd]  # ascending: each CSR row is sorted
+    after = g._indptr[rows[fwd] + 1] - fwd - 1  # wedges of each forward entry
+    ends = np.cumsum(after)
+    lo = 0
+    while lo < len(fwd):
+        hi = max(int(np.searchsorted(ends, ends[lo] - after[lo] + _CHUNK, "right")), lo + 1)
+        w = after[lo:hi]
+        ab = np.repeat(fwd[lo:hi], w)
+        ac = np.arange(len(ab)) + np.repeat(fwd[lo:hi] + 1 - (np.cumsum(w) - w), w)
+        key = cols[ab] * n + cols[ac]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        closed = keys[at] == key
+        yield ab[closed], ac[closed], fwd[at[closed]]
+        lo = hi
+
+
+def triangle_index(g: Graph):
+    """Every triangle of ``g`` by CSR entry id, built once per graph.
+
+    Returns read-only integer arrays ``(rows, mirror, tri)``: ``rows[e]`` is
+    the row of CSR entry e (its column is ``g._indices[e]``), ``mirror[e]``
+    the entry of the reverse edge, and column k of the (3, t) array ``tri``
+    holds the entries (a, b), (a, c) and (b, c) of the k-th triangle
+    a < b < c, in ascending (a, b, c) order.  It keeps 8 bytes per CSR entry
+    and 12 per triangle.  The triangles are counted in one pass over the
+    wedges; beyond ``_CHUNK`` of them they are written in a second pass, so
+    the build holds one chunk of wedges beside the index, never a second
+    copy of it.
+    """
+    if g._triangles is None:
+        n, cols = g.node_count, g._indices
+        idx = np.int32 if len(cols) < 2**31 else np.int64
+        rows = np.repeat(np.arange(n), g.degrees)
+        # entries by (col, row): by symmetry, the k-th is the reverse of entry k
+        mirror = np.argsort(cols, kind="stable")
+        fwd = np.flatnonzero(rows < cols)
+        count, head = 0, [np.empty((3, 0), dtype=idx)]
+        for found in _closed_wedges(g, rows, fwd):
+            count += len(found[0])
+            if count <= _CHUNK:
+                head.append(np.array(found, dtype=idx))
+        if count <= _CHUNK:  # few triangles: keep them from the counting pass
+            tri = np.concatenate(head, axis=1)
+        else:
+            tri = np.empty((3, count), dtype=idx)
+            at = 0
+            for found in _closed_wedges(g, rows, fwd):
+                tri[:, at : at + len(found[0])] = found
+                at += len(found[0])
+        rows, mirror = rows.astype(idx), mirror.astype(idx)
+        for arr in (rows, mirror, tri):
+            arr.setflags(write=False)
+        g._triangles = rows, mirror, tri
+    return g._triangles
+
+
 def layer_edges(g: Graph, lv: LayeredView):
     """Every consecutive-layer edge with its effective-edge count, in update order.
 
-    Returns ``(targets, sources, counts)``: for each node of layer L >= 1,
-    in layer order and then ascending node order, its layer L - 1 neighbors
-    in ascending order and, per such edge, the :func:`effective_edge_count`.
-    The counts are read from ``S @ C`` at C's entries, where S is the
-    same-layer adjacency over layers >= 1 and C the consecutive-layer
-    adjacency directed from the deeper node to the shallower one.
+    Returns int64 arrays ``(targets, sources, counts)``: for each node of
+    layer L >= 1, in layer order and then ascending node order, its layer
+    L - 1 neighbors in ascending order and, per such edge, the
+    :func:`effective_edge_count`.  A triangle with two nodes in layer L >= 1
+    and the third in layer L - 1 adds 1 to each of its two cross edges,
+    directed from the deeper node to the shallower one; the counts are
+    those hits tallied over :func:`triangle_index` per CSR entry.
     """
-    from scipy.sparse import csr_matrix
-
-    n = g.node_count
-    rows = np.repeat(np.arange(n), g.degrees)
+    rows, mirror, (ab, ac, bc) = triangle_index(g)
     cols = g._indices
     row_layer = lv.layer_of[rows]
     col_layer = lv.layer_of[cols]
-    deep = row_layer >= 1
-    cross = deep & (col_layer == row_layer - 1)
-    same = deep & (col_layer == row_layer)
-
-    def adjacency(mask):
-        # rows and cols are in CSR order, so each masked subset is canonical CSR
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[mask], minlength=n), out=indptr[1:])
-        data = np.ones(int(indptr[-1]), dtype=np.int64)
-        return csr_matrix((data, cols[mask], indptr), shape=(n, n))
-
-    targets, sources = rows[cross], cols[cross]
-    counts = np.asarray((adjacency(same) @ adjacency(cross))[targets, sources]).ravel()
+    cross = (row_layer >= 1) & (col_layer == row_layer - 1)
+    la, lb, lc = row_layer[ab], col_layer[ab], col_layer[ac]
+    # which corner is the triangle's shallow node, one layer above the other
+    # two; a hit on an edge out of layer 0 (or unreached) falls outside cross
+    low_c = (la == lb) & (lc == la - 1)
+    low_b = (la == lc) & (lb == la - 1)
+    low_a = (lb == lc) & (la == lb - 1)
+    hits = np.concatenate([
+        ac[low_c], bc[low_c],
+        ab[low_b], mirror[bc[low_b]],
+        mirror[ab[low_a]], mirror[ac[low_a]],
+    ])
+    counts = np.bincount(hits, minlength=len(cols))[cross]
+    targets, sources = rows[cross].astype(np.int64), cols[cross]
     # stable: inside a layer the CSR order (target, then source) is kept
     order = np.argsort(row_layer[cross], kind="stable")
     return targets[order], sources[order], counts[order]

@@ -488,3 +488,40 @@ def per_source_betweenness(g):
         delta[s] = 0.0
         bc += delta
     return CentralityScores(CentralityKind.BETWEENNESS, bc / 2.0)
+
+
+# -- the effective-edge count the triangle index replaced ----------------------
+
+
+def product_layer_edges(g, lv):
+    """Every consecutive-layer edge with its effective-edge count, in update order.
+
+    The package's earlier sparse-product count, kept as the bitwise reference
+    for ``graph.layer_edges`` on ``graph.triangle_index``.  The counts are
+    read from ``S @ C`` at C's entries, where S is the same-layer adjacency
+    over layers >= 1 and C the consecutive-layer adjacency directed from the
+    deeper node to the shallower one.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = g.node_count
+    rows = np.repeat(np.arange(n), g.degrees)
+    cols = g._indices
+    row_layer = lv.layer_of[rows]
+    col_layer = lv.layer_of[cols]
+    deep = row_layer >= 1
+    cross = deep & (col_layer == row_layer - 1)
+    same = deep & (col_layer == row_layer)
+
+    def adjacency(mask):
+        # rows and cols are in CSR order, so each masked subset is canonical CSR
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[mask], minlength=n), out=indptr[1:])
+        data = np.ones(int(indptr[-1]), dtype=np.int64)
+        return csr_matrix((data, cols[mask], indptr), shape=(n, n))
+
+    targets, sources = rows[cross], cols[cross]
+    counts = np.asarray((adjacency(same) @ adjacency(cross))[targets, sources]).ravel()
+    # stable: inside a layer the CSR order (target, then source) is kept
+    order = np.argsort(row_layer[cross], kind="stable")
+    return targets[order], sources[order], counts[order]
