@@ -10,6 +10,7 @@ arguments produce identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,14 +21,7 @@ from . import harness
 from .centrality import CentralityKind, compute_centrality, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
 from .errors import ContractError, GenerationError, InputError, LayercastError, NumericError
-from .generators import (
-    ErParams,
-    GaussianPartitionParams,
-    LfrParams,
-    gen_er,
-    gen_gaussian_partition,
-    gen_lfr,
-)
+from .generators import ErParams, GaussianPartitionParams, LfrParams
 from .graph import format_edge_list, load_edge_list
 from .intervention import CombatParams, intervention_metrics, run_intervention
 from .stats import engagement_sample, load_engagement, summarize, wilcoxon_one_tailed
@@ -74,35 +68,11 @@ def _community_text(communities) -> str:
     return "".join(f"{node} {c}\n" for node, c in enumerate(communities))
 
 
-def _cmd_generate_er(args) -> int:
-    g = gen_er(ErParams(n=args.n, edge_exist_prob=args.p), args.seed)
+def _cmd_generate(args) -> int:
+    params = args.params(**{f.name: getattr(args, f.name) for f in dataclasses.fields(args.params)})
+    g, communities = harness.generate_graph(params, args.seed)
     _emit(format_edge_list(g), args.out)
-    return 0
-
-
-def _cmd_generate_gaussian(args) -> int:
-    params = GaussianPartitionParams(
-        n=args.n, mean_size=args.mean_size, shape=args.shape, p_in=args.p_in, p_out=args.p_out
-    )
-    g, communities = gen_gaussian_partition(params, args.seed)
-    _emit(format_edge_list(g), args.out)
-    if args.community_out:
-        Path(args.community_out).write_text(_community_text(communities), encoding="ascii")
-    return 0
-
-
-def _cmd_generate_lfr(args) -> int:
-    params = LfrParams(
-        n=args.n,
-        tau1=args.tau1,
-        tau2=args.tau2,
-        mu=args.mu,
-        average_degree=args.average_degree,
-        min_community=args.min_community,
-    )
-    g, communities = gen_lfr(params, args.seed)
-    _emit(format_edge_list(g), args.out)
-    if args.community_out:
+    if getattr(args, "community_out", None):
         Path(args.community_out).write_text(_community_text(communities), encoding="ascii")
     return 0
 
@@ -135,6 +105,16 @@ def _pick_seeds(g, explicit, strategy, count, rng_seed, explicit_flag: str, pref
     return select_seeds(g, kind, count, rng_seed)
 
 
+def _emit_run(lines, metrics: dict, args) -> None:
+    """The per-node CSV, then the metrics JSON: to --metrics-out, or to stdout after a CSV file."""
+    _emit("\n".join(lines) + "\n", args.out)
+    payload = json.dumps(metrics, sort_keys=True) + "\n"
+    if args.metrics_out:
+        Path(args.metrics_out).write_text(payload, encoding="ascii")
+    elif args.out is not None:
+        sys.stdout.write(payload)
+
+
 def _cmd_diffuse(args) -> int:
     g = load_edge_list(args.graph)
     ic = _pick_seeds(g, args.ic, args.strategy, args.count, args.seed, "ic")
@@ -146,19 +126,13 @@ def _cmd_diffuse(args) -> int:
         lines.append(
             f"{v},{int(state.layers.layer_of[v])},{float(state.p_i[v])!r},{_label_name(state.labels[v])}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-
     iterations, sum_p_i = diffusion_metrics(state)
     metrics = {
         "iterations": iterations,
         "sum_p_i": sum_p_i,
         "infected_count": int(np.count_nonzero(state.labels == Label.INFECTED)),
     }
-    payload = json.dumps(metrics, sort_keys=True) + "\n"
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(payload, encoding="ascii")
-    elif args.out is not None:
-        sys.stdout.write(payload)
+    _emit_run(lines, metrics, args)
     return 0
 
 
@@ -185,8 +159,6 @@ def _cmd_intervene(args) -> int:
             f"{v},{float(state.p_if[v])!r},{float(state.p_it[v])!r},"
             f"{bool(state.blocked[v])},{_label_name(state.labels[v])}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-
     sum_p_it, infected, susceptible, protected = intervention_metrics(state)
     metrics = {
         "sum_p_it": sum_p_it,
@@ -194,11 +166,7 @@ def _cmd_intervene(args) -> int:
         "susceptible": susceptible,
         "protected": protected,
     }
-    payload = json.dumps(metrics, sort_keys=True) + "\n"
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(payload, encoding="ascii")
-    elif args.out is not None:
-        sys.stdout.write(payload)
+    _emit_run(lines, metrics, args)
     return 0
 
 
@@ -276,12 +244,12 @@ def build_parser() -> _Parser:
     p_er = gen_sub.add_parser("er", help="Erdős–Rényi G(n, p)")
     p_er.add_argument("--n", type=int, required=True, help="node count")
     p_er.add_argument(
-        "--p", "--edge-exist-prob", dest="p", type=float, required=True,
+        "--p", "--edge-exist-prob", dest="edge_exist_prob", metavar="P", type=float, required=True,
         help="pairwise edge probability (edge_exist_prob)",
     )
     p_er.add_argument("--seed", type=int, required=True, help="RNG seed")
     p_er.add_argument("--out", help="edge-list output path (default: stdout)")
-    p_er.set_defaults(handler=_cmd_generate_er)
+    p_er.set_defaults(handler=_cmd_generate, params=ErParams)
 
     p_ga = gen_sub.add_parser("gaussian", help="Gaussian random partition graph")
     p_ga.add_argument("--n", type=int, required=True)
@@ -298,7 +266,7 @@ def build_parser() -> _Parser:
     p_ga.add_argument("--seed", type=int, required=True)
     p_ga.add_argument("--out")
     p_ga.add_argument("--community-out", help="write 'node community_id' lines here")
-    p_ga.set_defaults(handler=_cmd_generate_gaussian)
+    p_ga.set_defaults(handler=_cmd_generate, params=GaussianPartitionParams)
 
     p_lfr = gen_sub.add_parser("lfr", help="LFR benchmark graph")
     p_lfr.add_argument("--n", type=int, required=True)
@@ -310,7 +278,7 @@ def build_parser() -> _Parser:
     p_lfr.add_argument("--seed", type=int, required=True)
     p_lfr.add_argument("--out")
     p_lfr.add_argument("--community-out")
-    p_lfr.set_defaults(handler=_cmd_generate_lfr)
+    p_lfr.set_defaults(handler=_cmd_generate, params=LfrParams)
 
     # centrality
     p_cent = sub.add_parser("centrality", help="score nodes by a centrality measure")
@@ -396,6 +364,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: (error type, diagnostic label, exit code), most specific first: the first match wins.
+_EXIT_CODES = (
+    (InputError, "input", 1),
+    (GenerationError, "generation", 2),
+    (NumericError, "numeric", 2),
+    (ContractError, "contract", 2),
+    (LayercastError, "runtime", 2),
+    (OSError, "io", 2),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -407,25 +386,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 1
-    except GenerationError as exc:
-        print(f"error: generation: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
-        print(f"error: contract: {exc}", file=sys.stderr)
-        return 2
-    except LayercastError as exc:
-        print(f"error: runtime: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 2
-
+    except (LayercastError, OSError) as exc:
+        label, code = next((label, code) for kind, label, code in _EXIT_CODES if isinstance(exc, kind))
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

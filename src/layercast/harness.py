@@ -167,9 +167,6 @@ class ExperimentResult:
     p_values: list
     provenance: Provenance
 
-    def sweep_values(self):
-        return self.config.sweep.values if self.config.sweep else (None,)
-
     def metric_column(self, strategy, metric: str, sweep_value=None) -> np.ndarray:
         """Per-graph metric values for one strategy, ordered by graph index."""
         name = CentralityKind(strategy).value
@@ -219,6 +216,16 @@ def _apply_sweep_value(config: ExperimentConfig, parameter: str, value):
     raise InputError(f"sweep parameter {parameter!r} is neither a generator nor a model field")
 
 
+def _graph(point: ExperimentConfig, master: int, sweep_index: int, graph_index: int):
+    """Ensemble member ``graph_index``: (graph, communities) from the graph stream."""
+    try:
+        return generate_graph(
+            point.generator, derive_seed(master, _STREAM_GRAPH, sweep_index, graph_index)
+        )
+    except GenerationError as exc:
+        raise GenerationError(f"graph {graph_index}: {exc}") from None
+
+
 def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, graph_index: int):
     """The graph's false process, spread from creators drawn on the false-seed stream."""
     rng = np.random.default_rng(derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index))
@@ -228,12 +235,7 @@ def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, gr
 
 def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, master: int):
     """All strategy runs for one ensemble member (shared graph and false seeds)."""
-    try:
-        g, _ = generate_graph(
-            point.generator, derive_seed(master, _STREAM_GRAPH, sweep_index, graph_index)
-        )
-    except GenerationError as exc:
-        raise GenerationError(f"graph {graph_index}: {exc}") from None
+    g, _ = _graph(point, master, sweep_index, graph_index)
     # select_seeds reads the stream-2 seed only for the random strategy
     strategy_seed = derive_seed(master, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
     out = {}
@@ -241,26 +243,16 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
         for strategy in point.strategies:
             ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
             state = run_single_diffusion(g, ic, point.model)
-            iterations, sum_p_i = diffusion_metrics(state)
             infected = int(np.count_nonzero(state.labels == Label.INFECTED))
-            out[strategy.value] = {
-                "iterations": iterations,
-                "sum_p_i": sum_p_i,
-                "infected": infected,
-                "susceptible": g.node_count - infected,
-            }
+            out[strategy.value] = dict(
+                zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
+            )
     else:
         fp = _false_process(point, g, master, sweep_index, graph_index)
         for strategy in point.strategies:
             ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
             state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
-            sum_p_it, infected, susceptible, protected = intervention_metrics(state)
-            out[strategy.value] = {
-                "sum_p_it": sum_p_it,
-                "infected": infected,
-                "susceptible": susceptible,
-                "protected": protected,
-            }
+            out[strategy.value] = dict(zip(_COMBAT_COLUMNS, intervention_metrics(state)))
     return out
 
 
@@ -355,10 +347,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 def build_ensemble(config: ExperimentConfig):
     """The ensemble of (graph, communities) the config's battery runs on."""
-    return [
-        generate_graph(config.generator, derive_seed(config.master_rng_seed, _STREAM_GRAPH, 0, i))
-        for i in range(config.ensemble_size)
-    ]
+    return [_graph(config, config.master_rng_seed, 0, i) for i in range(config.ensemble_size)]
 
 
 def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):

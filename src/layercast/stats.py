@@ -15,7 +15,6 @@ import importlib.resources
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .errors import DegenerateSampleError, InputError
 
@@ -98,6 +97,8 @@ def _normal_tail(ranks: np.ndarray, w_plus: float, alternative: str) -> float:
     if var <= 0:
         raise DegenerateSampleError("all differences are tied; variance is zero")
     z = (w_plus - mean) / np.sqrt(var)
+    from scipy.stats import norm  # imported here: scipy.stats dominates `import layercast`
+
     return float(norm.sf(z) if alternative == "x_greater" else norm.cdf(z))
 
 
@@ -118,6 +119,8 @@ def wilcoxon_one_tailed(sample: PairedSample, alternative: str, method: str = "a
     n = len(d)
     if n == 0:
         raise DegenerateSampleError("all paired differences are zero")
+    from scipy.stats import rankdata  # imported here: scipy.stats dominates `import layercast`
+
     ranks = rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     use_exact = n <= EXACT_LIMIT if method == "auto" else method == "exact"

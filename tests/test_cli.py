@@ -1,17 +1,31 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from layercast import (
     CentralityKind,
     CombatParams,
+    ContractError,
     DiffusionParams,
     ErParams,
+    GaussianPartitionParams,
+    LayercastError,
+    LfrParams,
+    NumericError,
     build_graph,
+    format_edge_list,
+    gen_er,
+    gen_gaussian_partition,
+    gen_lfr,
     save_edge_list,
 )
+from layercast import cli
 from layercast.cli import main
 from layercast.harness import ExperimentConfig, config_to_dict
 
@@ -87,6 +101,32 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", *argv, "--seed", "1")
         assert code == 1
         assert err.startswith("error: input:")
+
+    @pytest.mark.parametrize(
+        "argv, params, generate",
+        [
+            (("er", "--n", "30", "--edge-exist-prob", "0.2"),
+             ErParams(n=30, edge_exist_prob=0.2), lambda p, s: (gen_er(p, s), None)),
+            (("gaussian", "--n", "40", "--s", "20", "--v", "20", "--p-in", "0.3", "--p-out", "0.01"),
+             GaussianPartitionParams(n=40, mean_size=20, shape=20, p_in=0.3, p_out=0.01),
+             gen_gaussian_partition),
+            (("lfr", "--n", "120", "--tau1", "3", "--tau2", "1.5", "--mu", "0.1",
+              "--average-degree", "4", "--min-community", "25"),
+             LfrParams(n=120, tau1=3, tau2=1.5, mu=0.1, average_degree=4, min_community=25),
+             gen_lfr),
+        ],
+        ids=["er", "gaussian", "lfr"],
+    )
+    def test_output_is_the_library_generator(self, capsys, tmp_path, argv, params, generate):
+        comm = tmp_path / "comm.txt"
+        extra = () if argv[0] == "er" else ("--community-out", str(comm))
+        code, out, err = run_cli(capsys, "generate", *argv, "--seed", "7", *extra)
+        g, communities = generate(params, 7)
+        assert (code, err) == (0, "")
+        assert out == format_edge_list(g)
+        if communities is not None:
+            assert comm.read_text() == cli._community_text(communities)
+
 
 class TestCentrality:
     def test_degree_csv(self, capsys, chain_file):
@@ -376,3 +416,66 @@ class TestErrorContract:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_generation_error_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "generate", "lfr", "--n", "10", "--tau1", "3", "--tau2", "1.5", "--mu", "0.1",
+            "--average-degree", "4", "--min-community", "20", "--seed", "2",
+        )
+        assert code == 2
+        assert err.startswith("error: generation: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_output_is_io_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "generate", "er", "--n", "10", "--p", "0.5", "--seed", "1",
+            "--out", str(tmp_path / "missing" / "x.edges"),
+        )
+        assert code == 2
+        assert err.startswith("error: io: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "error, label",
+        [(NumericError, "numeric"), (ContractError, "contract"), (LayercastError, "runtime")],
+    )
+    @pytest.mark.parametrize(
+        "call, argv",
+        [
+            ("compute_centrality", ("centrality", "--measure", "degree")),
+            ("run_intervention", ("intervene", "--ic-f", "0", "--ic-t", "3",
+                                  "--pf", "0.5", "--pt", "0.4", "--td", "0.5", "--tc", "0.1")),
+        ],
+        ids=["centrality", "intervene"],
+    )
+    def test_library_error_exits_2(self, capsys, monkeypatch, chain_file, error, label, call, argv):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, call, fail)
+        code, out, err = run_cli(capsys, *argv, "--graph", chain_file)
+        assert (code, out, err) == (2, "", f"error: {label}: boom\n")
+
+
+class TestStartup:
+    """The CLI does not pay for scipy.stats unless a Wilcoxon test runs."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import layercast",
+            "from layercast.cli import main; main(['generate', 'er', '--n', '10', '--p', '0.5',"
+            " '--seed', '1'])",
+        ],
+        ids=["import", "generate"],
+    )
+    def test_scipy_stats_not_imported(self, code):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

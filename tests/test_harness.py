@@ -226,6 +226,19 @@ class TestRunExperiment:
         with pytest.raises(GenerationError, match="graph 0"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [build_ensemble, lambda cfg: minimum_seed_battery(cfg, k_max=5)],
+        ids=["build_ensemble", "minimum_seed_battery"],
+    )
+    def test_ensemble_failure_names_graph_index(self, entry):
+        from layercast import GenerationError
+
+        cfg = dataclasses.replace(preset("lfr_intervention"), ensemble_size=2)
+        cfg = dataclasses.replace(cfg, generator=dataclasses.replace(cfg.generator, min_community=250))
+        with pytest.raises(GenerationError, match=r"^graph 0: infeasible: "):
+            entry(cfg)
+
     def test_lfr_battery_end_to_end(self):
         # the full pipeline over LFR ensembles: generation, pairing, p-values
         cfg = tiny_single_config(
