@@ -77,64 +77,72 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-8, max_iter: int = 1000) ->
     )
 
 
-#: Sources searched together by closeness and betweenness: their memory is
-#: O(n * _BLOCK) instead of O(n^2).
+#: Sources searched together by the closeness and betweenness sweep: its
+#: memory is O(n * _BLOCK) instead of O(n^2).
 _BLOCK = 128
 
 
-def _source_blocks(n: int):
-    """(sources, frontier) per block of at most ``_BLOCK`` single-source searches;
-    ``sources`` slices the nodes, and frontier column j starts at ``sources.start + j``."""
-    for first in range(0, n, _BLOCK):
-        sources = slice(first, min(first + _BLOCK, n))
-        yield sources, np.eye(n, sources.stop - first, -first)
+def _path_scores(g: Graph):
+    """Closeness and betweenness scores of ``g`` from one sweep, built once.
+
+    Sources are searched ``_BLOCK`` at a time with one :func:`hop_distances`
+    per block.  Its distances give each source's distance sum and reach
+    count, and Brandes' backward pass (Brandes 2001) over the same distances
+    and path counts gives its dependencies, summed in source order.  Level 1
+    is skipped: it would write only each source's own dependency, which is
+    excluded.  The two read-only vectors are cached on the graph, 16 bytes
+    per node; a measure asked for alone still pays for both.
+    """
+    if g._paths is None:
+        n = g.node_count
+        A = g.to_csr()
+        dist_sum = np.zeros(n)
+        reach_count = np.zeros(n)
+        bc = np.zeros(n)
+        for first in range(0, n, _BLOCK):
+            last = min(first + _BLOCK, n)
+            # column j searches from node first + j
+            dist, sigma = hop_distances(A, np.eye(n, last - first, -first))
+            dist_sum[first:last] = np.maximum(dist, 0).sum(axis=0)
+            reach_count[first:last] = (dist >= 0).sum(axis=0)
+            delta = np.zeros_like(sigma)
+            safe_sigma = np.where(dist >= 0, sigma, 1.0)
+            # a shell mask scales by exactly 1.0 or 0.0, so each shell entry
+            # gets the same float operations as in a search from its source alone
+            for d in range(dist.max(), 1, -1):
+                coef = (1.0 + delta) / safe_sigma * (dist == d)
+                delta += sigma * (A @ coef) * (dist == d - 1)
+            for column in delta.T:
+                bc += column
+        closeness = np.zeros(n)
+        ok = dist_sum > 0  # empty when n <= 1, so n - 1 never divides
+        r1 = reach_count - 1.0
+        closeness[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
+        betweenness = bc / 2.0
+        closeness.setflags(write=False)
+        betweenness.setflags(write=False)
+        g._paths = closeness, betweenness
+    return g._paths
 
 
 def closeness_centrality(g: Graph) -> CentralityScores:
     """Wasserman–Faust closeness with reachable-component scaling.
 
     score(v) = ((r - 1) / (n - 1)) * ((r - 1) / sum of distances), where r is
-    the size of v's reachable set.  Isolated nodes score 0.  Sources are
-    searched in blocks of ``_BLOCK``, so memory is O(n * _BLOCK).
+    the size of v's reachable set.  Isolated nodes score 0.  Read from the
+    graph's closeness and betweenness sweep (:func:`_path_scores`).
     """
-    n = g.node_count
-    A = g.to_csr()
-    dist_sum = np.zeros(n)
-    reach_count = np.zeros(n)
-    for sources, frontier in _source_blocks(n):
-        dist, _ = hop_distances(A, frontier)
-        dist_sum[sources] = np.maximum(dist, 0).sum(axis=0)
-        reach_count[sources] = (dist >= 0).sum(axis=0)
-    scores = np.zeros(n)
-    ok = dist_sum > 0  # empty when n <= 1, so n - 1 never divides
-    r1 = reach_count - 1.0
-    scores[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
-    return CentralityScores(CentralityKind.CLOSENESS, scores)
+    return CentralityScores(CentralityKind.CLOSENESS, _path_scores(g)[0])
 
 
 def betweenness_centrality(g: Graph) -> CentralityScores:
     """Brandes pair-dependency accumulation, unnormalized, endpoints excluded.
 
     Undirected pairs are counted once (accumulated dependencies halved).
-    Sources are swept ``_BLOCK`` at a time with sparse-by-block products, and
-    their dependencies are summed in source order.
+    Read from the graph's closeness and betweenness sweep
+    (:func:`_path_scores`).
     """
-    n = g.node_count
-    A = g.to_csr()
-    bc = np.zeros(n)
-    for sources, frontier in _source_blocks(n):
-        dist, sigma = hop_distances(A, frontier)
-        delta = np.zeros_like(sigma)
-        safe_sigma = np.where(dist >= 0, sigma, 1.0)
-        # a shell mask scales by exactly 1.0 or 0.0, so each shell entry gets
-        # the same float operations as in a search from its source alone
-        for d in range(dist.max(), 0, -1):
-            coef = (1.0 + delta) / safe_sigma * (dist == d)
-            delta += sigma * (A @ coef) * (dist == d - 1)
-        np.fill_diagonal(delta[sources], 0.0)  # a source's own dependency
-        for column in delta.T:
-            bc += column
-    return CentralityScores(CentralityKind.BETWEENNESS, bc / 2.0)
+    return CentralityScores(CentralityKind.BETWEENNESS, _path_scores(g)[1])
 
 
 def pagerank(

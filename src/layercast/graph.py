@@ -17,22 +17,27 @@ from .errors import ContractError, InputError
 class Graph:
     """Undirected simple graph: no self-loops, no duplicate edges.
 
-    Instances are logically immutable and safe to share across threads.  Two
-    derived caches, the scipy adjacency (:meth:`to_csr`) and the triangle
-    index (:func:`triangle_index`), are built on first use and read-only;
+    Instances are logically immutable and safe to share across threads.  Three
+    derived caches, the scipy adjacency (:meth:`to_csr`), the triangle index
+    (:func:`triangle_index`) and the closeness and betweenness scores
+    (``centrality._path_scores``), are built on first use and read-only;
     two threads racing on first use build identical values, and either one
     may be kept.  Use :func:`build_graph` to construct one from a raw edge
     list.
     """
 
-    __slots__ = ("node_count", "edges", "_indptr", "_indices", "_csr", "_triangles")
+    __slots__ = (
+        "node_count", "edges", "_indptr", "_indices", "_csr", "_triangles", "_paths",
+    )
 
     def __init__(self, node_count: int, edge_list) -> None:
         if node_count < 0:
             raise InputError(f"node_count must be nonnegative, got {node_count}")
         self.node_count = int(node_count)
 
-        e = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edge_list, np.ndarray):
+            edge_list = list(edge_list)
+        e = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
         if e.size:
             if e.min() < 0 or e.max() >= node_count:
                 raise InputError(
@@ -42,7 +47,9 @@ class Graph:
             lo = e.min(axis=1)
             hi = e.max(axis=1)
             keep = lo != hi  # drop self-loops
-            e = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+            # one key per edge, in (lo, hi) order: hi < node_count
+            key = np.unique(lo[keep] * node_count + hi[keep])
+            e = np.stack([key // node_count, key % node_count], axis=1)
         else:
             e = np.empty((0, 2), dtype=np.int64)
         self.edges = e
@@ -62,6 +69,7 @@ class Graph:
         self._indices.setflags(write=False)
         self._csr = None
         self._triangles = None
+        self._paths = None
 
     @property
     def edge_count(self) -> int:
@@ -140,20 +148,26 @@ def hop_distances(A, frontier):
     ``frontier`` is an (n,) vector or an (n, B) block of independent searches,
     positive at the sources.  Returns ``(dist, sigma)`` of its shape: the hop
     distance to the nearest source (-1 when unreached) and shortest-path counts.
+    A search that reaches every node stops without the product that would
+    find nothing new, so it takes one product per hop of its depth.
     """
     sigma = np.array(frontier, dtype=np.float64)
     dist = np.where(sigma > 0, 0, -1)
+    unreached = np.count_nonzero(dist < 0)
     frontier = sigma
     d = 0
-    while True:
+    while unreached:
         contrib = A @ frontier  # path counts arriving one hop out
         new = (contrib > 0) & (dist < 0)
-        if not new.any():
-            return dist, sigma
+        found = np.count_nonzero(new)
+        if not found:
+            break
         d += 1
         dist[new] = d
         frontier = np.where(new, contrib, 0.0)
         sigma += frontier  # exact: an unreached node's count is still 0
+        unreached -= found
+    return dist, sigma
 
 
 def layer_from_sources(g: Graph, sources) -> LayeredView:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,19 @@ class WilcoxonResult:
     convention: str = W_CONVENTION
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``a`` in ascending order; each group of ties shares the
+    mean of the ranks it spans."""
+    order = np.argsort(a)
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    # a group over sorted positions [start, end) spans ranks start + 1 .. end
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_tail(ranks: np.ndarray, w_plus: float, alternative: str) -> float:
     """Tail probability of W+ over all 2^n equiprobable sign assignments.
 
@@ -96,10 +110,9 @@ def _normal_tail(ranks: np.ndarray, w_plus: float, alternative: str) -> float:
     var -= float((counts.astype(np.float64) ** 3 - counts).sum()) / 48.0
     if var <= 0:
         raise DegenerateSampleError("all differences are tied; variance is zero")
-    z = (w_plus - mean) / np.sqrt(var)
-    from scipy.stats import norm  # imported here: scipy.stats dominates `import layercast`
-
-    return float(norm.sf(z) if alternative == "x_greater" else norm.cdf(z))
+    z = float((w_plus - mean) / np.sqrt(var))
+    # the upper tail for x_greater, the lower tail for x_less
+    return 0.5 * math.erfc((z if alternative == "x_greater" else -z) / math.sqrt(2.0))
 
 
 def wilcoxon_one_tailed(sample: PairedSample, alternative: str, method: str = "auto") -> WilcoxonResult:
@@ -119,9 +132,7 @@ def wilcoxon_one_tailed(sample: PairedSample, alternative: str, method: str = "a
     n = len(d)
     if n == 0:
         raise DegenerateSampleError("all paired differences are zero")
-    from scipy.stats import rankdata  # imported here: scipy.stats dominates `import layercast`
-
-    ranks = rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     use_exact = n <= EXACT_LIMIT if method == "auto" else method == "exact"
     if use_exact:

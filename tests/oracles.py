@@ -525,3 +525,24 @@ def product_layer_edges(g, lv):
     # stable: inside a layer the CSR order (target, then source) is kept
     order = np.argsort(row_layer[cross], kind="stable")
     return targets[order], sources[order], counts[order]
+
+
+# -- the graph construction the edge-key deduplication replaced ----------------
+
+
+def row_unique_graph_arrays(n, edge_list):
+    """``(edges, indptr, indices)`` as ``Graph`` built them with a list copy of
+    the edges and ``np.unique(..., axis=0)`` on (lo, hi) rows."""
+    e = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    if e.size:
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        keep = lo != hi
+        e = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    else:
+        e = np.empty((0, 2), dtype=np.int64)
+    counts = np.bincount(e.ravel(), minlength=n) if e.size else np.zeros(n, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    return e, indptr, dst[np.lexsort((dst, src))]

@@ -13,7 +13,14 @@ from layercast import (
     save_edge_list,
 )
 
-from oracles import adjacency_dict, bfs_layers, effective_edges_brute
+from oracles import adjacency_dict, bfs_layers, effective_edges_brute, row_unique_graph_arrays
+
+
+def messy_edges(n, m, seed):
+    """m random pairs with duplicates, reversed pairs and self-loops."""
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, n, size=(m, 2))
+    return np.concatenate([e, e[: m // 3, ::-1], e[: m // 5]])
 
 
 class TestBuildGraph:
@@ -43,6 +50,27 @@ class TestBuildGraph:
         for u in range(g.node_count):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (1, []),
+            (5, []),
+            (7, lambda: ((u, (u * 3) % 7) for u in range(7))),  # a generator, self-loop at 0
+            (12, lambda: messy_edges(12, 40, 1).tolist()),
+            (12, lambda: [tuple(r) for r in messy_edges(12, 40, 2)]),
+            (30, lambda: messy_edges(30, 200, 3)),
+            (200, lambda: messy_edges(200, 3000, 4)),
+            (50, lambda: messy_edges(50, 300, 5).astype(np.int32)),
+        ],
+        ids=["n1-empty", "empty", "generator", "lists", "tuples", "array", "array-200", "int32"],
+    )
+    def test_construction_matches_row_unique(self, n, edges):
+        g = build_graph(n, edges() if callable(edges) else edges)
+        want = row_unique_graph_arrays(n, edges() if callable(edges) else edges)
+        for got, ref in zip((g.edges, g._indptr, g._indices), want):
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
 
     def test_immutable_arrays(self, chain4):
         with pytest.raises(ValueError):

@@ -208,6 +208,24 @@ class TestRunExperiment:
         assert entry.degenerate
         assert entry.p == 1.0
 
+    def test_path_centralities_search_each_graph_once(self, monkeypatch):
+        from layercast import centrality
+        from layercast.graph import hop_distances
+
+        calls = []
+
+        def counting(A, frontier):
+            calls.append(frontier.shape[1])
+            return hop_distances(A, frontier)
+
+        monkeypatch.setattr(centrality, "hop_distances", counting)
+        cfg = tiny_single_config(
+            strategies=(CentralityKind.CLOSENESS, CentralityKind.BETWEENNESS, CentralityKind.RANDOM)
+        )
+        run_experiment(cfg)
+        # n = 60 is one block of sources per graph
+        assert calls == [60] * cfg.ensemble_size
+
     def test_single_mode_metric_columns(self):
         res = run_experiment(tiny_single_config())
         col = res.metric_column(CentralityKind.DEGREE, "sum_p_i")

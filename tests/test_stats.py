@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from layercast import (
     summarize,
     wilcoxon_one_tailed,
 )
+
+from layercast.stats import _average_ranks
 
 from oracles import wilcoxon_exact_brute
 
@@ -118,6 +124,62 @@ class TestWilcoxon:
         s = PairedSample(x=better, y=base)
         res = compare_strategies(s, "x_greater")
         assert res.p_one_tailed < 1e-6
+
+
+class TestWithoutScipyStats:
+    """Ranks and the normal tail are computed without ``scipy.stats``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_average_ranks_equal_rankdata(self, seed):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        tied = np.abs(rng.integers(-20, 21, n) * rng.choice([1.0, 0.5, 0.25], n))
+        for a in (tied, rng.random(n), np.full(n, 2.0)):
+            assert _average_ranks(a).tobytes() == rankdata(a).tobytes()
+
+    @pytest.mark.parametrize("alternative", ["x_less", "x_greater"])
+    def test_normal_tail_matches_scipy(self, alternative):
+        from scipy.stats import norm, rankdata
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            d = np.round(rng.normal(rng.uniform(-0.5, 0.5), 1.0, 60), 1)
+            res = wilcoxon_one_tailed(sample_from_diffs(d), alternative, method="normal")
+            d = d[d != 0]
+            r = rankdata(np.abs(d))
+            n = len(d)
+            _, t = np.unique(r, return_counts=True)
+            var = n * (n + 1) * (2 * n + 1) / 24.0 - ((t**3 - t).sum()) / 48.0
+            z = (r[d > 0].sum() - n * (n + 1) / 4.0) / np.sqrt(var)
+            want = norm.sf(z) if alternative == "x_greater" else norm.cdf(z)
+            assert res.p_one_tailed == pytest.approx(want, rel=1e-12)
+
+    def test_battery_leaves_scipy_stats_unloaded(self):
+        code = (
+            "import sys\n"
+            "from layercast import CentralityKind, CombatParams, ErParams\n"
+            "from layercast.harness import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig(generator=ErParams(n=40, edge_exist_prob=0.15),"
+            " ensemble_size=30, mode='intervention',"
+            " strategies=(CentralityKind.DEGREE, CentralityKind.RANDOM),"
+            " model=CombatParams(0.5, 0.4, 0.4, 0.1), false_info_starter=2,"
+            " true_info_starter=3, master_rng_seed=5)\n"
+            "res = run_experiment(cfg)\n"
+            "print(sorted({p.method for p in res.p_values if not p.degenerate}))\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        methods, loaded = proc.stdout.splitlines()[-2:]
+        assert "normal-approximation" in methods
+        assert loaded == "False"
 
 
 class TestSummarize:

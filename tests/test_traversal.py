@@ -1,6 +1,7 @@
 """The one breadth-first primitive, ``graph.hop_distances``, and the three
 traversals built on it, each bitwise equal to the loop it replaced."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from layercast import (
     gen_er,
     layer_from_sources,
 )
-from layercast.centrality import _BLOCK
+from layercast import centrality
+from layercast.centrality import _BLOCK, _path_scores
 from layercast.graph import hop_distances
 
 from oracles import dense_closeness, frontier_layering, per_source_betweenness
@@ -79,6 +81,80 @@ class TestHopDistances:
             assert sigma[:, s].tobytes() == c.tobytes()
 
 
+class CountingAdjacency:
+    """Stands in for the adjacency and counts the products taken with it."""
+
+    def __init__(self, A):
+        self.A = A
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+class TestProductCount:
+    def test_fully_reached_search_takes_one_product_per_hop(self):
+        A = CountingAdjacency(build_graph(4, path_edges(4)).to_csr())
+        dist, _ = hop_distances(A, np.eye(4)[0])
+        assert dist.max() == 3 and A.products == 3
+
+    def test_unreached_node_costs_one_more_product(self):
+        A = CountingAdjacency(build_graph(5, path_edges(4)).to_csr())
+        dist, _ = hop_distances(A, np.eye(5)[0])
+        assert dist.tolist() == [0, 1, 2, 3, -1] and A.products == 4
+
+    def test_block_takes_its_deepest_search(self):
+        n = 30
+        A = CountingAdjacency(build_graph(n, path_edges(n)).to_csr())
+        dist, _ = hop_distances(A, np.eye(n, 10))
+        assert dist.max() == n - 1 and A.products == n - 1
+
+    def test_all_sources_take_no_product(self):
+        A = CountingAdjacency(build_graph(3, path_edges(3)).to_csr())
+        dist, _ = hop_distances(A, np.ones(3))
+        assert dist.tolist() == [0, 0, 0] and A.products == 0
+
+
+class TestSharedSweep:
+    """Closeness and betweenness come from one blocked search per graph."""
+
+    def test_one_search_per_block_for_both_measures(self, monkeypatch):
+        calls = []
+
+        def counting(A, frontier):
+            calls.append(frontier.shape)
+            return hop_distances(A, frontier)
+
+        monkeypatch.setattr(centrality, "hop_distances", counting)
+        n = 2 * _BLOCK + 1
+        g = build_graph(n, random_graph(n, 0.02, 10))
+        closeness_centrality(g)
+        betweenness_centrality(g)
+        closeness_centrality(g)
+        assert len(calls) == math.ceil(n / _BLOCK) == 3
+        assert calls == [(n, _BLOCK), (n, _BLOCK), (n, 1)]
+
+    @pytest.mark.parametrize("case", ["random-300", "disconnected", "n-2-blocks-plus-1"])
+    def test_either_measure_first_gives_the_same_bytes(self, case):
+        first, second = CASES[case](), CASES[case]()
+        c1 = closeness_centrality(first).scores
+        b1 = betweenness_centrality(first).scores
+        b2 = betweenness_centrality(second).scores
+        c2 = closeness_centrality(second).scores
+        assert c1.tobytes() == c2.tobytes()
+        assert b1.tobytes() == b2.tobytes()
+
+    def test_cached_vectors_are_read_only(self):
+        g = CASES["random-40"]()
+        for scores in (closeness_centrality(g).scores, betweenness_centrality(g).scores,
+                       *_path_scores(g)):
+            with pytest.raises(ValueError):
+                scores[0] = 1.0
+        assert closeness_centrality(g).scores is _path_scores(g)[0]
+        assert betweenness_centrality(g).scores is _path_scores(g)[1]
+
+
 class TestBitwiseAgainstReplacedLoops:
     def test_layering(self, graph):
         n = graph.node_count
@@ -109,7 +185,10 @@ def test_peak_memory_grows_linearly_in_n(centrality):
     # where an n x n search would quadruple it
     peaks = []
     for n in (2000, 4000):
+        # a fresh graph, so the sweep runs under the tracer: a graph that
+        # already holds its scores would measure a cache read
         g = gen_er(ErParams(n=n, edge_exist_prob=8 / n), 7)
+        assert g._paths is None
         tracemalloc.start()
         try:
             centrality(g)
