@@ -26,16 +26,6 @@ class CentralityKind(str, enum.Enum):
     RANDOM = "random"
 
 
-#: Kinds that carry per-node scores (everything except the random baseline).
-SCORING_KINDS = (
-    CentralityKind.DEGREE,
-    CentralityKind.EIGENVECTOR,
-    CentralityKind.CLOSENESS,
-    CentralityKind.BETWEENNESS,
-    CentralityKind.PAGERANK,
-)
-
-
 @dataclass(frozen=True)
 class CentralityScores:
     kind: CentralityKind

@@ -23,7 +23,7 @@ from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_dif
 from .errors import ContractError, GenerationError, InputError, LayercastError, NumericError
 from .generators import ErParams, GaussianPartitionParams, LfrParams
 from .graph import format_edge_list, load_edge_list
-from .intervention import CombatParams, intervention_metrics, run_intervention
+from .intervention import COMBAT_METRICS, CombatParams, intervention_metrics, run_intervention
 from .stats import engagement_sample, load_engagement, summarize, wilcoxon_one_tailed
 
 
@@ -61,6 +61,11 @@ def _label_name(value: int) -> str:
     return Label(value).name.capitalize()
 
 
+def _params(args):
+    """The subcommand's ``params`` dataclass, built from the options named after its fields."""
+    return args.params(**{f.name: getattr(args, f.name) for f in dataclasses.fields(args.params)})
+
+
 # -- generate -------------------------------------------------------------------
 
 
@@ -69,8 +74,7 @@ def _community_text(communities) -> str:
 
 
 def _cmd_generate(args) -> int:
-    params = args.params(**{f.name: getattr(args, f.name) for f in dataclasses.fields(args.params)})
-    g, communities = harness.generate_graph(params, args.seed)
+    g, communities = harness.generate_graph(_params(args), args.seed)
     _emit(format_edge_list(g), args.out)
     if getattr(args, "community_out", None):
         Path(args.community_out).write_text(_community_text(communities), encoding="ascii")
@@ -118,8 +122,7 @@ def _emit_run(lines, metrics: dict, args) -> None:
 def _cmd_diffuse(args) -> int:
     g = load_edge_list(args.graph)
     ic = _pick_seeds(g, args.ic, args.strategy, args.count, args.seed, "ic")
-    params = DiffusionParams(transmission_prob=args.transmission_prob, threshold=args.threshold)
-    state = run_single_diffusion(g, ic, params)
+    state = run_single_diffusion(g, ic, _params(args))
 
     lines = ["node,layer,p_i,label"]
     for v in range(g.node_count):
@@ -145,13 +148,7 @@ def _cmd_intervene(args) -> int:
         true_seed = np.random.SeedSequence(seed, spawn_key=(1,))
     ic_f = _pick_seeds(g, args.ic_f, args.false_strategy, args.false_count, false_seed, "ic-f", "false-")
     ic_t = _pick_seeds(g, args.ic_t, args.true_strategy, args.true_count, true_seed, "ic-t", "true-")
-    params = CombatParams(
-        false_transmission_prob=args.pf,
-        true_transmission_prob=args.pt,
-        decisive_threshold=args.td,
-        comparative_threshold=args.tc,
-    )
-    state = run_intervention(g, ic_f, ic_t, params)
+    state = run_intervention(g, ic_f, ic_t, _params(args))
 
     lines = ["node,p_if,p_it,blocked,label"]
     for v in range(g.node_count):
@@ -159,14 +156,7 @@ def _cmd_intervene(args) -> int:
             f"{v},{float(state.p_if[v])!r},{float(state.p_it[v])!r},"
             f"{bool(state.blocked[v])},{_label_name(state.labels[v])}"
         )
-    sum_p_it, infected, susceptible, protected = intervention_metrics(state)
-    metrics = {
-        "sum_p_it": sum_p_it,
-        "infected": infected,
-        "susceptible": susceptible,
-        "protected": protected,
-    }
-    _emit_run(lines, metrics, args)
+    _emit_run(lines, dict(zip(COMBAT_METRICS, intervention_metrics(state))), args)
     return 0
 
 
@@ -176,14 +166,7 @@ def _cmd_intervene(args) -> int:
 def _cmd_stats_wilcoxon(args) -> int:
     records = load_engagement(args.input)
     result = wilcoxon_one_tailed(engagement_sample(records), args.alt)
-    out = {
-        "statistic": result.statistic,
-        "p_one_tailed": result.p_one_tailed,
-        "n_effective": result.n_effective,
-        "method": result.method,
-        "convention": result.convention,
-    }
-    sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(dataclasses.asdict(result), sort_keys=True) + "\n")
     return 0
 
 
@@ -213,13 +196,7 @@ def _cmd_experiment_run(args) -> int:
         "records": len(result.records),
         "config_hash": result.provenance.config_hash,
         "p_values": [
-            {
-                "strategy": p.strategy,
-                "metric": p.metric,
-                "sweep_value": p.sweep_value,
-                "p": p.p,
-                "degenerate": p.degenerate,
-            }
+            {k: v for k, v in dataclasses.asdict(p).items() if k != "method"}
             for p in result.p_values
         ],
     }
@@ -303,25 +280,29 @@ def build_parser() -> _Parser:
     p_diff.add_argument("--seed", type=int, help="RNG seed (required for random strategy)")
     p_diff.add_argument("--out", help="per-node CSV path (default: stdout)")
     p_diff.add_argument("--metrics-out", help="metrics JSON path")
-    p_diff.set_defaults(handler=_cmd_diffuse)
+    p_diff.set_defaults(handler=_cmd_diffuse, params=DiffusionParams)
 
     # intervene
     p_int = sub.add_parser("intervene", help="run the true-vs-false intervention")
     p_int.add_argument("--graph", required=True)
     p_int.add_argument(
-        "--pf", "--false-transmission-prob", dest="pf", type=float, required=True,
+        "--pf", "--false-transmission-prob",
+        dest="false_transmission_prob", metavar="PF", type=float, required=True,
         help="false-information transmission probability (P_F)",
     )
     p_int.add_argument(
-        "--pt", "--true-transmission-prob", dest="pt", type=float, required=True,
+        "--pt", "--true-transmission-prob",
+        dest="true_transmission_prob", metavar="PT", type=float, required=True,
         help="true-information transmission probability (P_T)",
     )
     p_int.add_argument(
-        "--td", "--decisive-threshold", dest="td", type=float, required=True,
+        "--td", "--decisive-threshold",
+        dest="decisive_threshold", metavar="TD", type=float, required=True,
         help="decisive threshold (T_D): false-belief level that blocks the true process",
     )
     p_int.add_argument(
-        "--tc", "--comparative-threshold", dest="tc", type=float, required=True,
+        "--tc", "--comparative-threshold",
+        dest="comparative_threshold", metavar="TC", type=float, required=True,
         help="comparative threshold (T_C): belief gap that labels a node infected",
     )
     p_int.add_argument("--ic-f", help="explicit false creators, comma-separated")
@@ -333,7 +314,7 @@ def build_parser() -> _Parser:
     p_int.add_argument("--seed", type=int, help="RNG seed (required for random strategies)")
     p_int.add_argument("--out", help="per-node CSV path (default: stdout)")
     p_int.add_argument("--metrics-out", help="metrics JSON path")
-    p_int.set_defaults(handler=_cmd_intervene)
+    p_int.set_defaults(handler=_cmd_intervene, params=CombatParams)
 
     # stats
     p_stats = sub.add_parser("stats", help="engagement statistics")

@@ -59,13 +59,18 @@ def transmission_factor(transmission_prob: float, effective_edges: int) -> float
     """Per-edge belief multiplier for a transmission with N effective edges.
 
     F(N, P) = P + sum_{j=1..N} P^j (1-P)^(N+1-j) C(N, j) (1 - (1-P)^j).
-    Bounded by 1 for every N, and equals P when N = 0.
+    Bounded by 1 for every N, and equals P when N = 0.  Once C(N, j) no
+    longer fits a float (N >= 1030) it returns the binomial theorem's closed
+    form of the same sum, 1 - (1-P)(1-P^2)^N.
     """
     P = transmission_prob
     q = 1.0 - P
     total = P
-    for j in range(1, effective_edges + 1):
-        total += P**j * q ** (effective_edges + 1 - j) * math.comb(effective_edges, j) * (1.0 - q**j)
+    try:
+        for j in range(1, effective_edges + 1):
+            total += P**j * q ** (effective_edges + 1 - j) * math.comb(effective_edges, j) * (1.0 - q**j)
+    except OverflowError:
+        return 1.0 - q * (1.0 - P * P) ** effective_edges
     return total
 
 

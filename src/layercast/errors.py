@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check for config fields."""
+
+import dataclasses
+import numbers
 
 
 class LayercastError(Exception):
@@ -27,3 +30,18 @@ class NumericError(LayercastError):
 
 class DegenerateSampleError(InputError):
     """A statistical sample carries no usable signal (e.g. all-zero differences)."""
+
+
+def check_int_fields(params) -> None:
+    """Make every ``int`` field of the frozen dataclass ``params`` a Python int.
+
+    NumPy integers are converted, so a config built from a NumPy grid hashes
+    and exports like its Python twin.  Anything else (``200.5``, ``1e3``,
+    NaN, a string) raises :class:`InputError`.
+    """
+    for field in dataclasses.fields(params):
+        if field.type in (int, "int"):  # annotations may be postponed
+            value = getattr(params, field.name)
+            if not isinstance(value, numbers.Integral):
+                raise InputError(f"{field.name} must be an integer, got {value!r}")
+            object.__setattr__(params, field.name, int(value))

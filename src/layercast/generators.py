@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, InputError
+from .errors import GenerationError, InputError, check_int_fields
 from .graph import Graph
 
 # Shared retry/rewiring budget factor: a generator may spend at most
@@ -35,6 +35,7 @@ class ErParams:
     edge_exist_prob: float
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.edge_exist_prob <= 1.0:
@@ -58,6 +59,7 @@ class GaussianPartitionParams:
     p_out: float
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         if not self.mean_size >= 1:  # also rejects NaN
@@ -82,6 +84,7 @@ class LfrParams:
     min_community: int
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         if not (self.tau1 > 1 and self.tau2 > 1):  # also rejects NaN

@@ -29,7 +29,7 @@ import numpy as np
 
 from .centrality import CentralityKind, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
-from .errors import DegenerateSampleError, GenerationError, InputError
+from .errors import DegenerateSampleError, GenerationError, InputError, check_int_fields
 from .generators import (
     ErParams,
     GaussianPartitionParams,
@@ -39,6 +39,7 @@ from .generators import (
     gen_lfr,
 )
 from .intervention import (
+    COMBAT_METRICS,
     CombatParams,
     intervention_metrics,
     minimum_true_seeds,
@@ -72,7 +73,6 @@ METRIC_ALTERNATIVE = {
 }
 
 _SINGLE_COLUMNS = ("iterations", "sum_p_i", "infected", "susceptible")
-_COMBAT_COLUMNS = ("sum_p_it", "infected", "susceptible", "protected")
 _SINGLE_TESTED = ("iterations", "sum_p_i")
 
 GeneratorParams = ErParams | GaussianPartitionParams | LfrParams
@@ -86,7 +86,9 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        # NumPy scalars become Python numbers, so the values hash and print alike
+        values = tuple(v.item() if isinstance(v, np.generic) else v for v in self.values)
+        object.__setattr__(self, "values", values)
         if len(self.values) == 0:
             raise InputError("sweep grid must be non-empty")
 
@@ -108,10 +110,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(CentralityKind(s) for s in self.strategies))
-        for name in ("ensemble_size", "master_rng_seed", "info_starter", "false_info_starter",
-                     "true_info_starter"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_int_fields(self)
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.mode not in ("single", "intervention"):
@@ -252,7 +251,7 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
         for strategy in point.strategies:
             ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
             state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
-            out[strategy.value] = dict(zip(_COMBAT_COLUMNS, intervention_metrics(state)))
+            out[strategy.value] = dict(zip(COMBAT_METRICS, intervention_metrics(state)))
     return out
 
 
@@ -303,7 +302,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                     )
                 )
         if CentralityKind.RANDOM in point.strategies:
-            tested = _SINGLE_TESTED if point.mode == "single" else _COMBAT_COLUMNS
+            tested = _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS
             baseline = {
                 m: np.array([per_graph[i][CentralityKind.RANDOM.value][m] for i in indices], dtype=np.float64)
                 for m in tested
@@ -482,59 +481,33 @@ _GENERATOR_NAMES = {cls: name for name, cls in _GENERATOR_TYPES.items()}
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    gen = dataclasses.asdict(config.generator)
-    gen["type"] = _GENERATOR_NAMES[type(config.generator)]
-    out = {
-        "generator": gen,
-        "ensemble_size": config.ensemble_size,
-        "mode": config.mode,
-        "strategies": [s.value for s in config.strategies],
-        "model": dataclasses.asdict(config.model),
-        "master_rng_seed": config.master_rng_seed,
-        "info_starter": config.info_starter,
-        "false_info_starter": config.false_info_starter,
-        "true_info_starter": config.true_info_starter,
-        "sweep": (
-            {"parameter": config.sweep.parameter, "values": list(config.sweep.values)}
-            if config.sweep
-            else None
-        ),
-    }
+    """The config as JSON-ready data: its fields, plus the generator's ``type`` tag."""
+    out = dataclasses.asdict(config)
+    out["generator"]["type"] = _GENERATOR_NAMES[type(config.generator)]
+    out["strategies"] = [s.value for s in config.strategies]
+    if config.sweep:
+        out["sweep"]["values"] = list(config.sweep.values)
     return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Inverse of :func:`config_to_dict`; every key must name a field."""
     try:
-        gen_data = dict(data["generator"])
+        fields = dict(data)
+        gen_data = dict(fields["generator"])
         gen_type = gen_data.pop("type")
         if gen_type not in _GENERATOR_TYPES:
             raise InputError(
                 f"generator.type must be one of {sorted(_GENERATOR_TYPES)}, got {gen_type!r}"
             )
-        generator = _GENERATOR_TYPES[gen_type](**gen_data)
-        mode = data["mode"]
-        model_cls = DiffusionParams if mode == "single" else CombatParams
-        model = model_cls(**data["model"])
-        sweep = None
-        if data.get("sweep"):
-            sweep = SweepSpec(
-                parameter=data["sweep"]["parameter"], values=tuple(data["sweep"]["values"])
-            )
-        return ExperimentConfig(
-            generator=generator,
-            ensemble_size=data["ensemble_size"],
-            mode=mode,
-            strategies=tuple(data["strategies"]),
-            model=model,
-            master_rng_seed=data["master_rng_seed"],
-            info_starter=data.get("info_starter", 0),
-            false_info_starter=data.get("false_info_starter", 0),
-            true_info_starter=data.get("true_info_starter", 0),
-            sweep=sweep,
-        )
+        fields["generator"] = _GENERATOR_TYPES[gen_type](**gen_data)
+        model_cls = DiffusionParams if fields["mode"] == "single" else CombatParams
+        fields["model"] = model_cls(**fields["model"])
+        fields["sweep"] = SweepSpec(**fields["sweep"]) if fields.get("sweep") else None
+        return ExperimentConfig(**fields)
     except KeyError as exc:
         raise InputError(f"experiment config is missing field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed experiment config: {exc}") from None
 
 
@@ -555,7 +528,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _csv_columns(mode: str):
-    metrics = _SINGLE_COLUMNS if mode == "single" else _COMBAT_COLUMNS
+    metrics = _SINGLE_COLUMNS if mode == "single" else COMBAT_METRICS
     return ("strategy", "graph_index", "sweep_value") + metrics
 
 
@@ -597,42 +570,28 @@ def records_to_csv_text(result: ExperimentResult) -> str:
     return buf.getvalue()
 
 
-def _parse_sweep_cell(cell: str):
-    return None if cell == "" else float(cell)
+def _csv_cell(text: str):
+    """A sweep or metric cell: empty for no sweep, an int for a count, else a float repr."""
+    if text == "":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def read_records(path, format: str = "csv"):
     """Re-import exported records (CSV or JSON) as MetricRecord lists."""
     if format == "csv":
         with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            metric_names = header[3:]
-            records = []
-            for row in reader:
-                metrics = {}
-                for name, cell in zip(metric_names, row[3:]):
-                    value = float(cell)
-                    metrics[name] = int(value) if name in ("iterations", "infected", "susceptible", "protected") else value
-                records.append(
-                    MetricRecord(
-                        strategy=row[0],
-                        graph_index=int(row[1]),
-                        sweep_value=_parse_sweep_cell(row[2]),
-                        metrics=metrics,
-                    )
-                )
-            return records
-    if format == "json":
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
+            header, *rows = csv.reader(fh)
         return [
             MetricRecord(
-                strategy=r["strategy"],
-                graph_index=r["graph_index"],
-                sweep_value=r["sweep_value"],
-                metrics=r["metrics"],
+                strategy, int(index), _csv_cell(sweep), dict(zip(header[3:], map(_csv_cell, values)))
             )
-            for r in data["records"]
+            for strategy, index, sweep, *values in rows
         ]
+    if format == "json":
+        with open(path, "r", encoding="ascii") as fh:
+            return [MetricRecord(**r) for r in json.load(fh)["records"]]
     raise InputError(f"format must be 'csv' or 'json', got {format!r}")

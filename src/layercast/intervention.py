@@ -152,6 +152,10 @@ def run_intervention(
     )
 
 
+#: The names of the values :func:`intervention_metrics` returns, in its order.
+COMBAT_METRICS = ("sum_p_it", "infected", "susceptible", "protected")
+
+
 def intervention_metrics(state: CombatState):
     """(sum of p_it, infected count, susceptible count, protected count)."""
     labels = state.labels

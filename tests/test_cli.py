@@ -355,6 +355,10 @@ class TestExperiment:
             ("false_info_starter", 5000),
             ("true_info_starter", 2.5),
             ("ensemble_size", 1.5),
+            ("generator", {"type": "er", "n": 40.5, "edge_exist_prob": 0.12}),
+            ("generator", {"type": "er", "n": 1e3, "edge_exist_prob": 0.12}),
+            ("generator", {"type": "lfr", "n": 100, "tau1": 3.0, "tau2": 1.5, "mu": 0.1,
+                           "average_degree": 5.0, "min_community": 20.5}),
         ],
     )
     def test_bad_battery_config_is_input_error(self, capsys, tmp_path, field, value):
@@ -407,6 +411,13 @@ class TestErrorContract:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "generate" in out
+
+    def test_intervene_help_names_the_short_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "intervene", "--help")
+        assert code == 0
+        for short, long_ in [("pf", "false-transmission-prob"), ("pt", "true-transmission-prob"),
+                             ("td", "decisive-threshold"), ("tc", "comparative-threshold")]:
+            assert f"--{short} {short.upper()}, --{long_} {short.upper()}" in out
 
     def test_identical_invocations_identical_stdout(self, capsys, chain_file):
         args = (

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,21 @@ class TestUpdateFromSource:
         value = 1.0 * transmission_factor(p, n_eff)
         assert 0.0 <= value <= 1.0
         assert value >= 1.0 * p - 1e-15
+
+    def test_past_float_binomials(self):
+        # C(1030, 515) no longer fits a float; the closed form takes over
+        assert transmission_factor(0.5, 1030) == 1.0
+        for p in (0.01, 0.5, 0.99):
+            assert math.isfinite(transmission_factor(p, 1030))
+            assert math.isfinite(transmission_factor(p, 5000))
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.99])
+    def test_closed_form_continues_the_sum(self, p):
+        # the last N that still uses the binomial sum
+        assert transmission_factor(p, 1029) == pytest.approx(
+            1.0 - (1.0 - p) * (1.0 - p * p) ** 1029, rel=1e-12, abs=1e-12
+        )
+        assert transmission_factor(p, 1030) == 1.0 - (1.0 - p) * (1.0 - p * p) ** 1030
 
 
 class TestRunSingleDiffusion:

@@ -62,6 +62,31 @@ def test_nan_parameter_rejected(cls, fields, name):
         cls(**{**fields, name: float("nan")})
 
 
+_ER_FIELDS = {"n": 10, "edge_exist_prob": 0.1}
+_INTEGER_FIELDS = [
+    pytest.param(ErParams, _ER_FIELDS, "n", id="er-n"),
+    pytest.param(GaussianPartitionParams, _GAUSSIAN_FIELDS, "n", id="gaussian-n"),
+    pytest.param(LfrParams, _LFR_FIELDS, "n", id="lfr-n"),
+    pytest.param(LfrParams, _LFR_FIELDS, "min_community", id="lfr-min_community"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, name", _INTEGER_FIELDS)
+@pytest.mark.parametrize(
+    "value", [200.5, 1e3, float("nan"), "200"], ids=["fraction", "exponent", "nan", "string"]
+)
+def test_non_integer_count_rejected(cls, fields, name, value):
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        cls(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("cls, fields, name", _INTEGER_FIELDS)
+def test_numpy_integer_count_becomes_int(cls, fields, name):
+    params = cls(**{**fields, name: np.int64(fields[name])})
+    assert type(getattr(params, name)) is int
+    assert params == cls(**fields)
+
+
 class TestEr:
     def test_complete_graph(self):
         g = gen_er(ErParams(n=10, edge_exist_prob=1.0), 0)

@@ -21,6 +21,7 @@ from layercast.harness import (
     apply_scale,
     build_ensemble,
     config_from_dict,
+    config_hash,
     config_to_dict,
     dense_er_single_preset,
     derive_seed,
@@ -349,10 +350,12 @@ class TestSweeps:
 class TestExportImport:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_identical_records(self, tmp_path, fmt):
-        res = run_experiment(tiny_intervention_config())
-        path = tmp_path / f"out.{fmt}"
-        export_results(res, path, fmt)
-        assert read_records(path, fmt) == res.records
+        swept = tiny_single_config(ensemble_size=3, sweep=SweepSpec("transmission_prob", (0.3, 0.6)))
+        for cfg in (tiny_intervention_config(), swept):
+            res = run_experiment(cfg)
+            path = tmp_path / f"out.{fmt}"
+            export_results(res, path, fmt)
+            assert read_records(path, fmt) == res.records
 
     def test_csv_schema(self, tmp_path):
         res = run_experiment(tiny_single_config())
@@ -413,6 +416,65 @@ class TestConfigSerialization:
         with pytest.raises(InputError):
             load_config(incomplete)
 
+    @pytest.mark.parametrize(
+        "field", ["generator", "ensemble_size", "mode", "strategies", "model", "master_rng_seed"]
+    )
+    def test_missing_field_is_named(self, field):
+        data = config_to_dict(tiny_single_config())
+        del data[field]
+        with pytest.raises(InputError, match=field):
+            config_from_dict(data)
+
+    def test_unknown_key_rejected(self):
+        data = config_to_dict(tiny_single_config())
+        data["sweeps"] = {"parameter": "transmission_prob", "values": [0.3]}
+        with pytest.raises(InputError, match="sweeps"):
+            config_from_dict(data)
+
+    def test_unknown_strategy_rejected(self):
+        data = config_to_dict(tiny_single_config())
+        data["strategies"] = ["degree", "bogus"]
+        with pytest.raises(InputError, match="bogus"):
+            config_from_dict(data)
+
+
+class TestNumpyConfig:
+    """A config built from NumPy scalars hashes and exports like its Python twin."""
+
+    def assert_same_output(self, numpy_cfg, python_cfg):
+        assert numpy_cfg == python_cfg
+        assert config_hash(numpy_cfg) == config_hash(python_cfg)
+        assert records_to_csv_text(run_experiment(numpy_cfg)) == records_to_csv_text(
+            run_experiment(python_cfg)
+        )
+
+    def test_integer_counts(self):
+        self.assert_same_output(
+            tiny_single_config(
+                ensemble_size=np.int64(3), info_starter=np.int32(3), master_rng_seed=np.uint16(11)
+            ),
+            tiny_single_config(ensemble_size=3, info_starter=3, master_rng_seed=11),
+        )
+
+    def test_node_count_sweep_over_arange(self):
+        cfg = tiny_single_config(ensemble_size=3)
+        self.assert_same_output(
+            dataclasses.replace(cfg, sweep=SweepSpec("n", np.arange(40, 61, 20))),
+            dataclasses.replace(cfg, sweep=SweepSpec("n", (40, 60))),
+        )
+
+    def test_probability_sweep_over_linspace(self, tmp_path):
+        cfg = tiny_single_config(ensemble_size=3)
+        grid = np.linspace(0.2, 0.6, 3)
+        numpy_cfg = dataclasses.replace(cfg, sweep=SweepSpec("transmission_prob", grid))
+        self.assert_same_output(
+            numpy_cfg,
+            dataclasses.replace(cfg, sweep=SweepSpec("transmission_prob", [v.item() for v in grid])),
+        )
+        res = run_experiment(numpy_cfg)
+        export_results(res, tmp_path / "out.csv", "csv")
+        assert read_records(tmp_path / "out.csv", "csv") == res.records
+
 
 # row: (generator type, distinguishing field, paper value, desk value)
 PRESET_ROWS = {
@@ -425,6 +487,47 @@ PRESET_ROWS = {
     "gaussian_similar_intervention": (GaussianPartitionParams, "generator.shape", 40, 40),
     "gaussian_varying_intervention": (GaussianPartitionParams, "generator.shape", 1, 1),
     "lfr_intervention": (LfrParams, "model.decisive_threshold", 0.5, 0.5),
+}
+
+
+# config_hash of every preset row, pinned so a schema refactor cannot move it
+PRESET_HASHES = {
+    ("dense_er_single", "desk"):
+        "4690ce8cab92e864c680daf8b0347de24d8486e6d37a02a1a8b7b36ff5dacc01",
+    ("dense_er_single", "paper"):
+        "2ba07714e3d66751111b65d04d3fc3b2457c379fd04a950f4e292e90859f91c1",
+    ("er_intervention", "desk"):
+        "afb51fa0997e06b79376e93a203d749c700e24a1618b71196cc30aaa17052cf9",
+    ("er_intervention", "paper"):
+        "91205867fb11439ad7e712f83c574347b32bfce84e94d48228784cda21530cc7",
+    ("gaussian_similar_intervention", "desk"):
+        "e2189046c771e084b31929ad15ac0ceb3fff5469ce0734627c5a33cec3cedcc2",
+    ("gaussian_similar_intervention", "paper"):
+        "3fff5f4b67fa8a00884c3d3ea35a92f2b65e3a00de25683a73afdf5862b76afc",
+    ("gaussian_similar_single", "desk"):
+        "b8a00511424104d2ff0e4af2c2f830d01fec6d411ce869c407975e6b04e30ecf",
+    ("gaussian_similar_single", "paper"):
+        "0e2ebb6c25e2e1e486f39b9d7773dc558bd6d1795f7089877ab3cc3bb5a3aa29",
+    ("gaussian_varying_intervention", "desk"):
+        "90fe56a1e8e62bc82fd0558a6d32128e4d91a01e938f1939a864254cf5f181b9",
+    ("gaussian_varying_intervention", "paper"):
+        "1d53c0e6441294242fd10b66b78b407cbc71c5c0474bd9faf4ce1935ec18ed24",
+    ("gaussian_varying_single", "desk"):
+        "26f432fb147e0406bc3017cbc63e61554ea63a26670b922e3cc1df31c5e14ded",
+    ("gaussian_varying_single", "paper"):
+        "10726086d791a75b0473303cc2d695a7f1f0c690ddf56a4ba8ba14026e44b62e",
+    ("lfr_intervention", "desk"):
+        "0df1ef84e661643e241af15ccf7f620a15db0d670a6b64279ce768e16aed8a13",
+    ("lfr_intervention", "paper"):
+        "83827dfb0e18a9d9d85f9dc9790ea85b1c60c0bf4396c191d4fed3ceffbde25f",
+    ("lfr_single", "desk"):
+        "445a0dc3ce6e6183e7103a95bc495e11ec890dce85e4f45bbe35e537091b2cb8",
+    ("lfr_single", "paper"):
+        "31520c4d8c73747c3e34cf172f2859b85e1a65c6e8eb7288a2962ee079c58d35",
+    ("sparse_er_single", "desk"):
+        "43b05d0abfc75ab0d40fa5585e6e008a036622c17f84a49068b7fd3ccda6d381",
+    ("sparse_er_single", "paper"):
+        "906f8dd5b2be6101b97e517926f3577376a9e8b6c003605e2a323d6fee80932c",
 }
 
 
@@ -469,6 +572,11 @@ class TestScaleAndPresets:
 
     def test_every_preset_row_is_pinned(self):
         assert set(PRESET_ROWS) == set(PRESETS)
+
+    @pytest.mark.parametrize("scale", ["paper", "desk"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_config_hash(self, name, scale):
+        assert config_hash(preset(name, scale)) == PRESET_HASHES[name, scale]
 
     def test_unknown_preset(self):
         with pytest.raises(InputError):
