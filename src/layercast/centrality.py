@@ -25,6 +25,13 @@ class CentralityKind(str, enum.Enum):
     PAGERANK = "pagerank"
     RANDOM = "random"
 
+    @classmethod
+    def _missing_(cls, value):
+        # an unknown name is the caller's error, not a bare ValueError
+        raise InputError(
+            f"strategy must be one of {[kind.value for kind in cls]}, got {value!r}"
+        )
+
 
 @dataclass(frozen=True)
 class CentralityScores:
@@ -84,24 +91,39 @@ def _path_scores(g: Graph):
     per node; a measure asked for alone still pays for both.
     """
     if g._paths is None:
+        from scipy.sparse import identity
+
         n = g.node_count
         A = g.to_csr()
+        unit = identity(n, format="csr")  # densifies C-ordered, like the products
         dist_sum = np.zeros(n)
         reach_count = np.zeros(n)
         bc = np.zeros(n)
         for first in range(0, n, _BLOCK):
             last = min(first + _BLOCK, n)
-            # column j searches from node first + j
-            dist, sigma = hop_distances(A, np.eye(n, last - first, -first))
+            # column j searches from node first + j; its first hop is A's
+            # column, a sparse product
+            dist, sigma = hop_distances(A, unit[:, first:last])
             dist_sum[first:last] = np.maximum(dist, 0).sum(axis=0)
             reach_count[first:last] = (dist >= 0).sum(axis=0)
             delta = np.zeros_like(sigma)
             safe_sigma = np.where(dist >= 0, sigma, 1.0)
+            coef = np.empty_like(sigma)
+            top = dist.max()
+            shell = dist == top
+            inner = np.empty_like(shell)
             # a shell mask scales by exactly 1.0 or 0.0, so each shell entry
             # gets the same float operations as in a search from its source alone
-            for d in range(dist.max(), 1, -1):
-                coef = (1.0 + delta) / safe_sigma * (dist == d)
-                delta += sigma * (A @ coef) * (dist == d - 1)
+            for d in range(top, 1, -1):
+                np.add(1.0, delta, out=coef)
+                np.divide(coef, safe_sigma, out=coef)
+                np.multiply(coef, shell, out=coef)
+                pull = A @ coef
+                np.multiply(sigma, pull, out=pull)
+                np.equal(dist, d - 1, out=inner)
+                np.multiply(pull, inner, out=pull)
+                delta += pull
+                shell, inner = inner, shell
             for column in delta.T:
                 bc += column
         closeness = np.zeros(n)

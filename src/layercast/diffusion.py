@@ -10,6 +10,7 @@ transmission participates in.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,13 +56,15 @@ class DiffusionState:
     labels: np.ndarray
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def transmission_factor(transmission_prob: float, effective_edges: int) -> float:
     """Per-edge belief multiplier for a transmission with N effective edges.
 
     F(N, P) = P + sum_{j=1..N} P^j (1-P)^(N+1-j) C(N, j) (1 - (1-P)^j).
     Bounded by 1 for every N, and equals P when N = 0.  Once C(N, j) no
     longer fits a float (N >= 1030) it returns the binomial theorem's closed
-    form of the same sum, 1 - (1-P)(1-P^2)^N.
+    form of the same sum, 1 - (1-P)(1-P^2)^N.  A pure function, memoized:
+    every run on a graph asks for the same few (P, N).
     """
     P = transmission_prob
     q = 1.0 - P

@@ -8,6 +8,7 @@ latter from a master seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -97,30 +98,44 @@ class LfrParams:
             raise InputError(f"min_community must be >= 1, got {self.min_community}")
 
 
+#: Most pairs whose uniforms :func:`_sample_pair_edges` draws in one call.
+_PAIR_CHUNK = 1 << 16
+
+
 def _sample_pair_edges(rng: np.random.Generator, n: int, pair_prob) -> np.ndarray:
     """Draw each pair (i, j), i < j, with its own inclusion probability.
 
-    ``pair_prob(i)`` returns the probability vector for pairs
-    (i, i+1), ..., (i, n-1).  One uniform draw per pair, row by row, so two
+    ``pair_prob(i, j)`` returns the probabilities of the pairs given by the
+    equal-length index arrays ``i`` and ``j`` (a scalar means the same for
+    all).  One uniform draw per pair, in row-major order (i, then j), so two
     parameterizations with identical probabilities consume identical draws.
+    The draws come in chunks of whole rows, at most ``_PAIR_CHUNK`` pairs
+    unless one row is longer; a float draw takes one generator output, so the
+    stream is the same as one call per row.
     """
-    rows = []
-    for i in range(n - 1):
-        probs = pair_prob(i)
-        hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
-        if hits.size:
-            js = hits + i + 1
-            rows.append(np.stack([np.full(js.size, i, dtype=np.int64), js], axis=1))
-    if not rows:
+    lengths = np.arange(n - 1, 0, -1)  # pairs of rows 0 .. n-2
+    ends = np.cumsum(lengths)
+    chunks = []
+    i0 = 0
+    while i0 < n - 1:
+        before = ends[i0] - lengths[i0]
+        i1 = max(int(np.searchsorted(ends, before + _PAIR_CHUNK, "right")), i0 + 1)
+        w = lengths[i0:i1]
+        i = np.repeat(np.arange(i0, i1), w)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(w) - w, w)
+        hits = np.flatnonzero(rng.random(len(i)) < pair_prob(i, j))
+        chunks.append(np.stack([i[hits], j[hits]], axis=1))
+        i0 = i1
+    if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(rows)
+    return np.concatenate(chunks)
 
 
 def gen_er(params: ErParams, rng_seed) -> Graph:
     """Erdős–Rényi G(n, p) graph, deterministic given the seed."""
     rng = _rng(rng_seed)
     p = params.edge_exist_prob
-    edges = _sample_pair_edges(rng, params.n, lambda i: p)
+    edges = _sample_pair_edges(rng, params.n, lambda i, j: p)
     return Graph(params.n, edges)
 
 
@@ -152,8 +167,8 @@ def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
 
     p_in, p_out = params.p_in, params.p_out
 
-    def pair_prob(i):
-        return np.where(communities[i + 1 :] == communities[i], p_in, p_out)
+    def pair_prob(i, j):
+        return np.where(communities[i] == communities[j], p_in, p_out)
 
     edges = _sample_pair_edges(rng, n, pair_prob)
     communities.setflags(write=False)
@@ -186,8 +201,13 @@ def _rounded_power_law_mean(xmin: float, xmax: float, tau: float) -> float:
     return float((ks * probs).sum() / total)
 
 
+@functools.lru_cache(maxsize=64)
 def _solve_degree_floor(tau: float, target_mean: float, xmax: float) -> float:
-    """Lower cutoff of the degree power law whose rounded mean hits the target."""
+    """Lower cutoff of the degree power law whose rounded mean hits the target.
+
+    A pure function of its arguments, memoized: every graph of an ensemble
+    solves the same bisection.
+    """
     lo, hi = 1.0, float(xmax)
     for _ in range(80):
         mid = 0.5 * (lo + hi)

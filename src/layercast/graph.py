@@ -142,31 +142,44 @@ class LayeredView:
         return None if L < 0 else L
 
 
+def _dense(x, copy=False):
+    """``x`` as a float64 ndarray; a scipy sparse matrix is densified."""
+    if hasattr(x, "toarray"):
+        return x.toarray().astype(np.float64, copy=False)
+    return np.array(x, dtype=np.float64) if copy else np.asarray(x, dtype=np.float64)
+
+
 def hop_distances(A, frontier):
     """Breadth-first search on CSR adjacency ``A``, one ``A @ frontier`` per hop.
 
     ``frontier`` is an (n,) vector or an (n, B) block of independent searches,
-    positive at the sources.  Returns ``(dist, sigma)`` of its shape: the hop
-    distance to the nearest source (-1 when unreached) and shortest-path counts.
-    A search that reaches every node stops without the product that would
-    find nothing new, so it takes one product per hop of its depth.
+    positive at the sources; a scipy sparse block is taken as it is, so its
+    first product stays sparse until it is densified.  Returns ``(dist,
+    sigma)`` of its shape: the hop distance to the nearest source (-1 when
+    unreached) and shortest-path counts.  A search that reaches every node
+    stops without the product that would find nothing new, so it takes one
+    product per hop of its depth.
     """
-    sigma = np.array(frontier, dtype=np.float64)
-    dist = np.where(sigma > 0, 0, -1)
-    unreached = np.count_nonzero(dist < 0)
-    frontier = sigma
-    d = 0
-    while unreached:
-        contrib = A @ frontier  # path counts arriving one hop out
-        new = (contrib > 0) & (dist < 0)
+    sigma = _dense(frontier, copy=True)
+    unreached = sigma <= 0
+    remaining = np.count_nonzero(unreached)
+    # dist counts the hops each node stayed unreached; the never-reached get -1
+    dist = np.zeros(sigma.shape, dtype=np.int64)
+    while remaining:
+        contrib = _dense(A @ frontier)  # path counts arriving one hop out
+        # exact: counts are >= 0, so a reached node's becomes +0.0
+        np.multiply(contrib, unreached, out=contrib)
+        new = contrib > 0
         found = np.count_nonzero(new)
         if not found:
             break
-        d += 1
-        dist[new] = d
-        frontier = np.where(new, contrib, 0.0)
-        sigma += frontier  # exact: an unreached node's count is still 0
-        unreached -= found
+        dist += unreached
+        unreached ^= new
+        sigma += contrib  # exact: an unreached node's count is still 0
+        frontier = contrib
+        remaining -= found
+    if remaining:
+        dist[unreached] = -1
     return dist, sigma
 
 
@@ -295,25 +308,28 @@ def layer_edges(g: Graph, lv: LayeredView):
     """
     rows, mirror, (ab, ac, bc) = triangle_index(g)
     cols = g._indices
-    row_layer = lv.layer_of[rows]
-    col_layer = lv.layer_of[cols]
-    cross = (row_layer >= 1) & (col_layer == row_layer - 1)
-    la, lb, lc = row_layer[ab], col_layer[ab], col_layer[ac]
+    # take: fancy indexing by the index's int32 arrays is about twice as slow
+    row_layer = lv.layer_of.take(rows)
+    col_layer = lv.layer_of.take(cols)
+    cross = (row_layer >= 1) & (row_layer - col_layer == 1)
+    la = row_layer.take(ab)
+    d1 = la - col_layer.take(ab)
+    d2 = la - col_layer.take(ac)
     # which corner is the triangle's shallow node, one layer above the other
     # two; a hit on an edge out of layer 0 (or unreached) falls outside cross
-    low_c = (la == lb) & (lc == la - 1)
-    low_b = (la == lc) & (lb == la - 1)
-    low_a = (lb == lc) & (la == lb - 1)
+    low_c = np.flatnonzero((d1 == 0) & (d2 == 1))
+    low_b = np.flatnonzero((d1 == 1) & (d2 == 0))
+    low_a = np.flatnonzero((d1 == -1) & (d2 == -1))
     hits = np.concatenate([
         ac[low_c], bc[low_c],
-        ab[low_b], mirror[bc[low_b]],
-        mirror[ab[low_a]], mirror[ac[low_a]],
+        ab[low_b], mirror.take(bc[low_b]),
+        mirror.take(ab[low_a]), mirror.take(ac[low_a]),
     ])
-    counts = np.bincount(hits, minlength=len(cols))[cross]
-    targets, sources = rows[cross].astype(np.int64), cols[cross]
+    sel = np.flatnonzero(cross)
     # stable: inside a layer the CSR order (target, then source) is kept
-    order = np.argsort(row_layer[cross], kind="stable")
-    return targets[order], sources[order], counts[order]
+    sel = sel[np.argsort(row_layer[sel], kind="stable")]
+    counts = np.bincount(hits, minlength=len(cols))[sel]
+    return rows[sel].astype(np.int64), cols[sel], counts
 
 
 def format_edge_list(g: Graph) -> str:

@@ -77,6 +77,16 @@ _SINGLE_TESTED = ("iterations", "sum_p_i")
 
 GeneratorParams = ErParams | GaussianPartitionParams | LfrParams
 
+#: The model parameters each mode runs on.
+_MODEL_TYPES = {"single": DiffusionParams, "intervention": CombatParams}
+
+
+def _model_type(mode):
+    """The model class of ``mode``; an unknown mode is an InputError naming it."""
+    if not isinstance(mode, str) or mode not in _MODEL_TYPES:
+        raise InputError(f"mode must be 'single' or 'intervention', got {mode!r}")
+    return _MODEL_TYPES[mode]
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -113,8 +123,7 @@ class ExperimentConfig:
         check_int_fields(self)
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        if self.mode not in ("single", "intervention"):
-            raise InputError(f"mode must be 'single' or 'intervention', got {self.mode!r}")
+        model_cls = _model_type(self.mode)
         if not self.strategies:
             raise InputError("at least one strategy is required")
         if len(set(self.strategies)) != len(self.strategies):
@@ -122,14 +131,12 @@ class ExperimentConfig:
         if self.master_rng_seed < 0:
             raise InputError(f"master_rng_seed must be >= 0, got {self.master_rng_seed}")
         n = self.generator.n
+        if not isinstance(self.model, model_cls):
+            raise InputError(f"{self.mode} mode requires {model_cls.__name__}")
         if self.mode == "single":
-            if not isinstance(self.model, DiffusionParams):
-                raise InputError("single mode requires DiffusionParams")
             if not 1 <= self.info_starter <= n:
                 raise InputError(f"single mode requires info_starter in [1, generator.n = {n}]")
         else:
-            if not isinstance(self.model, CombatParams):
-                raise InputError("intervention mode requires CombatParams")
             if not (1 <= self.false_info_starter <= n and 1 <= self.true_info_starter <= n):
                 raise InputError(f"both starter counts must be in [1, generator.n = {n}]")
 
@@ -501,8 +508,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 f"generator.type must be one of {sorted(_GENERATOR_TYPES)}, got {gen_type!r}"
             )
         fields["generator"] = _GENERATOR_TYPES[gen_type](**gen_data)
-        model_cls = DiffusionParams if fields["mode"] == "single" else CombatParams
-        fields["model"] = model_cls(**fields["model"])
+        fields["model"] = _model_type(fields["mode"])(**fields["model"])
         fields["sweep"] = SweepSpec(**fields["sweep"]) if fields.get("sweep") else None
         return ExperimentConfig(**fields)
     except KeyError as exc:

@@ -201,23 +201,26 @@ def minimum_true_seeds(
     if strategy is CentralityKind.RANDOM and rng_seed is None:
         raise InputError("the random strategy requires an explicit rng_seed")
 
-    scores = None
+    orders = None
     if strategy is not CentralityKind.RANDOM:
-        scores = [compute_centrality(g, strategy).scores for g in graphs]
+        # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
+        orders = [
+            top_k_by_score(compute_centrality(g, strategy).scores, g.node_count) for g in graphs
+        ]
 
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))
         infected = np.empty(len(graphs))
         for i, (g, fp) in enumerate(zip(graphs, false_processes)):
-            if scores is not None:
-                ic_t = top_k_by_score(scores[i], k)
+            if orders is not None:
+                ic_t = orders[i][:k]
             else:
                 rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                 ic_t = rng.choice(g.node_count, size=k, replace=False)
             state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
-            _, inf, _, prot = intervention_metrics(state)
-            protected[i] = prot
-            infected[i] = inf
+            tally = np.bincount(state.labels, minlength=len(Label))
+            protected[i] = tally[Label.PROTECTED]
+            infected[i] = tally[Label.INFECTED]
         mean_prot = float(protected.mean())
         mean_inf = float(infected.mean())
         if curve_out is not None:

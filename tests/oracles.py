@@ -546,3 +546,110 @@ def row_unique_graph_arrays(n, edge_list):
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])
     return e, indptr, dst[np.lexsort((dst, src))]
+
+
+# -- the kernels the leaner array passes replaced ------------------------------
+
+
+def scatter_hop_distances(A, frontier):
+    """Breadth-first search on CSR adjacency ``A``, one ``A @ frontier`` per hop.
+
+    The package's earlier ``graph.hop_distances``, which wrote each hop's
+    distance by a boolean scatter, kept as its bitwise reference.
+    """
+    sigma = np.array(frontier, dtype=np.float64)
+    dist = np.where(sigma > 0, 0, -1)
+    unreached = np.count_nonzero(dist < 0)
+    frontier = sigma
+    d = 0
+    while unreached:
+        contrib = A @ frontier
+        new = (contrib > 0) & (dist < 0)
+        found = np.count_nonzero(new)
+        if not found:
+            break
+        d += 1
+        dist[new] = d
+        frontier = np.where(new, contrib, 0.0)
+        sigma += frontier
+        unreached -= found
+    return dist, sigma
+
+
+def dense_block_path_scores(g, block=128):
+    """``(closeness, betweenness)`` as ``centrality._path_scores`` computed them
+    with a dense identity block as each block's first frontier and two shell
+    comparisons per backward level; kept as the sweep's bitwise reference."""
+    n = g.node_count
+    A = g.to_csr()
+    dist_sum = np.zeros(n)
+    reach_count = np.zeros(n)
+    bc = np.zeros(n)
+    for first in range(0, n, block):
+        last = min(first + block, n)
+        dist, sigma = scatter_hop_distances(A, np.eye(n, last - first, -first))
+        dist_sum[first:last] = np.maximum(dist, 0).sum(axis=0)
+        reach_count[first:last] = (dist >= 0).sum(axis=0)
+        delta = np.zeros_like(sigma)
+        safe_sigma = np.where(dist >= 0, sigma, 1.0)
+        for d in range(dist.max(), 1, -1):
+            coef = (1.0 + delta) / safe_sigma * (dist == d)
+            delta += sigma * (A @ coef) * (dist == d - 1)
+        for column in delta.T:
+            bc += column
+    closeness = np.zeros(n)
+    ok = dist_sum > 0
+    r1 = reach_count - 1.0
+    closeness[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
+    return closeness, bc / 2.0
+
+
+def per_k_minimum_true_seeds(graphs, strategy, false_processes, params, k_max, rng_seed=None,
+                             curve_out=None):
+    """The package's earlier ``intervention.minimum_true_seeds`` loop: it ranks
+    every graph afresh for each k and reads the counts from
+    ``intervention_metrics``.  Kept as the reference for the search's result
+    and its curve."""
+    from layercast.centrality import CentralityKind, compute_centrality, top_k_by_score
+    from layercast.intervention import intervention_metrics, run_intervention
+
+    strategy = CentralityKind(strategy)
+    scores = None
+    if strategy is not CentralityKind.RANDOM:
+        scores = [compute_centrality(g, strategy).scores for g in graphs]
+    for k in range(1, k_max + 1):
+        protected = np.empty(len(graphs))
+        infected = np.empty(len(graphs))
+        for i, (g, fp) in enumerate(zip(graphs, false_processes)):
+            if scores is not None:
+                ic_t = top_k_by_score(scores[i], k)
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
+                ic_t = rng.choice(g.node_count, size=k, replace=False)
+            state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
+            _, inf, _, prot = intervention_metrics(state)
+            protected[i] = prot
+            infected[i] = inf
+        mean_prot = float(protected.mean())
+        mean_inf = float(infected.mean())
+        if curve_out is not None:
+            curve_out.append((k, mean_prot, mean_inf))
+        if mean_prot > mean_inf:
+            return k
+    return None
+
+
+def row_pair_edges(rng, n, pair_prob):
+    """Pair edges drawn one ``rng.random`` call per row, ``pair_prob(i)``
+    giving row i's probabilities: the package's earlier
+    ``generators._sample_pair_edges``, kept as the chunked sampler's
+    bitwise reference."""
+    rows = []
+    for i in range(n - 1):
+        hits = np.nonzero(rng.random(n - 1 - i) < pair_prob(i))[0]
+        if hits.size:
+            js = hits + i + 1
+            rows.append(np.stack([np.full(js.size, i, dtype=np.int64), js], axis=1))
+    if not rows:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(rows)

@@ -143,6 +143,10 @@ class TestSelectSeeds:
         for k in range(12):
             assert select_seeds(g, kind, k).tolist() == full[:k]
 
+    def test_unknown_strategy_names_it(self, chain4):
+        with pytest.raises(InputError, match="'bogus'"):
+            select_seeds(chain4, "bogus", 2, rng_seed=1)
+
     def test_compute_rejects_random(self, chain4):
         with pytest.raises(InputError):
             compute_centrality(chain4, CentralityKind.RANDOM)

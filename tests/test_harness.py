@@ -118,6 +118,10 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             tiny_single_config(strategies=(CentralityKind.DEGREE, CentralityKind.DEGREE))
 
+    def test_unknown_strategy_names_it(self):
+        with pytest.raises(InputError, match="'bogus'"):
+            tiny_single_config(strategies=("degree", "bogus"))
+
     def test_empty_sweep_grid(self):
         with pytest.raises(InputError):
             SweepSpec(parameter="edge_exist_prob", values=())
@@ -435,6 +439,14 @@ class TestConfigSerialization:
         data = config_to_dict(tiny_single_config())
         data["strategies"] = ["degree", "bogus"]
         with pytest.raises(InputError, match="bogus"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("mode", ["both", ["single"]])
+    def test_unknown_mode_named_before_the_model(self, mode):
+        # the model block fits single mode; the mode, not the model, is blamed
+        data = config_to_dict(tiny_single_config())
+        data["mode"] = mode
+        with pytest.raises(InputError, match=r"^mode must be 'single' or 'intervention', got "):
             config_from_dict(data)
 
 
