@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,54 +82,108 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-8, max_iter: int = 1000) ->
 #: memory is O(n * _BLOCK) instead of O(n^2).
 _BLOCK = 128
 
+#: Fewest nodes for which the sweep runs on two threads.  On smaller graphs
+#: the threads contend for the GIL over small arrays and the sweep slows.
+_THREADED_MIN_NODES = 4 * _BLOCK
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _block_scores(A, unit, first, last):
+    """Distance sums, reach counts and Brandes dependencies of sources first..last-1.
+
+    One :func:`hop_distances` over the block; column j searches from node
+    ``first + j``, and its first hop is A's column, a sparse product.
+    Returns ``(dist_sum, reach_count, delta)``, the last an (n, last - first)
+    block of each source's dependencies.
+    """
+    dist, sigma = hop_distances(A, unit[:, first:last])
+    dist_sum = np.maximum(dist, 0).sum(axis=0)
+    reach_count = (dist >= 0).sum(axis=0)
+    delta = np.zeros_like(sigma)
+    safe_sigma = np.where(dist >= 0, sigma, 1.0)
+    coef = np.empty_like(sigma)
+    top = dist.max()
+    shell = dist == top
+    inner = np.empty_like(shell)
+    # a shell mask scales by exactly 1.0 or 0.0, so each shell entry gets the
+    # same float operations as in a search from its source alone
+    for d in range(top, 1, -1):
+        np.add(1.0, delta, out=coef)
+        np.divide(coef, safe_sigma, out=coef)
+        np.multiply(coef, shell, out=coef)
+        pull = A @ coef
+        np.multiply(sigma, pull, out=pull)
+        np.equal(dist, d - 1, out=inner)
+        np.multiply(pull, inner, out=pull)
+        delta += pull
+        shell, inner = inner, shell
+    return dist_sum, reach_count, delta
+
+
+def _sweep_blocks(A, n):
+    """:func:`_block_scores` of every source block of an n-node graph, in source order.
+
+    Serial in blocks of ``_BLOCK`` sources, unless the graph has at least
+    ``_THREADED_MIN_NODES`` nodes, two CPUs are usable and the caller is the
+    main thread (a battery's own worker threads already fill the cores).
+    Then two worker threads search blocks of ``_BLOCK // 2`` sources, at most
+    two in flight, so the memory stays O(n * _BLOCK).
+    """
+    from scipy.sparse import identity
+
+    unit = identity(n, format="csr")  # densifies C-ordered, like the products
+    threaded = (
+        n >= _THREADED_MIN_NODES
+        and threading.current_thread() is threading.main_thread()
+        and _usable_cpus() >= 2
+    )
+    if not threaded:
+        for first in range(0, n, _BLOCK):
+            yield _block_scores(A, unit, first, min(first + _BLOCK, n))
+        return
+    width = _BLOCK // 2
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pending = deque()
+        for first in range(0, n, width):
+            pending.append(pool.submit(_block_scores, A, unit, first, min(first + width, n)))
+            if len(pending) == 2:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
 
 def _path_scores(g: Graph):
     """Closeness and betweenness scores of ``g`` from one sweep, built once.
 
-    Sources are searched ``_BLOCK`` at a time with one :func:`hop_distances`
-    per block.  Its distances give each source's distance sum and reach
-    count, and Brandes' backward pass (Brandes 2001) over the same distances
-    and path counts gives its dependencies, summed in source order.  Level 1
-    is skipped: it would write only each source's own dependency, which is
-    excluded.  The two read-only vectors are cached on the graph, 16 bytes
-    per node; a measure asked for alone still pays for both.
+    Sources are searched in blocks (:func:`_sweep_blocks`), with one
+    :func:`hop_distances` per block.  Its distances give each source's
+    distance sum and reach count, and Brandes' backward pass (Brandes 2001)
+    over the same distances and path counts gives its dependencies, summed
+    in source order whatever the block width, so the scores are the same
+    bytes on one thread or two.  Level 1 is skipped: it would write only
+    each source's own dependency, which is excluded.  The two read-only
+    vectors are cached on the graph, 16 bytes per node; a measure asked for
+    alone still pays for both.
     """
     if g._paths is None:
-        from scipy.sparse import identity
-
         n = g.node_count
-        A = g.to_csr()
-        unit = identity(n, format="csr")  # densifies C-ordered, like the products
         dist_sum = np.zeros(n)
         reach_count = np.zeros(n)
         bc = np.zeros(n)
-        for first in range(0, n, _BLOCK):
-            last = min(first + _BLOCK, n)
-            # column j searches from node first + j; its first hop is A's
-            # column, a sparse product
-            dist, sigma = hop_distances(A, unit[:, first:last])
-            dist_sum[first:last] = np.maximum(dist, 0).sum(axis=0)
-            reach_count[first:last] = (dist >= 0).sum(axis=0)
-            delta = np.zeros_like(sigma)
-            safe_sigma = np.where(dist >= 0, sigma, 1.0)
-            coef = np.empty_like(sigma)
-            top = dist.max()
-            shell = dist == top
-            inner = np.empty_like(shell)
-            # a shell mask scales by exactly 1.0 or 0.0, so each shell entry
-            # gets the same float operations as in a search from its source alone
-            for d in range(top, 1, -1):
-                np.add(1.0, delta, out=coef)
-                np.divide(coef, safe_sigma, out=coef)
-                np.multiply(coef, shell, out=coef)
-                pull = A @ coef
-                np.multiply(sigma, pull, out=pull)
-                np.equal(dist, d - 1, out=inner)
-                np.multiply(pull, inner, out=pull)
-                delta += pull
-                shell, inner = inner, shell
+        first = 0
+        for block_sum, block_reach, delta in _sweep_blocks(g.to_csr(), n):
+            last = first + len(block_sum)
+            dist_sum[first:last] = block_sum
+            reach_count[first:last] = block_reach
             for column in delta.T:
                 bc += column
+            first = last
         closeness = np.zeros(n)
         ok = dist_sum > 0  # empty when n <= 1, so n - 1 never divides
         r1 = reach_count - 1.0

@@ -107,8 +107,7 @@ def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
     factor = table[counts]
     # one segment per updated node, in update order; every layer-L node has a
     # layer L - 1 neighbor, so no segment is empty
-    seg = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-    seg = np.append(seg, len(targets))
+    seg = np.concatenate(([0], np.flatnonzero(targets[1:] != targets[:-1]) + 1, [len(targets)]))
     first = 0
     for L in range(1, lv.depth + 1):
         u = lv.layers[L]

@@ -183,9 +183,20 @@ def hop_distances(A, frontier):
     return dist, sigma
 
 
+def unique_nodes(nodes) -> np.ndarray:
+    """The distinct node ids of ``nodes``, ascending, as int64.
+
+    An ndarray is used as it is; a list, set or other iterable is listed
+    first.
+    """
+    if not isinstance(nodes, np.ndarray):
+        nodes = list(nodes)
+    return np.unique(np.asarray(nodes, dtype=np.int64))
+
+
 def layer_from_sources(g: Graph, sources) -> LayeredView:
     """Multi-source BFS: layer = hop distance to the nearest source."""
-    src = np.unique(np.asarray(list(sources), dtype=np.int64))
+    src = unique_nodes(sources)
     if src.size == 0:
         raise InputError("source set must be non-empty")
     if src.min() < 0 or src.max() >= g.node_count:

@@ -15,6 +15,7 @@ random selection strategy.  Adding strategies never perturbs other streams.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -29,7 +30,13 @@ import numpy as np
 
 from .centrality import CentralityKind, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
-from .errors import DegenerateSampleError, GenerationError, InputError, check_int_fields
+from .errors import (
+    DegenerateSampleError,
+    GenerationError,
+    InputError,
+    LayercastError,
+    check_int_fields,
+)
 from .generators import (
     ErParams,
     GaussianPartitionParams,
@@ -239,25 +246,46 @@ def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, gr
     return run_false_process(g, ic_f, point.model)
 
 
+@contextlib.contextmanager
+def _failing_at(where: str):
+    """Prefix ``where: `` to a :class:`LayercastError` raised inside.
+
+    The error is re-raised as the same object, so its class and its fields
+    (such as :attr:`NumericError.last_iterate`) are kept.
+    """
+    try:
+        yield
+    except LayercastError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, master: int):
-    """All strategy runs for one ensemble member (shared graph and false seeds)."""
+    """All strategy runs for one ensemble member (shared graph and false seeds).
+
+    A :class:`LayercastError` from ranking or spreading names the graph and
+    the strategy (or the false process) it stopped at.
+    """
     g, _ = _graph(point, master, sweep_index, graph_index)
     # select_seeds reads the stream-2 seed only for the random strategy
     strategy_seed = derive_seed(master, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
     out = {}
     if point.mode == "single":
         for strategy in point.strategies:
-            ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
-            state = run_single_diffusion(g, ic, point.model)
+            with _failing_at(f"graph {graph_index}: {strategy.value}"):
+                ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
+                state = run_single_diffusion(g, ic, point.model)
             infected = int(np.count_nonzero(state.labels == Label.INFECTED))
             out[strategy.value] = dict(
                 zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
             )
     else:
-        fp = _false_process(point, g, master, sweep_index, graph_index)
+        with _failing_at(f"graph {graph_index}: false process"):
+            fp = _false_process(point, g, master, sweep_index, graph_index)
         for strategy in point.strategies:
-            ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
-            state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
+            with _failing_at(f"graph {graph_index}: {strategy.value}"):
+                ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
+                state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
             out[strategy.value] = dict(zip(COMBAT_METRICS, intervention_metrics(state)))
     return out
 

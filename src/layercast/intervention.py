@@ -19,7 +19,7 @@ import numpy as np
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread
 from .errors import ContractError, InputError
-from .graph import Graph, LayeredView, layer_from_sources
+from .graph import Graph, LayeredView, layer_from_sources, unique_nodes
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def run_intervention(
     if false_process is None:
         false_process = run_false_process(g, false_creators, params)
     else:
-        creators = np.unique(np.asarray(list(false_creators), dtype=np.int64))
-        if not np.array_equal(false_process.layers.sources, creators):
+        if not np.array_equal(false_process.layers.sources, unique_nodes(false_creators)):
             raise ContractError("false_process was spread from other false creators")
         if false_process.transmission_prob != params.false_transmission_prob:
             raise ContractError(

@@ -27,7 +27,7 @@ from layercast import (
 )
 from layercast import cli
 from layercast.cli import main
-from layercast.harness import ExperimentConfig, config_to_dict
+from layercast.harness import PRESETS, ExperimentConfig, config_to_dict
 
 
 @pytest.fixture
@@ -466,6 +466,20 @@ class TestErrorContract:
         monkeypatch.setattr(cli, call, fail)
         code, out, err = run_cli(capsys, *argv, "--graph", chain_file)
         assert (code, out, err) == (2, "", f"error: {label}: boom\n")
+
+
+    def test_battery_failure_names_graph_and_strategy(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(PRESETS["sparse_er_single"])))
+        code, out, err = run_cli(
+            capsys, "experiment", "run", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--scale", "desk",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: numeric: graph 21: eigenvector: "
+            "eigenvector centrality did not converge in 1000 iterations\n"
+        )
 
 
 class TestStartup:

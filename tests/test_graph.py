@@ -96,6 +96,15 @@ class TestLayering:
         assert lv.layer(0) == 1
         assert lv.layer(2) == 2
 
+    @pytest.mark.parametrize(
+        "sources",
+        [[3, 0, 3], (3, 0), {0, 3}, np.array([3, 0, 3]), np.array([3, 0], dtype=np.int32)],
+        ids=["list", "tuple", "set", "ndarray", "int32-ndarray"],
+    )
+    def test_any_collection_of_sources(self, chain4, sources):
+        lv = layer_from_sources(chain4, sources)
+        assert lv.sources.dtype == np.int64 and lv.sources.tolist() == [0, 3]
+
     def test_empty_sources(self, chain4):
         with pytest.raises(InputError):
             layer_from_sources(chain4, [])

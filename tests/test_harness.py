@@ -8,11 +8,14 @@ import pytest
 from layercast import (
     CentralityKind,
     CombatParams,
+    ContractError,
     DiffusionParams,
     ErParams,
     GaussianPartitionParams,
     InputError,
     LfrParams,
+    NumericError,
+    harness,
 )
 from layercast.harness import (
     PRESETS,
@@ -261,6 +264,28 @@ class TestRunExperiment:
         cfg = dataclasses.replace(cfg, generator=dataclasses.replace(cfg.generator, min_community=250))
         with pytest.raises(GenerationError, match=r"^graph 0: infeasible: "):
             entry(cfg)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ranking_failure_names_graph_and_strategy(self, threads):
+        # the desk sparse-ER battery stops in eigenvector on its graph 21
+        with pytest.raises(NumericError) as info:
+            run_experiment(preset("sparse_er_single"), threads=threads)
+        assert str(info.value) == (
+            "graph 21: eigenvector: eigenvector centrality did not converge in 1000 iterations"
+        )
+        assert info.value.last_iterate.shape == (200,)
+
+    @pytest.mark.parametrize(
+        "name, where",
+        [("run_false_process", "false process"), ("run_intervention", "degree")],
+    )
+    def test_spreading_failure_names_graph_and_stage(self, monkeypatch, name, where):
+        def fail(*args, **kwargs):
+            raise ContractError("boom")
+
+        monkeypatch.setattr(harness, name, fail)
+        with pytest.raises(ContractError, match=rf"^graph 0: {where}: boom$"):
+            run_experiment(tiny_intervention_config())
 
     def test_lfr_battery_end_to_end(self):
         # the full pipeline over LFR ensembles: generation, pairing, p-values

@@ -210,6 +210,8 @@ class TestInvariants:
         # the same creators in another order and with repeats are the same set
         reused = run_intervention(chain4, [0, 0], [3], FIG45, false_process=false_process)
         assert np.array_equal(reused.p_if, run_intervention(chain4, [0], [3], FIG45).p_if)
+        for creators in ({0}, np.array([0, 0]), np.array([0], dtype=np.int32)):
+            run_intervention(chain4, creators, [3], FIG45, false_process=false_process)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_rational_oracle(self, random_graph_factory, seed):

@@ -2,7 +2,10 @@
 traversals built on it, each bitwise equal to the loop it replaced."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,6 +182,104 @@ class TestBitwiseAgainstReplacedLoops:
         assert got.tobytes() == per_source_betweenness(graph).scores.tobytes()
 
 
+def forced_two_workers(monkeypatch):
+    """Make every sweep run on two workers; returns, per block search in the
+    order the searches started, its first source, its width and its thread."""
+    monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", 1)
+    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
+    searches = []
+
+    def recording(A, frontier):
+        first = int(frontier.nonzero()[0].min())
+        searches.append((first, frontier.shape[1], threading.current_thread()))
+        return hop_distances(A, frontier)
+
+    monkeypatch.setattr(centrality, "hop_distances", recording)
+    return searches
+
+
+class TestTwoWorkerSweep:
+    """Above the size rule two workers search half-width blocks; the scores
+    are the serial sweep's bytes and the replaced loops' bytes."""
+
+    def test_same_bytes_as_serial_and_oracles(self, monkeypatch, graph):
+        n = graph.node_count
+        serial = _path_scores(graph)  # every case is below the size rule
+        searches = forced_two_workers(monkeypatch)
+        fresh = build_graph(n, graph.edges)
+        closeness, betweenness = _path_scores(fresh)
+        half = _BLOCK // 2
+        # two blocks in flight may start in either order
+        assert sorted((first, width) for first, width, _ in searches) == [
+            (first, min(half, n - first)) for first in range(0, n, half)
+        ]
+        assert all(t is not threading.main_thread() for _, _, t in searches)
+        assert closeness.tobytes() == serial[0].tobytes()
+        assert betweenness.tobytes() == serial[1].tobytes()
+        assert closeness.tobytes() == dense_closeness(fresh).scores.tobytes()
+        assert betweenness.tobytes() == per_source_betweenness(fresh).scores.tobytes()
+
+    def test_same_bytes_under_fast_thread_switching(self, monkeypatch):
+        g = CASES["n-2-blocks-plus-1"]()
+        serial = _path_scores(g)
+        forced_two_workers(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                closeness, betweenness = _path_scores(build_graph(g.node_count, g.edges))
+                assert closeness.tobytes() == serial[0].tobytes()
+                assert betweenness.tobytes() == serial[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_worker_below_the_rule_off_the_main_thread_or_on_one_cpu(self, monkeypatch):
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(threading.current_thread())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(centrality, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
+        rule = centrality._THREADED_MIN_NODES
+
+        def fresh(n, seed):
+            return build_graph(n, random_graph(n, 4 / n, seed))
+
+        _path_scores(fresh(rule - 1, 11))
+        assert pools == []
+        g = fresh(rule, 12)
+        off_main = threading.Thread(target=_path_scores, args=(g,))
+        off_main.start()
+        off_main.join(timeout=60)
+        assert not off_main.is_alive() and g._paths is not None and pools == []
+        monkeypatch.setattr(centrality, "_usable_cpus", lambda: 1)
+        _path_scores(fresh(rule, 13))
+        assert pools == []
+        monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
+        _path_scores(fresh(rule, 14))
+        assert pools == [threading.main_thread()]
+
+
+@pytest.mark.paper
+def test_two_workers_on_a_paper_graph(monkeypatch):
+    n = 1000
+    g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 2718)
+    assert n >= centrality._THREADED_MIN_NODES
+    monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", n + 1)
+    serial = _path_scores(g)
+    searches = forced_two_workers(monkeypatch)
+    fresh = gen_er(ErParams(n=n, edge_exist_prob=0.04), 2718)
+    closeness, betweenness = _path_scores(fresh)
+    assert len(searches) == math.ceil(n / (_BLOCK // 2))
+    assert closeness.tobytes() == serial[0].tobytes()
+    assert betweenness.tobytes() == serial[1].tobytes()
+    assert closeness.tobytes() == dense_closeness(fresh).scores.tobytes()
+    assert betweenness.tobytes() == per_source_betweenness(fresh).scores.tobytes()
+
+
 @pytest.mark.parametrize("centrality", [closeness_centrality, betweenness_centrality])
 def test_peak_memory_grows_linearly_in_n(centrality):
     # sparse ER of mean degree 8: doubling n at most about doubles the peak,
@@ -196,3 +297,22 @@ def test_peak_memory_grows_linearly_in_n(centrality):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2.5 * peaks[0]
+
+
+def test_two_workers_peak_at_most_the_serial_peak(monkeypatch):
+    # two half-width blocks in flight hold no more than one full-width block
+    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
+    n = 1000
+    assert n >= centrality._THREADED_MIN_NODES
+    _path_scores(build_graph(40, random_graph(40, 0.1, 1)))  # lazy imports first
+    peaks = {}
+    for mode, rule in (("serial", n + 1), ("two workers", centrality._THREADED_MIN_NODES)):
+        monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", rule)
+        g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 7)  # fresh: no cached scores
+        tracemalloc.start()
+        try:
+            _path_scores(g)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["two workers"] <= peaks["serial"]
