@@ -53,27 +53,38 @@ def degree_centrality(g: Graph) -> CentralityScores:
     return CentralityScores(CentralityKind.DEGREE, g.degrees.astype(np.float64))
 
 
-def eigenvector_centrality(g: Graph, tol: float = 1e-8, max_iter: int = 1000) -> CentralityScores:
+#: The power iterations' settings: each one's convergence tolerance (the
+#: largest change of one entry in one step) and iteration cap, and PageRank's
+#: damping factor.
+EIGENVECTOR_TOL = 1e-8
+EIGENVECTOR_MAX_ITER = 1000
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-10
+PAGERANK_MAX_ITER = 10_000
+
+
+def eigenvector_centrality(g: Graph) -> CentralityScores:
     """Dominant eigenvector of the adjacency matrix, Euclidean-normalized.
 
     Power iteration with an identity shift (A + I), which leaves the
     eigenvector unchanged but prevents the period-2 oscillation a bipartite
     graph induces on the bare adjacency operator.  On a disconnected graph the
     iteration concentrates on the component with the largest eigenvalue.
+    Tolerance ``EIGENVECTOR_TOL``, iteration cap ``EIGENVECTOR_MAX_ITER``.
     """
     if g.edge_count == 0:
         raise InputError("eigenvector centrality needs at least one edge")
     A = g.to_csr()
     n = g.node_count
     x = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
+    for _ in range(EIGENVECTOR_MAX_ITER):
         y = A @ x + x
         y /= np.linalg.norm(y)
-        if np.max(np.abs(y - x)) < tol:
+        if np.max(np.abs(y - x)) < EIGENVECTOR_TOL:
             return CentralityScores(CentralityKind.EIGENVECTOR, y)
         x = y
     raise NumericError(
-        f"eigenvector centrality did not converge in {max_iter} iterations",
+        f"eigenvector centrality did not converge in {EIGENVECTOR_MAX_ITER} iterations",
         last_iterate=x,
     )
 
@@ -215,16 +226,12 @@ def betweenness_centrality(g: Graph) -> CentralityScores:
     return CentralityScores(CentralityKind.BETWEENNESS, _path_scores(g)[1])
 
 
-def pagerank(
-    g: Graph,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> CentralityScores:
+def pagerank(g: Graph) -> CentralityScores:
     """PageRank on the undirected random walk with uniform teleport.
 
     Isolated (dangling) nodes redistribute their mass uniformly.  Scores sum
-    to 1.
+    to 1.  Damping ``PAGERANK_DAMPING``, tolerance ``PAGERANK_TOL``, iteration
+    cap ``PAGERANK_MAX_ITER``.
     """
     n = g.node_count
     if n == 0:
@@ -234,15 +241,15 @@ def pagerank(
     inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     dangling = deg == 0
     x = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
-    for _ in range(max_iter):
+    teleport = (1.0 - PAGERANK_DAMPING) / n
+    for _ in range(PAGERANK_MAX_ITER):
         walk = A @ (x * inv_deg) + x[dangling].sum() / n
-        x_new = damping * walk + teleport
-        if np.max(np.abs(x_new - x)) < tol:
+        x_new = PAGERANK_DAMPING * walk + teleport
+        if np.max(np.abs(x_new - x)) < PAGERANK_TOL:
             return CentralityScores(CentralityKind.PAGERANK, x_new)
         x = x_new
     raise NumericError(
-        f"pagerank did not converge in {max_iter} iterations", last_iterate=x
+        f"pagerank did not converge in {PAGERANK_MAX_ITER} iterations", last_iterate=x
     )
 
 

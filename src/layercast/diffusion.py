@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import check_unit_interval
 from .graph import Graph, LayeredView, layer_edges, layer_from_sources
 
 
@@ -34,10 +34,7 @@ class DiffusionParams:
     threshold: float
 
     def __post_init__(self):
-        for name in ("transmission_prob", "threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must be in [0, 1], got {v}")
+        check_unit_interval(self, "transmission_prob", "threshold")
 
 
 @dataclass

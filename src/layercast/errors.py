@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check for config fields."""
+"""Exception types shared across the package, the config field checks, and failure context."""
 
+import contextlib
 import dataclasses
 import numbers
 
@@ -45,3 +46,25 @@ def check_int_fields(params) -> None:
             if not isinstance(value, numbers.Integral):
                 raise InputError(f"{field.name} must be an integer, got {value!r}")
             object.__setattr__(params, field.name, int(value))
+
+
+def check_unit_interval(params, *names) -> None:
+    """Raise :class:`InputError` unless each named field, in order, is in [0, 1] (not NaN)."""
+    for name in names:
+        value = getattr(params, name)
+        if not 0.0 <= value <= 1.0:
+            raise InputError(f"{name} must be in [0, 1], got {value}")
+
+
+@contextlib.contextmanager
+def failing_at(where: str):
+    """Prefix ``where: `` to a :class:`LayercastError` raised inside.
+
+    The error is re-raised as the same object, so its class and its fields
+    (such as :attr:`NumericError.last_iterate`) are kept.
+    """
+    try:
+        yield
+    except LayercastError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, InputError, check_int_fields
+from .errors import GenerationError, InputError, check_int_fields, check_unit_interval
 from .graph import Graph
 
 # Shared retry/rewiring budget factor: a generator may spend at most
 # 100 * n low-level attempts before giving up with a GenerationError.
 _BUDGET_FACTOR = 100
 _MAX_STRUCTURE_ATTEMPTS = 200
-
-
-def _rng(rng_seed) -> np.random.Generator:
-    return np.random.default_rng(rng_seed)
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,7 @@ class ErParams:
         check_int_fields(self)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.edge_exist_prob <= 1.0:
-            raise InputError(f"edge_exist_prob must be in [0, 1], got {self.edge_exist_prob}")
+        check_unit_interval(self, "edge_exist_prob")
 
 
 @dataclass(frozen=True)
@@ -67,10 +62,7 @@ class GaussianPartitionParams:
             raise InputError(f"mean_size must be >= 1, got {self.mean_size}")
         if not self.shape > 0:
             raise InputError(f"shape must be > 0, got {self.shape}")
-        for name in ("p_in", "p_out"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise InputError(f"{name} must be in [0, 1], got {p}")
+        check_unit_interval(self, "p_in", "p_out")
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,7 @@ def _sample_pair_edges(rng: np.random.Generator, n: int, pair_prob) -> np.ndarra
 
 def gen_er(params: ErParams, rng_seed) -> Graph:
     """Erdős–Rényi G(n, p) graph, deterministic given the seed."""
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     p = params.edge_exist_prob
     edges = _sample_pair_edges(rng, params.n, lambda i, j: p)
     return Graph(params.n, edges)
@@ -152,7 +144,7 @@ def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
     ``(graph, communities)`` where ``communities[v]`` is the community id of
     node ``v``.
     """
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     n = params.n
     sd = math.sqrt(params.mean_size / params.shape)
 
@@ -311,7 +303,7 @@ def gen_lfr(params: LfrParams, rng_seed):
     Returns ``(graph, communities)``.  Raises :class:`GenerationError` once
     the retry budget is exhausted, naming the constraint that failed.
     """
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     n = params.n
     if params.min_community > n:
         raise GenerationError(

@@ -79,9 +79,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor indices of ``v`` (read-only view)."""
         return self._indices[self._indptr[v] : self._indptr[v + 1]]

@@ -30,13 +30,7 @@ import numpy as np
 
 from .centrality import CentralityKind, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
-from .errors import (
-    DegenerateSampleError,
-    GenerationError,
-    InputError,
-    LayercastError,
-    check_int_fields,
-)
+from .errors import DegenerateSampleError, InputError, check_int_fields, failing_at
 from .generators import (
     ErParams,
     GaussianPartitionParams,
@@ -231,12 +225,10 @@ def _apply_sweep_value(config: ExperimentConfig, parameter: str, value):
 
 def _graph(point: ExperimentConfig, master: int, sweep_index: int, graph_index: int):
     """Ensemble member ``graph_index``: (graph, communities) from the graph stream."""
-    try:
+    with failing_at(f"graph {graph_index}"):
         return generate_graph(
             point.generator, derive_seed(master, _STREAM_GRAPH, sweep_index, graph_index)
         )
-    except GenerationError as exc:
-        raise GenerationError(f"graph {graph_index}: {exc}") from None
 
 
 def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, graph_index: int):
@@ -244,20 +236,6 @@ def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, gr
     rng = np.random.default_rng(derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index))
     ic_f = rng.choice(g.node_count, size=point.false_info_starter, replace=False)
     return run_false_process(g, ic_f, point.model)
-
-
-@contextlib.contextmanager
-def _failing_at(where: str):
-    """Prefix ``where: `` to a :class:`LayercastError` raised inside.
-
-    The error is re-raised as the same object, so its class and its fields
-    (such as :attr:`NumericError.last_iterate`) are kept.
-    """
-    try:
-        yield
-    except LayercastError as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
 
 
 def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, master: int):
@@ -272,7 +250,7 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
     out = {}
     if point.mode == "single":
         for strategy in point.strategies:
-            with _failing_at(f"graph {graph_index}: {strategy.value}"):
+            with failing_at(f"graph {graph_index}: {strategy.value}"):
                 ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
                 state = run_single_diffusion(g, ic, point.model)
             infected = int(np.count_nonzero(state.labels == Label.INFECTED))
@@ -280,14 +258,19 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
                 zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
             )
     else:
-        with _failing_at(f"graph {graph_index}: false process"):
+        with failing_at(f"graph {graph_index}: false process"):
             fp = _false_process(point, g, master, sweep_index, graph_index)
         for strategy in point.strategies:
-            with _failing_at(f"graph {graph_index}: {strategy.value}"):
+            with failing_at(f"graph {graph_index}: {strategy.value}"):
                 ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
                 state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
             out[strategy.value] = dict(zip(COMBAT_METRICS, intervention_metrics(state)))
     return out
+
+
+def _column(per_graph, strategy: CentralityKind, metric: str) -> np.ndarray:
+    """One (strategy, metric) column of a sweep point's per-graph results."""
+    return np.array([row[strategy.value][metric] for row in per_graph], dtype=np.float64)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -302,71 +285,55 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     master = config.master_rng_seed
-    if config.sweep is None:
+    sweep = config.sweep
+    if sweep is None:
         points = [(None, config)]
     else:
         points = [
-            (value, _apply_sweep_value(config, config.sweep.parameter, value))
-            for value in config.sweep.values
+            (value, _apply_sweep_value(config, sweep.parameter, value)) for value in sweep.values
         ]
-    sweep_on_generator = config.sweep is not None and hasattr(
-        config.generator, config.sweep.parameter
-    )
+    sweep_on_generator = sweep is not None and hasattr(config.generator, sweep.parameter)
 
     records = []
     p_values = []
     for point_index, (sweep_value, point) in enumerate(points):
         # a model-parameter sweep reuses one shared ensemble of graphs
-        graph_sweep_index = point_index if sweep_on_generator else 0
+        run_one = functools.partial(
+            _run_one_graph, point, point_index if sweep_on_generator else 0, master=master
+        )
         indices = range(point.ensemble_size)
-        if threads == 1:
-            per_graph = [_run_one_graph(point, graph_sweep_index, i, master) for i in indices]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_graph = list(
-                    pool.map(lambda i: _run_one_graph(point, graph_sweep_index, i, master), indices)
-                )
+        # a failure names its sweep point, then its graph
+        with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
+            if threads == 1:
+                per_graph = [run_one(i) for i in indices]
+            else:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    per_graph = list(pool.map(run_one, indices))
+        records += [
+            MetricRecord(strategy.value, i, sweep_value, per_graph[i][strategy.value])
+            for strategy in point.strategies
+            for i in indices
+        ]
+        if CentralityKind.RANDOM not in point.strategies:
+            continue
         for strategy in point.strategies:
-            for i in indices:
-                records.append(
-                    MetricRecord(
-                        strategy=strategy.value,
-                        graph_index=i,
-                        sweep_value=sweep_value,
-                        metrics=per_graph[i][strategy.value],
+            if strategy is CentralityKind.RANDOM:
+                continue
+            for metric in _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS:
+                try:
+                    res = compare_strategies(
+                        PairedSample(
+                            x=_column(per_graph, strategy, metric),
+                            y=_column(per_graph, CentralityKind.RANDOM, metric),
+                        ),
+                        METRIC_ALTERNATIVE[metric],
                     )
+                    p, method = res.p_one_tailed, res.method
+                except DegenerateSampleError:
+                    p, method = 1.0, "degenerate"
+                p_values.append(
+                    PValueEntry(strategy.value, metric, sweep_value, p, method, method == "degenerate")
                 )
-        if CentralityKind.RANDOM in point.strategies:
-            tested = _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS
-            baseline = {
-                m: np.array([per_graph[i][CentralityKind.RANDOM.value][m] for i in indices], dtype=np.float64)
-                for m in tested
-            }
-            for strategy in point.strategies:
-                if strategy is CentralityKind.RANDOM:
-                    continue
-                for metric in tested:
-                    own = np.array(
-                        [per_graph[i][strategy.value][metric] for i in indices], dtype=np.float64
-                    )
-                    try:
-                        res = compare_strategies(
-                            PairedSample(x=own, y=baseline[metric]),
-                            METRIC_ALTERNATIVE[metric],
-                        )
-                        p, method = res.p_one_tailed, res.method
-                    except DegenerateSampleError:
-                        p, method = 1.0, "degenerate"
-                    p_values.append(
-                        PValueEntry(
-                            strategy=strategy.value,
-                            metric=metric,
-                            sweep_value=sweep_value,
-                            p=p,
-                            method=method,
-                            degenerate=method == "degenerate",
-                        )
-                    )
 
     provenance = Provenance(
         config_hash=config_hash(config),

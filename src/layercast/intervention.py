@@ -18,7 +18,7 @@ import numpy as np
 
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, check_unit_interval, failing_at
 from .graph import Graph, LayeredView, layer_from_sources, unique_nodes
 
 
@@ -38,10 +38,9 @@ class CombatParams:
     comparative_threshold: float
 
     def __post_init__(self):
-        for name in ("false_transmission_prob", "true_transmission_prob", "comparative_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must be in [0, 1], got {v}")
+        check_unit_interval(
+            self, "false_transmission_prob", "true_transmission_prob", "comparative_threshold"
+        )
         if not self.decisive_threshold >= 0.0:  # also rejects NaN
             raise InputError(
                 f"decisive_threshold must be >= 0, got {self.decisive_threshold}"
@@ -203,9 +202,10 @@ def minimum_true_seeds(
     orders = None
     if strategy is not CentralityKind.RANDOM:
         # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
-        orders = [
-            top_k_by_score(compute_centrality(g, strategy).scores, g.node_count) for g in graphs
-        ]
+        orders = []
+        for i, g in enumerate(graphs):
+            with failing_at(f"graph {i}: {strategy.value}"):
+                orders.append(top_k_by_score(compute_centrality(g, strategy).scores, g.node_count))
 
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))

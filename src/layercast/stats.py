@@ -115,18 +115,16 @@ def _normal_tail(ranks: np.ndarray, w_plus: float, alternative: str) -> float:
     return 0.5 * math.erfc((z if alternative == "x_greater" else -z) / math.sqrt(2.0))
 
 
-def wilcoxon_one_tailed(sample: PairedSample, alternative: str, method: str = "auto") -> WilcoxonResult:
+def wilcoxon_one_tailed(sample: PairedSample, alternative: str) -> WilcoxonResult:
     """One-tailed Wilcoxon signed-rank test on paired differences x - y.
 
     ``alternative`` is ``"x_less"`` (x systematically below y) or
-    ``"x_greater"``.  ``method`` may force ``"exact"`` or ``"normal"``;
-    ``"auto"`` switches at 25 effective pairs.  Raises
+    ``"x_greater"``.  Up to ``EXACT_LIMIT`` effective pairs the p-value is
+    exact, above it the normal approximation.  Raises
     :class:`DegenerateSampleError` when every difference is zero.
     """
     if alternative not in _ALTERNATIVES:
         raise InputError(f"alternative must be one of {_ALTERNATIVES}, got {alternative!r}")
-    if method not in ("auto", "exact", "normal"):
-        raise InputError(f"method must be auto, exact, or normal, got {method!r}")
     d = sample.x - sample.y
     d = d[d != 0.0]
     n = len(d)
@@ -134,8 +132,7 @@ def wilcoxon_one_tailed(sample: PairedSample, alternative: str, method: str = "a
         raise DegenerateSampleError("all paired differences are zero")
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
-    use_exact = n <= EXACT_LIMIT if method == "auto" else method == "exact"
-    if use_exact:
+    if n <= EXACT_LIMIT:
         p = _exact_tail(ranks, w_plus, alternative)
         used = "exact"
     else:

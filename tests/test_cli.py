@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -28,6 +29,8 @@ from layercast import (
 from layercast import cli
 from layercast.cli import main
 from layercast.harness import PRESETS, ExperimentConfig, config_to_dict
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 @pytest.fixture
@@ -382,6 +385,22 @@ class TestExperiment:
         assert code == 1
         assert err.startswith("error: input:")
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("dense_er_single", "eca57b4de77b709764b0bb18d026bc21a70b0e8ea04c1d7ac38b06d57e0b2a90"),
+            ("er_intervention", "400063af28607f053941424473cd47b6034dcc1fa04cd262e2daaf200466857d"),
+        ],
+    )
+    def test_demo_config_results_are_pinned(self, capsys, tmp_path, name, digest):
+        # results.csv is the fixed point: any byte that moves must be declared
+        code, _, _ = run_cli(
+            capsys, "experiment", "run", "--config", str(CONFIGS / f"{name}.json"),
+            "--out", str(tmp_path), "--scale", "desk",
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
+
     def test_threads_flag(self, capsys, config_file, tmp_path):
         out_dir = tmp_path / "t"
         code, _, _ = run_cli(
@@ -478,6 +497,23 @@ class TestErrorContract:
         assert (code, out) == (2, "")
         assert err == (
             "error: numeric: graph 21: eigenvector: "
+            "eigenvector centrality did not converge in 1000 iterations\n"
+        )
+
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_failure_names_the_point(self, capsys, tmp_path, threads):
+        data = config_to_dict(PRESETS["sparse_er_single"])
+        data["sweep"] = {"parameter": "edge_exist_prob", "values": [0.02, 0.0025]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "experiment", "run", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--scale", "desk", "--threads", threads,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: numeric: edge_exist_prob=0.0025: graph 16: eigenvector: "
             "eigenvector centrality did not converge in 1000 iterations\n"
         )
 
