@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .graph import Graph, hop_distances
+from .graph import Graph, SearchBuffers, hop_distances, product_into
 
 
 class CentralityKind(str, enum.Enum):
@@ -105,30 +105,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_scores(A, unit, first, last):
-    """Distance sums, reach counts and Brandes dependencies of sources first..last-1.
+def _block_scores(A, dist, sigma, buffers, delta):
+    """Distance sums, reach counts and Brandes dependencies of one searched block.
 
-    One :func:`hop_distances` over the block; column j searches from node
-    ``first + j``, and its first hop is A's column, a sparse product.
-    Returns ``(dist_sum, reach_count, delta)``, the last an (n, last - first)
-    block of each source's dependencies.
+    ``dist`` and ``sigma`` are the block's :func:`hop_distances`, made in
+    ``buffers``; column j searched from the block's j-th source.  The
+    backward pass runs in the search's spare buffers (its masks hold the
+    shells, its products the coefficients and their pull) and overwrites
+    ``sigma``.  Returns ``(dist_sum, reach_count, delta)``, the last each
+    source's dependencies, written into the first entries of the array
+    ``delta``.
     """
-    dist, sigma = hop_distances(A, unit[:, first:last])
-    dist_sum = np.maximum(dist, 0).sum(axis=0)
-    reach_count = (dist >= 0).sum(axis=0)
-    delta = np.zeros_like(sigma)
-    safe_sigma = np.where(dist >= 0, sigma, 1.0)
-    coef = np.empty_like(sigma)
+    _, _, (shell, inner), (coef, pull) = buffers.shaped(dist.shape)
+    np.less(dist, 0, out=shell)
+    unreached = shell.sum(axis=0)
+    reach_count = dist.shape[0] - unreached
+    dist_sum = dist.sum(axis=0) + unreached  # each unreached node counted -1
+    # safe to divide by: an unreached node's pull is 0 whatever its count
+    np.copyto(sigma, 1.0, where=shell)
+    delta = delta.reshape(-1)[: dist.size].reshape(dist.shape)
+    delta.fill(0.0)
     top = dist.max()
-    shell = dist == top
-    inner = np.empty_like(shell)
+    np.equal(dist, top, out=shell)
     # a shell mask scales by exactly 1.0 or 0.0, so each shell entry gets the
     # same float operations as in a search from its source alone
     for d in range(top, 1, -1):
         np.add(1.0, delta, out=coef)
-        np.divide(coef, safe_sigma, out=coef)
+        np.divide(coef, sigma, out=coef)
         np.multiply(coef, shell, out=coef)
-        pull = A @ coef
+        product_into(A, coef, pull)
         np.multiply(sigma, pull, out=pull)
         np.equal(dist, d - 1, out=inner)
         np.multiply(pull, inner, out=pull)
@@ -140,33 +145,52 @@ def _block_scores(A, unit, first, last):
 def _sweep_blocks(A, n):
     """:func:`_block_scores` of every source block of an n-node graph, in source order.
 
-    Serial in blocks of ``_BLOCK`` sources, unless the graph has at least
+    A block is one :func:`hop_distances` from a column slice of the sparse
+    identity, so its first hop is a sparse product.  The sweep is serial in
+    blocks of ``_BLOCK`` sources, unless the graph has at least
     ``_THREADED_MIN_NODES`` nodes, two CPUs are usable and the caller is the
     main thread (a battery's own worker threads already fill the cores).
-    Then two worker threads search blocks of ``_BLOCK // 2`` sources, at most
-    two in flight, so the memory stays O(n * _BLOCK).
+    Then blocks are ``_BLOCK // 2`` sources wide, and a worker thread
+    searches block i + 1 while this thread runs block i's backward pass.
+    Block i is searched in buffers i % 2, and it has been taken before block
+    i + 2 is submitted.
+
+    The buffers are allocated once per graph, none per block.  The serial
+    sweep holds one search's buffers and one ``delta``, n * ``_BLOCK``
+    entries each; the threaded sweep two searches' and one ``delta`` at half
+    the width, so a little less.  A block's ``delta`` is overwritten once
+    the next block is asked for.
     """
     from scipy.sparse import identity
 
-    unit = identity(n, format="csr")  # densifies C-ordered, like the products
+    unit = identity(n, format="csr")
     threaded = (
         n >= _THREADED_MIN_NODES
         and threading.current_thread() is threading.main_thread()
         and _usable_cpus() >= 2
     )
     if not threaded:
+        shape = (n, min(n, _BLOCK))
+        buffers, delta = SearchBuffers(shape), np.empty(shape)
         for first in range(0, n, _BLOCK):
-            yield _block_scores(A, unit, first, min(first + _BLOCK, n))
+            dist, sigma = hop_distances(A, unit[:, first : first + _BLOCK], buffers)
+            yield _block_scores(A, dist, sigma, buffers, delta)
         return
     width = _BLOCK // 2
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    spaces = (SearchBuffers((n, width)), SearchBuffers((n, width)))
+    delta = np.empty((n, width))
+    with ThreadPoolExecutor(max_workers=1) as pool:
         pending = deque()
-        for first in range(0, n, width):
-            pending.append(pool.submit(_block_scores, A, unit, first, min(first + width, n)))
+        for i, first in enumerate(range(0, n, width)):
+            buffers = spaces[i % 2]
+            search = pool.submit(hop_distances, A, unit[:, first : first + width], buffers)
+            pending.append((search, buffers))
             if len(pending) == 2:
-                yield pending.popleft().result()
+                search, buffers = pending.popleft()
+                yield _block_scores(A, *search.result(), buffers, delta)
         while pending:
-            yield pending.popleft().result()
+            search, buffers = pending.popleft()
+            yield _block_scores(A, *search.result(), buffers, delta)
 
 
 def _path_scores(g: Graph):

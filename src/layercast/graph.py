@@ -7,6 +7,7 @@ iteration order is deterministic everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,15 +140,74 @@ class LayeredView:
         return None if L < 0 else L
 
 
-def _dense(x, copy=False):
-    """``x`` as a float64 ndarray; a scipy sparse matrix is densified."""
+def product_into(A, x, out):
+    """``A @ x`` for CSR ``A``, written into the C-contiguous float64 ``out``.
+
+    A dense ``x`` goes through scipy's own kernel for ``A @ x``
+    (``csr_matvec`` for a vector, ``csr_matvecs`` for a block), so the
+    result is the same bytes; a scipy sparse ``x`` gives a sparse product,
+    densified into ``out``.  Both kernels add into ``out``, so it is zeroed
+    first and may hold anything before the call.  Returns ``out``.
+    """
+    rows, cols = A.shape
+    # the kernels write through out's memory unchecked: wrong shape or layout
+    # would write out of bounds or into a copy
+    if x.shape[0] != cols or out.shape != (rows, *x.shape[1:]) or not out.flags.c_contiguous:
+        raise ContractError(f"cannot write a {A.shape} @ {x.shape} product into {out.shape}")
+    out.fill(0.0)
     if hasattr(x, "toarray"):
-        return x.toarray().astype(np.float64, copy=False)
-    return np.array(x, dtype=np.float64) if copy else np.asarray(x, dtype=np.float64)
+        return (A @ x).toarray(out=out)
+    # imported here: scipy.sparse loads on first use, not with the package
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
+    if x.ndim == 1:
+        csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
+    else:
+        csr_matvecs(rows, cols, x.shape[1], A.indptr, A.indices, A.data, x.ravel(), out.ravel())
+    return out
 
 
-def hop_distances(A, frontier):
-    """Breadth-first search on CSR adjacency ``A``, one ``A @ frontier`` per hop.
+class SearchBuffers:
+    """The arrays one :func:`hop_distances` works in, reusable search after search.
+
+    Allocated in the widest ``shape`` a caller will search, (n,) or (n, B).
+    A narrower search takes the first entries of each array, reshaped, so
+    every view is C-contiguous and needs no buffers of its own.  After a
+    search, ``dist`` and ``sigma`` hold its result, and ``masks`` (the
+    unreached and the newly found nodes) and ``products`` (one hop's
+    frontier and the next) are free for the caller.
+    """
+
+    __slots__ = ("dist", "sigma", "masks", "products", "_views")
+
+    def __init__(self, shape) -> None:
+        shape = tuple(shape)
+        self.dist = np.empty(shape, dtype=np.int64)
+        self.sigma = np.empty(shape)
+        self.masks = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+        self.products = (np.empty(shape), np.empty(shape))
+        self._views = {shape: (self.dist, self.sigma, self.masks, self.products)}
+
+    def shaped(self, shape):
+        """``(dist, sigma, masks, products)`` as views of ``shape``, made once per shape."""
+        views = self._views.get(shape)
+        if views is None:
+            size = math.prod(shape)
+
+            def view(a):
+                return a.reshape(-1)[:size].reshape(shape)
+
+            views = self._views[shape] = (
+                view(self.dist),
+                view(self.sigma),
+                tuple(map(view, self.masks)),
+                tuple(map(view, self.products)),
+            )
+        return views
+
+
+def hop_distances(A, frontier, buffers=None):
+    """Breadth-first search on CSR adjacency ``A``, one product with ``A`` per hop.
 
     ``frontier`` is an (n,) vector or an (n, B) block of independent searches,
     positive at the sources; a scipy sparse block is taken as it is, so its
@@ -155,18 +215,32 @@ def hop_distances(A, frontier):
     sigma)`` of its shape: the hop distance to the nearest source (-1 when
     unreached) and shortest-path counts.  A search that reaches every node
     stops without the product that would find nothing new, so it takes one
-    product per hop of its depth.
+    product (:func:`product_into`) per hop of its depth.  It works in
+    ``buffers`` (:class:`SearchBuffers`), fresh ones unless given, and
+    allocates no array of the frontier's shape; the two it returns are views
+    of ``buffers``.
     """
-    sigma = _dense(frontier, copy=True)
-    unreached = sigma <= 0
+    shape = np.shape(frontier)
+    if buffers is None:
+        buffers = SearchBuffers(shape)
+    dist, sigma, (unreached, new), products = buffers.shaped(shape)
+    if hasattr(frontier, "toarray"):
+        sigma.fill(0.0)
+        frontier.toarray(out=sigma)
+    else:
+        np.copyto(sigma, frontier)
+        frontier = sigma  # read by the first product only, before sigma grows
+    np.less_equal(sigma, 0.0, out=unreached)
     remaining = np.count_nonzero(unreached)
     # dist counts the hops each node stayed unreached; the never-reached get -1
-    dist = np.zeros(sigma.shape, dtype=np.int64)
+    dist.fill(0)
+    hop = 0
     while remaining:
-        contrib = _dense(A @ frontier)  # path counts arriving one hop out
+        # path counts arriving one hop out, beside the frontier they came from
+        contrib = product_into(A, frontier, products[hop % 2])
         # exact: counts are >= 0, so a reached node's becomes +0.0
         np.multiply(contrib, unreached, out=contrib)
-        new = contrib > 0
+        np.greater(contrib, 0.0, out=new)
         found = np.count_nonzero(new)
         if not found:
             break
@@ -175,8 +249,9 @@ def hop_distances(A, frontier):
         sigma += contrib  # exact: an unreached node's count is still 0
         frontier = contrib
         remaining -= found
+        hop += 1
     if remaining:
-        dist[unreached] = -1
+        np.copyto(dist, -1, where=unreached)
     return dist, sigma
 
 

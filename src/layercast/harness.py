@@ -356,14 +356,17 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
 
     Reuses the config's ensemble and false-creator draws so every strategy
     faces identical conditions; each graph's false process is spread once.
-    Returns ``{strategy name: k or None}``.
+    Returns ``{strategy name: k or None}``.  A :class:`LayercastError` from
+    a false process names its graph; one from the search names what
+    :func:`minimum_true_seeds` names.
     """
     if config.mode != "intervention":
         raise InputError("minimum_seed_battery requires an intervention config")
     graphs = [g for g, _ in build_ensemble(config)]
-    false_processes = [
-        _false_process(config, g, config.master_rng_seed, 0, i) for i, g in enumerate(graphs)
-    ]
+    false_processes = []
+    for i, g in enumerate(graphs):
+        with failing_at(f"graph {i}: false process"):
+            false_processes.append(_false_process(config, g, config.master_rng_seed, 0, i))
     out = {}
     for strategy in (strategies or config.strategies):
         strategy = CentralityKind(strategy)

@@ -185,7 +185,9 @@ def minimum_true_seeds(
     per (graph, k) and requires ``rng_seed``.
 
     ``curve_out``, if given, receives ``(k, mean_protected, mean_infected)``
-    for every k examined.
+    for every k examined.  A :class:`LayercastError` is re-raised with its
+    graph and the strategy in front (``graph <i>: <strategy>: `` from a
+    ranking, ``k=<k>: graph <i>: <strategy>: `` from a combat run).
     """
     graphs = list(graphs)
     false_processes = list(false_processes)
@@ -216,7 +218,8 @@ def minimum_true_seeds(
             else:
                 rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                 ic_t = rng.choice(g.node_count, size=k, replace=False)
-            state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
+            with failing_at(f"k={k}: graph {i}: {strategy.value}"):
+                state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
             tally = np.bincount(state.labels, minlength=len(Label))
             protected[i] = tally[Label.PROTECTED]
             infected[i] = tally[Label.INFECTED]

@@ -518,25 +518,38 @@ class TestErrorContract:
         )
 
 
-class TestStartup:
-    """The CLI does not pay for scipy.stats unless a Wilcoxon test runs."""
+STARTUP_CODE = pytest.mark.parametrize(
+    "code",
+    [
+        "import layercast",
+        "from layercast.cli import main; main(['generate', 'er', '--n', '10', '--p', '0.5',"
+        " '--seed', '1'])",
+    ],
+    ids=["import", "generate"],
+)
 
-    @pytest.mark.parametrize(
-        "code",
-        [
-            "import layercast",
-            "from layercast.cli import main; main(['generate', 'er', '--n', '10', '--p', '0.5',"
-            " '--seed', '1'])",
-        ],
-        ids=["import", "generate"],
+
+def loaded_after(code: str, module: str) -> bool:
+    """Whether ``module`` is in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint({module!r} in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
     )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+class TestStartup:
+    """The CLI does not pay for scipy.stats unless a Wilcoxon test runs, nor
+    for scipy.sparse until a graph needs its adjacency matrix."""
+
+    @STARTUP_CODE
     def test_scipy_stats_not_imported(self, code):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert not loaded_after(code, "scipy.stats")
+
+    @STARTUP_CODE
+    def test_scipy_sparse_not_imported(self, code):
+        assert not loaded_after(code, "scipy.sparse")

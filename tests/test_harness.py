@@ -241,9 +241,9 @@ class TestRunExperiment:
 
         calls = []
 
-        def counting(A, frontier):
+        def counting(A, frontier, buffers=None):
             calls.append(frontier.shape[1])
-            return hop_distances(A, frontier)
+            return hop_distances(A, frontier, buffers)
 
         monkeypatch.setattr(centrality, "hop_distances", counting)
         cfg = tiny_single_config(
@@ -755,6 +755,48 @@ class TestMinimumSeedBattery:
             "graph 21: eigenvector: eigenvector centrality did not converge in 1000 iterations"
         )
         assert info.value.last_iterate.shape == (200,)
+
+    def test_false_process_failure_names_the_graph(self, monkeypatch):
+        error = NumericError("boom", last_iterate=np.arange(3.0))
+        graphs = [g for g, _ in build_ensemble(tiny_intervention_config())]
+        original = harness.run_false_process
+
+        def fail_on_graph_2(g, *args, **kwargs):
+            if g.edges.tobytes() == graphs[2].edges.tobytes():
+                raise error
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_false_process", fail_on_graph_2)
+        with pytest.raises(NumericError) as info:
+            minimum_seed_battery(tiny_intervention_config(), k_max=5)
+        assert info.value is error
+        assert str(error) == "graph 2: false process: boom"
+        assert error.last_iterate.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("strategy", ["degree", "random"])
+    def test_combat_failure_names_k_graph_and_strategy(self, monkeypatch, strategy):
+        from layercast import intervention
+
+        error = NumericError("boom", last_iterate=np.arange(4.0))
+        cfg = tiny_intervention_config()
+        graphs = [g for g, _ in build_ensemble(cfg)]
+        original = intervention.run_intervention
+        runs = []
+
+        def fail_at_graph_1_k_3(g, false_creators, true_creators, *args, **kwargs):
+            runs.append(len(true_creators))
+            if g.edges.tobytes() == graphs[1].edges.tobytes() and len(true_creators) == 3:
+                raise error
+            return original(g, false_creators, true_creators, *args, **kwargs)
+
+        monkeypatch.setattr(intervention, "run_intervention", fail_at_graph_1_k_3)
+        with pytest.raises(NumericError) as info:
+            minimum_seed_battery(cfg, k_max=cfg.ensemble_size * 10, strategies=[strategy])
+        assert info.value is error
+        assert str(error) == f"k=3: graph 1: {strategy}: boom"
+        assert error.last_iterate.tolist() == [0.0, 1.0, 2.0, 3.0]
+        # every graph ran at k = 1 and 2, then graph 0 and graph 1 at k = 3
+        assert runs == [1] * len(graphs) + [2] * len(graphs) + [3, 3]
 
     def test_build_ensemble_matches_config(self):
         cfg = tiny_intervention_config()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layercast import CombatParams, build_graph, layer_from_sources, preset, run_false_process
-from layercast import generators
+from layercast import centrality, generators
 from layercast.centrality import _BLOCK, CentralityKind, _path_scores
 from layercast.graph import hop_distances
 from layercast.harness import build_ensemble
@@ -65,14 +65,24 @@ def check_kernels(g, sources):
 
     assert_same_as_product(g, lv)
 
-    for a, b in zip(_path_scores(g), dense_block_path_scores(g, _BLOCK)):
+    want = dense_block_path_scores(g, _BLOCK)
+    for a, b in zip(_path_scores(g), want):
         assert a.tobytes() == b.tobytes()
+    return want
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
-def test_random_graphs_bitwise(batch):
+def test_random_graphs_bitwise(monkeypatch, batch):
+    wants = {}
     for seed in range(batch, GRAPHS, BATCHES):
-        check_kernels(*random_case(seed))
+        g, sources = random_case(seed)
+        wants[seed] = g.edges, g.node_count, check_kernels(g, sources)
+    # the same graphs on the two-thread sweep: half-width blocks, two buffers
+    monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", 1)
+    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
+    for edges, n, want in wants.values():
+        for a, b in zip(_path_scores(build_graph(n, edges)), want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_deep_path_bitwise():

@@ -19,8 +19,9 @@ from layercast import (
     layer_from_sources,
 )
 from layercast import centrality
+from layercast import graph as graph_module
 from layercast.centrality import _BLOCK, _path_scores
-from layercast.graph import hop_distances
+from layercast.graph import SearchBuffers, hop_distances, product_into
 
 from oracles import dense_closeness, frontier_layering, per_source_betweenness
 
@@ -84,39 +85,123 @@ class TestHopDistances:
             assert sigma[:, s].tobytes() == c.tobytes()
 
 
-class CountingAdjacency:
-    """Stands in for the adjacency and counts the products taken with it."""
+@pytest.fixture
+def products(monkeypatch):
+    """The output buffer of every product the searches take with the adjacency."""
+    outs = []
 
-    def __init__(self, A):
-        self.A = A
-        self.products = 0
+    def counting(A, x, out):
+        outs.append(out)
+        return product_into(A, x, out)
 
-    def __matmul__(self, x):
-        self.products += 1
-        return self.A @ x
+    monkeypatch.setattr(graph_module, "product_into", counting)
+    monkeypatch.setattr(centrality, "product_into", counting)
+    return outs
 
 
 class TestProductCount:
-    def test_fully_reached_search_takes_one_product_per_hop(self):
-        A = CountingAdjacency(build_graph(4, path_edges(4)).to_csr())
+    def test_fully_reached_search_takes_one_product_per_hop(self, products):
+        A = build_graph(4, path_edges(4)).to_csr()
         dist, _ = hop_distances(A, np.eye(4)[0])
-        assert dist.max() == 3 and A.products == 3
+        assert dist.max() == 3 and len(products) == 3
 
-    def test_unreached_node_costs_one_more_product(self):
-        A = CountingAdjacency(build_graph(5, path_edges(4)).to_csr())
+    def test_unreached_node_costs_one_more_product(self, products):
+        A = build_graph(5, path_edges(4)).to_csr()
         dist, _ = hop_distances(A, np.eye(5)[0])
-        assert dist.tolist() == [0, 1, 2, 3, -1] and A.products == 4
+        assert dist.tolist() == [0, 1, 2, 3, -1] and len(products) == 4
 
-    def test_block_takes_its_deepest_search(self):
+    def test_block_takes_its_deepest_search(self, products):
         n = 30
-        A = CountingAdjacency(build_graph(n, path_edges(n)).to_csr())
+        A = build_graph(n, path_edges(n)).to_csr()
         dist, _ = hop_distances(A, np.eye(n, 10))
-        assert dist.max() == n - 1 and A.products == n - 1
+        assert dist.max() == n - 1 and len(products) == n - 1
 
-    def test_all_sources_take_no_product(self):
-        A = CountingAdjacency(build_graph(3, path_edges(3)).to_csr())
+    def test_all_sources_take_no_product(self, products):
+        A = build_graph(3, path_edges(3)).to_csr()
         dist, _ = hop_distances(A, np.ones(3))
-        assert dist.tolist() == [0, 0, 0] and A.products == 0
+        assert dist.tolist() == [0, 0, 0] and len(products) == 0
+
+
+class TestProductInto:
+    """The in-place product is ``A @ x``, byte for byte, whatever ``out`` held."""
+
+    @pytest.mark.parametrize("width", [None, 1, 63, 64, 127, 128])
+    def test_same_bytes_as_matmul(self, width):
+        rng = np.random.default_rng(width or 0)
+        n = 150
+        A = build_graph(n, random_graph(n, 0.1, 21)).to_csr().copy()
+        A.data = rng.random(A.nnz) * 3.0  # non-integer entries
+        shape = (n,) if width is None else (n, width)
+        x = rng.standard_normal(shape) / 7.0
+        out = np.full(shape, np.nan)  # garbage before the call
+        assert product_into(A, x, out) is out
+        want = A @ x
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    def test_sparse_block_is_densified_in_place(self):
+        from scipy.sparse import identity
+
+        n = 90
+        A = build_graph(n, random_graph(n, 0.1, 22)).to_csr()
+        x = identity(n, format="csr")[:, 10:73]
+        out = np.full((n, 63), 7.5)
+        assert product_into(A, x, out) is out
+        assert out.tobytes() == (A @ x).toarray().tobytes()
+
+    def test_search_buffers_are_reused(self):
+        A = CASES["random-300"]().to_csr()
+        buffers = SearchBuffers((300, 16))
+        for width in (16, 5):
+            frontier = np.eye(300, width, -40)
+            dist, sigma = hop_distances(A, frontier, buffers)
+            want = hop_distances(A, frontier)
+            assert np.shares_memory(dist, buffers.dist) and np.shares_memory(sigma, buffers.sigma)
+            assert dist.tobytes() == want[0].tobytes() and sigma.tobytes() == want[1].tobytes()
+
+
+def recorded_buffers(monkeypatch, products):
+    """Every SearchBuffers the sweep allocates; ``products`` then holds the
+    output buffer of each product it takes."""
+    spaces = []
+
+    class Recording(SearchBuffers):
+        def __init__(self, size):
+            super().__init__(size)
+            spaces.append(self)
+
+    monkeypatch.setattr(centrality, "SearchBuffers", Recording)
+    return spaces
+
+
+def rows_of(spaces):
+    return [p for space in spaces for p in space.products]
+
+
+class TestWorkspace:
+    """The sweep allocates its buffers once per graph and every product of
+    every block writes into them."""
+
+    def check(self, spaces, products, blocks):
+        rows = {p.ctypes.data for p in rows_of(spaces)}
+        assert len(rows) == 2 * len(spaces)
+        assert {out.ctypes.data for out in products} == rows
+        assert all(any(np.shares_memory(out, p) for p in rows_of(spaces)) for out in products)
+        assert len(products) > len(rows) and blocks > len(spaces)
+
+    def test_serial_sweep_reuses_one_workspace(self, monkeypatch, products):
+        spaces = recorded_buffers(monkeypatch, products)
+        g = CASES["n-2-blocks-plus-1"]()
+        _path_scores(g)
+        assert len(spaces) == 1
+        self.check(spaces, products, math.ceil(g.node_count / _BLOCK))
+
+    def test_two_workers_alternate_two_workspaces(self, monkeypatch, products):
+        spaces = recorded_buffers(monkeypatch, products)
+        searches = forced_two_workers(monkeypatch)
+        g = CASES["n-2-blocks-plus-1"]()
+        _path_scores(g)
+        assert len(spaces) == 2
+        self.check(spaces, products, len(searches))
 
 
 class TestSharedSweep:
@@ -125,9 +210,9 @@ class TestSharedSweep:
     def test_one_search_per_block_for_both_measures(self, monkeypatch):
         calls = []
 
-        def counting(A, frontier):
+        def counting(A, frontier, buffers=None):
             calls.append(frontier.shape)
-            return hop_distances(A, frontier)
+            return hop_distances(A, frontier, buffers)
 
         monkeypatch.setattr(centrality, "hop_distances", counting)
         n = 2 * _BLOCK + 1
@@ -189,10 +274,10 @@ def forced_two_workers(monkeypatch):
     monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
     searches = []
 
-    def recording(A, frontier):
+    def recording(A, frontier, buffers=None):
         first = int(frontier.nonzero()[0].min())
         searches.append((first, frontier.shape[1], threading.current_thread()))
-        return hop_distances(A, frontier)
+        return hop_distances(A, frontier, buffers)
 
     monkeypatch.setattr(centrality, "hop_distances", recording)
     return searches
@@ -316,3 +401,39 @@ def test_two_workers_peak_at_most_the_serial_peak(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks["two workers"] <= peaks["serial"]
+
+
+def test_serial_sweep_allocates_no_block_array_beyond_its_buffers(monkeypatch):
+    # the buffers are allocated once; what the blocks allocate on top (the
+    # sparse first hop, numpy's cast buffers, per-source vectors) stays
+    # below a quarter of one (n, _BLOCK) float array
+    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 1)
+    n = 1000
+    _path_scores(build_graph(40, random_graph(40, 0.1, 1)))  # lazy imports first
+    g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 7)
+    g.to_csr()  # the adjacency is the graph's, not the sweep's
+    tracemalloc.start()
+    try:
+        _path_scores(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = SearchBuffers((n, _BLOCK))
+    held = buffers.dist.nbytes + buffers.sigma.nbytes + n * _BLOCK * 8  # and delta
+    held += sum(a.nbytes for a in (*buffers.masks, *buffers.products))
+    assert held <= peak < held + n * _BLOCK * 2
+
+
+@pytest.mark.parametrize(
+    "x_shape, out_shape, fortran",
+    [((40, 3), (40, 4), False), ((39, 3), (40, 3), False), ((40,), (40, 1), False),
+     ((40, 3), (40, 3), True)],
+    ids=["narrow-out", "short-x", "vector-into-block", "fortran-out"],
+)
+def test_product_into_rejects_a_mismatched_output(x_shape, out_shape, fortran):
+    from layercast import ContractError
+
+    A = build_graph(40, random_graph(40, 0.1, 23)).to_csr()
+    out = np.zeros(out_shape, order="F" if fortran else "C")
+    with pytest.raises(ContractError):
+        product_into(A, np.ones(x_shape), out)
