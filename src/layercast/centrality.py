@@ -13,6 +13,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,12 @@ def eigenvector_centrality(g: Graph) -> CentralityScores:
 #: memory is O(n * _BLOCK) instead of O(n^2).
 _BLOCK = 128
 
-#: Fewest nodes for which the sweep runs on two threads.  On smaller graphs
-#: the threads contend for the GIL over small arrays and the sweep slows.
+#: Fewest nodes for which the sweep runs on two threads.  Measured for the
+#: search/backward-pass pipeline (``BENCH_14_threaded_rule.json``): with the
+#: second core free it takes 0.79 of the serial time at 512 nodes, and
+#: 1.25-1.8x at 128-256 nodes, where handing the GIL back and forth between
+#: short numpy passes costs more than the overlap gains.  Where another job
+#: holds the second core, it is slower at every size (1.04x at 512 and 1000).
 _THREADED_MIN_NODES = 4 * _BLOCK
 
 
@@ -169,28 +174,23 @@ def _sweep_blocks(A, n):
         and threading.current_thread() is threading.main_thread()
         and _usable_cpus() >= 2
     )
-    if not threaded:
-        shape = (n, min(n, _BLOCK))
-        buffers, delta = SearchBuffers(shape), np.empty(shape)
-        for first in range(0, n, _BLOCK):
-            dist, sigma = hop_distances(A, unit[:, first : first + _BLOCK], buffers)
-            yield _block_scores(A, dist, sigma, buffers, delta)
-        return
-    width = _BLOCK // 2
-    spaces = (SearchBuffers((n, width)), SearchBuffers((n, width)))
-    delta = np.empty((n, width))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = deque()
-        for i, first in enumerate(range(0, n, width)):
-            buffers = spaces[i % 2]
-            search = pool.submit(hop_distances, A, unit[:, first : first + width], buffers)
-            pending.append((search, buffers))
-            if len(pending) == 2:
-                search, buffers = pending.popleft()
-                yield _block_scores(A, *search.result(), buffers, delta)
-        while pending:
-            search, buffers = pending.popleft()
-            yield _block_scores(A, *search.result(), buffers, delta)
+    ahead = int(threaded)  # blocks searched beyond the one in its backward pass
+    width = _BLOCK >> ahead
+    spaces = [SearchBuffers((n, min(n, width))) for _ in range(1 + ahead)]
+    delta = np.empty(spaces[0].dist.shape)
+    firsts = range(0, n, width)
+    searches = deque()
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+        for i in range(len(firsts) + ahead):
+            if i < len(firsts):
+                buffers = spaces[i % len(spaces)]
+                args = (A, unit[:, firsts[i] : firsts[i] + width], buffers)
+                search = pool.submit(hop_distances, *args) if threaded else hop_distances(*args)
+                searches.append((search, buffers))
+            if i >= ahead:
+                search, buffers = searches.popleft()
+                dist, sigma = search.result() if threaded else search
+                yield _block_scores(A, dist, sigma, buffers, delta)
 
 
 def _path_scores(g: Graph):

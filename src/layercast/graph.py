@@ -143,11 +143,17 @@ class LayeredView:
 def product_into(A, x, out):
     """``A @ x`` for CSR ``A``, written into the C-contiguous float64 ``out``.
 
-    A dense ``x`` goes through scipy's own kernel for ``A @ x``
-    (``csr_matvec`` for a vector, ``csr_matvecs`` for a block), so the
-    result is the same bytes; a scipy sparse ``x`` gives a sparse product,
-    densified into ``out``.  Both kernels add into ``out``, so it is zeroed
-    first and may hold anything before the call.  Returns ``out``.
+    A dense ``x`` goes through the kernel scipy's ``A @ x`` picks for it:
+    ``csr_matvec`` for a vector or a single column, ``csr_matvecs`` for a
+    wider block.  So the result is the same bytes.  A scipy sparse ``x``
+    gives a sparse product, densified into ``out``.  Both kernels add into
+    ``out``, so it is zeroed first and may hold anything before the call.
+    Returns ``out``.
+
+    The kernels are scipy's private ``scipy.sparse._sparsetools``, and the
+    equality with ``A @ x`` was checked on scipy 1.17.1 only;
+    ``tests/test_traversal.py::TestProductInto`` fails if a scipy release
+    moves them or their bytes stop matching ``A @ x``.
     """
     rows, cols = A.shape
     # the kernels write through out's memory unchecked: wrong shape or layout
@@ -160,8 +166,8 @@ def product_into(A, x, out):
     # imported here: scipy.sparse loads on first use, not with the package
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
-    if x.ndim == 1:
-        csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
+    if x.ndim == 1 or x.shape[1] == 1:
+        csr_matvec(rows, cols, A.indptr, A.indices, A.data, x.ravel(), out.ravel())
     else:
         csr_matvecs(rows, cols, x.shape[1], A.indptr, A.indices, A.data, x.ravel(), out.ravel())
     return out
@@ -178,7 +184,7 @@ class SearchBuffers:
     frontier and the next) are free for the caller.
     """
 
-    __slots__ = ("dist", "sigma", "masks", "products", "_views")
+    __slots__ = ("dist", "sigma", "masks", "products")
 
     def __init__(self, shape) -> None:
         shape = tuple(shape)
@@ -186,24 +192,23 @@ class SearchBuffers:
         self.sigma = np.empty(shape)
         self.masks = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
         self.products = (np.empty(shape), np.empty(shape))
-        self._views = {shape: (self.dist, self.sigma, self.masks, self.products)}
 
     def shaped(self, shape):
-        """``(dist, sigma, masks, products)`` as views of ``shape``, made once per shape."""
-        views = self._views.get(shape)
-        if views is None:
-            size = math.prod(shape)
+        """``(dist, sigma, masks, products)`` as arrays of ``shape``: the buffers
+        themselves in their own shape, prefix views of them otherwise."""
+        if shape == self.dist.shape:
+            return self.dist, self.sigma, self.masks, self.products
+        size = math.prod(shape)
 
-            def view(a):
-                return a.reshape(-1)[:size].reshape(shape)
+        def view(a):
+            return a.reshape(-1)[:size].reshape(shape)
 
-            views = self._views[shape] = (
-                view(self.dist),
-                view(self.sigma),
-                tuple(map(view, self.masks)),
-                tuple(map(view, self.products)),
-            )
-        return views
+        return (
+            view(self.dist),
+            view(self.sigma),
+            tuple(map(view, self.masks)),
+            tuple(map(view, self.products)),
+        )
 
 
 def hop_distances(A, frontier, buffers=None):
