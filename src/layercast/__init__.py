@@ -49,6 +49,7 @@ from .graph import (
     layer_from_sources,
     load_edge_list,
     parse_edge_list,
+    prefix_layerings,
     save_edge_list,
 )
 # the three *_preset names stay because the benchmark's workloads call them

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, as_integer
 from .graph import Graph, SearchBuffers, hop_distances, product_into
 
 
@@ -309,6 +309,7 @@ def select_seeds(g: Graph, kind: CentralityKind, k: int, rng_seed=None) -> np.nd
     therefore requires ``rng_seed``.
     """
     kind = CentralityKind(kind)
+    k = as_integer("k", k)
     if not 0 <= k <= g.node_count:
         raise InputError(f"k must be in [0, {g.node_count}], got {k}")
     if kind is CentralityKind.RANDOM:

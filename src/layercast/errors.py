@@ -33,6 +33,14 @@ class DegenerateSampleError(InputError):
     """A statistical sample carries no usable signal (e.g. all-zero differences)."""
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as a Python int; :class:`InputError` naming ``name`` unless it
+    is an integer (``200.5``, ``1e3``, NaN and strings are not)."""
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_int_fields(params) -> None:
     """Make every ``int`` field of the frozen dataclass ``params`` a Python int.
 
@@ -42,10 +50,8 @@ def check_int_fields(params) -> None:
     """
     for field in dataclasses.fields(params):
         if field.type in (int, "int"):  # annotations may be postponed
-            value = getattr(params, field.name)
-            if not isinstance(value, numbers.Integral):
-                raise InputError(f"{field.name} must be an integer, got {value!r}")
-            object.__setattr__(params, field.name, int(value))
+            value = as_integer(field.name, getattr(params, field.name))
+            object.__setattr__(params, field.name, value)
 
 
 def check_unit_interval(params, *names) -> None:

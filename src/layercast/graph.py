@@ -8,6 +8,7 @@ iteration order is deterministic everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,33 +40,34 @@ class Graph:
         if not isinstance(edge_list, np.ndarray):
             edge_list = list(edge_list)
         e = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+        n = self.node_count
+        # one key row * n + col per edge, in (lo, hi) order; sorted, then
+        # deduplicated by comparing neighbours
+        key = np.empty(0, dtype=np.int64)
         if e.size:
-            if e.min() < 0 or e.max() >= node_count:
+            if e.min() < 0 or e.max() >= n:
                 raise InputError(
-                    f"edge endpoint out of range [0, {node_count}): "
+                    f"edge endpoint out of range [0, {n}): "
                     f"min={e.min()}, max={e.max()}"
                 )
             lo = e.min(axis=1)
             hi = e.max(axis=1)
             keep = lo != hi  # drop self-loops
-            # one key per edge, in (lo, hi) order: hi < node_count
-            key = np.unique(lo[keep] * node_count + hi[keep])
-            e = np.stack([key // node_count, key % node_count], axis=1)
-        else:
-            e = np.empty((0, 2), dtype=np.int64)
-        self.edges = e
+            key = np.sort(lo[keep] * n + hi[keep])
+            first = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            key = key[first]
+        # an edge needs n >= 1, so n = 0 leaves key empty and divides nothing
+        lo, hi = (key // n, key % n) if key.size else (key, key)
+        self.edges = np.stack([lo, hi], axis=1)
         self.edges.setflags(write=False)
 
-        counts = np.bincount(e.ravel(), minlength=node_count) if e.size else np.zeros(
-            node_count, dtype=np.int64
-        )
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.lexsort((dst, src))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edges.ravel(), minlength=n), out=indptr[1:])
+        # both directions of every edge as CSR entry keys, in (row, col) order
+        entries = np.sort(np.concatenate([key, hi * n + lo]))
         self._indptr = indptr
-        self._indices = dst[order]
+        self._indices = entries % n if entries.size else entries
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
         self._csr = None
@@ -264,31 +266,91 @@ def unique_nodes(nodes) -> np.ndarray:
     """The distinct node ids of ``nodes``, ascending, as int64.
 
     An ndarray is used as it is; a list, set or other iterable is listed
-    first.
+    first.  Ids must be integers: a float, string or bool raises
+    :class:`InputError` naming it, rather than being cast to a node.
     """
     if not isinstance(nodes, np.ndarray):
         nodes = list(nodes)
-    return np.unique(np.asarray(nodes, dtype=np.int64))
+    arr = np.asarray(nodes)
+    if arr.size and arr.dtype.kind not in "iu":
+        items = nodes if isinstance(nodes, list) else arr.ravel().tolist()
+        bad = next(
+            (v for v in items if isinstance(v, bool) or not isinstance(v, numbers.Integral)),
+            items[0],
+        )
+        raise InputError(f"node ids must be integers, got {bad!r}")
+    return np.unique(arr.astype(np.int64, copy=False))
+
+
+def layered_view(layer_of) -> LayeredView:
+    """The :class:`LayeredView` of an int64 hop-distance vector (-1 unreached).
+
+    Takes ``layer_of`` over and makes it read-only; its distance-0 nodes are
+    the sources.
+    """
+    reached = np.flatnonzero(layer_of >= 0)
+    depth = layer_of[reached]
+    # stable: each layer keeps ascending node order
+    by_layer = reached[np.argsort(depth, kind="stable")]
+    by_layer.setflags(write=False)  # and so every layer, a view of it
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    layers = tuple(by_layer[start:end] for start, end in zip([0, *ends], ends))
+    layer_of.setflags(write=False)
+    return LayeredView(sources=layers[0], layer_of=layer_of, layers=layers)
+
+
+def _checked_nodes(g: Graph, nodes, what: str) -> np.ndarray:
+    """:func:`unique_nodes` of a non-empty ``nodes``, all in ``[0, node_count)``."""
+    src = unique_nodes(nodes)
+    if src.size == 0:
+        raise InputError(f"{what} must be non-empty")
+    if src[0] < 0 or src[-1] >= g.node_count:
+        raise InputError(f"source index out of range [0, {g.node_count})")
+    return src
 
 
 def layer_from_sources(g: Graph, sources) -> LayeredView:
     """Multi-source BFS: layer = hop distance to the nearest source."""
-    src = unique_nodes(sources)
-    if src.size == 0:
-        raise InputError("source set must be non-empty")
-    if src.min() < 0 or src.max() >= g.node_count:
-        raise InputError(f"source index out of range [0, {g.node_count})")
-
+    src = _checked_nodes(g, sources, "source set")
     frontier = np.zeros(g.node_count)
     frontier[src] = 1.0
     layer_of, _ = hop_distances(g.to_csr(), frontier)
-    reached = np.flatnonzero(layer_of >= 0)
-    # stable: each layer keeps ascending node order
-    by_layer = reached[np.argsort(layer_of[reached], kind="stable")]
-    by_layer.setflags(write=False)  # and so every layer, a view of it
-    layers = tuple(np.split(by_layer, np.cumsum(np.bincount(layer_of[reached]))[:-1]))
-    layer_of.setflags(write=False)
-    return LayeredView(sources=layers[0], layer_of=layer_of, layers=layers)
+    return layered_view(layer_of)
+
+
+#: Ranked nodes :func:`prefix_layerings` searches per :func:`hop_distances`.
+_PREFIX_WIDTH = 16
+
+
+def prefix_layerings(g: Graph, order):
+    """Yield ``layer_from_sources(g, order[:k])`` for k = 1, 2, ..., len(order).
+
+    A multi-source hop distance is the minimum of the sources' own, so the
+    view at k is the running minimum of the first k nodes' distances.  The
+    nodes are searched ``_PREFIX_WIDTH`` one-hot columns at a time, one
+    :func:`hop_distances` per block, as the views are asked for; between
+    blocks only the block's (n, width) int64 distances are kept.
+    """
+    order = np.asarray(order)
+    _checked_nodes(g, order, "node order")
+    A = g.to_csr()
+    running = None
+    for lo in range(0, len(order), _PREFIX_WIDTH):
+        block = order[lo : lo + _PREFIX_WIDTH]
+        frontier = np.zeros((g.node_count, len(block)))
+        frontier[block, np.arange(len(block))] = 1.0
+        dist = hop_distances(A, frontier)[0]  # the path counts are dropped here
+        del frontier
+        # as uint64 an unreached -1 is the largest value, so the minimum
+        # keeps a node unreached only while every source leaves it so
+        u = dist.view(np.uint64)
+        if running is not None:
+            np.minimum(u[:, 0], running, out=u[:, 0])
+        np.minimum.accumulate(u, axis=1, out=u)
+        for j in range(len(block)):
+            yield layered_view(dist[:, j].copy())
+        running = u[:, -1].copy()
+        del dist, u
 
 
 def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) -> int:
@@ -360,8 +422,9 @@ def triangle_index(g: Graph):
         n, cols = g.node_count, g._indices
         idx = np.int32 if len(cols) < 2**31 else np.int64
         rows = np.repeat(np.arange(n), g.degrees)
-        # entries by (col, row): by symmetry, the k-th is the reverse of entry k
-        mirror = np.argsort(cols, kind="stable")
+        # entries by (col, row): by symmetry, the k-th is the reverse of entry
+        # k; the keys are unique, so any sort gives this one order
+        mirror = np.argsort(cols * n + rows)
         fwd = np.flatnonzero(rows < cols)
         count, head = 0, [np.empty((3, 0), dtype=idx)]
         for found in _closed_wedges(g, rows, fwd):

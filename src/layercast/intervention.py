@@ -18,8 +18,8 @@ import numpy as np
 
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread
-from .errors import ContractError, InputError, check_unit_interval, failing_at
-from .graph import Graph, LayeredView, layer_from_sources, unique_nodes
+from .errors import ContractError, InputError, as_integer, check_unit_interval, failing_at
+from .graph import Graph, LayeredView, layer_from_sources, prefix_layerings, unique_nodes
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,13 @@ def run_false_process(g: Graph, false_creators, params: CombatParams) -> FalsePr
 
 
 def run_intervention(
-    g: Graph, false_creators, true_creators, params: CombatParams, *, false_process=None
+    g: Graph,
+    false_creators,
+    true_creators,
+    params: CombatParams,
+    *,
+    false_process=None,
+    true_layers=None,
 ) -> CombatState:
     """Run the competing diffusion of false and true information.
 
@@ -119,7 +125,10 @@ def run_intervention(
     ``false_process``, when given, is :func:`run_false_process` for the same
     graph, false creators and false transmission probability, and is used
     instead of spreading the false belief again; a mismatched one raises
-    :class:`ContractError`.
+    :class:`ContractError`.  ``true_layers``, when given, is the
+    :class:`LayeredView` of the true creators on this graph (such as one of
+    :func:`prefix_layerings`), used instead of searching them again; one
+    from other creators raises :class:`ContractError`.
     """
     if false_process is None:
         false_process = run_false_process(g, false_creators, params)
@@ -130,7 +139,10 @@ def run_intervention(
             raise ContractError(
                 "false_process was spread with another false transmission probability"
             )
-    true_lv = layer_from_sources(g, true_creators)
+    if true_layers is None:
+        true_layers = layer_from_sources(g, true_creators)
+    elif not np.array_equal(true_layers.sources, unique_nodes(true_creators)):
+        raise ContractError("true_layers was searched from other true creators")
     false_lv, p_if = false_process.layers, false_process.p_if
 
     f_layer = false_lv.layer_of
@@ -139,12 +151,12 @@ def run_intervention(
     def stop(L):
         return np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td
 
-    p_it, _, blocked = _spread(g, true_lv, params.true_transmission_prob, stop)
+    p_it, _, blocked = _spread(g, true_layers, params.true_transmission_prob, stop)
     return CombatState(
         p_if=p_if,
         p_it=p_it,
         false_layers=false_lv,
-        true_layers=true_lv,
+        true_layers=true_layers,
         blocked=blocked,
         labels=determine_combat_label(p_if, p_it, params.comparative_threshold),
     )
@@ -182,7 +194,9 @@ def minimum_true_seeds(
     monotone in k), or None when no k qualifies.  ``false_processes`` gives
     each graph its :func:`run_false_process`, spread once from its fixed false
     creators; the random strategy draws its true creators from seeds derived
-    per (graph, k) and requires ``rng_seed``.
+    per (graph, k) and requires ``rng_seed``.  A ranked strategy's creators
+    at k are its first k ranked nodes, so one :func:`prefix_layerings` per
+    graph layers them for every k.
 
     ``curve_out``, if given, receives ``(k, mean_protected, mean_infected)``
     for every k examined.  A :class:`LayercastError` is re-raised with its
@@ -196,18 +210,20 @@ def minimum_true_seeds(
     if len(false_processes) != len(graphs):
         raise InputError("one false process is required per graph")
     strategy = CentralityKind(strategy)
+    k_max = as_integer("k_max", k_max)
     if not 1 <= k_max <= min(g.node_count for g in graphs):
         raise InputError(f"k_max must be in [1, min node count], got {k_max}")
     if strategy is CentralityKind.RANDOM and rng_seed is None:
         raise InputError("the random strategy requires an explicit rng_seed")
 
-    orders = None
+    orders = prefixes = None
     if strategy is not CentralityKind.RANDOM:
         # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
         orders = []
         for i, g in enumerate(graphs):
             with failing_at(f"graph {i}: {strategy.value}"):
-                orders.append(top_k_by_score(compute_centrality(g, strategy).scores, g.node_count))
+                orders.append(top_k_by_score(compute_centrality(g, strategy).scores, k_max))
+        prefixes = [prefix_layerings(g, order) for g, order in zip(graphs, orders)]
 
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))
@@ -219,7 +235,10 @@ def minimum_true_seeds(
                 rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                 ic_t = rng.choice(g.node_count, size=k, replace=False)
             with failing_at(f"k={k}: graph {i}: {strategy.value}"):
-                state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
+                true_layers = None if prefixes is None else next(prefixes[i])
+                state = run_intervention(
+                    g, fp.layers.sources, ic_t, params, false_process=fp, true_layers=true_layers
+                )
             tally = np.bincount(state.labels, minlength=len(Label))
             protected[i] = tally[Label.PROTECTED]
             infected[i] = tally[Label.INFECTED]

@@ -62,8 +62,15 @@ class TestBuildGraph:
             (30, lambda: messy_edges(30, 200, 3)),
             (200, lambda: messy_edges(200, 3000, 4)),
             (50, lambda: messy_edges(50, 300, 5).astype(np.int32)),
+            (0, []),
+            (0, np.empty((0, 2), dtype=np.int64)),
+            (1, [(0, 0), (0, 0)]),
+            (4, [(1, 1), (3, 3), (0, 0)]),
+            (6, [(4, 2), (2, 4), (4, 2), (0, 5), (5, 0), (2, 4)]),
+            (5, [(4, 3), (3, 2), (2, 1), (1, 0), (4, 0)]),
         ],
-        ids=["n1-empty", "empty", "generator", "lists", "tuples", "array", "array-200", "int32"],
+        ids=["n1-empty", "empty", "generator", "lists", "tuples", "array", "array-200", "int32",
+             "n0", "n0-array", "n1-self-loops", "self-loops-only", "duplicates", "reversed"],
     )
     def test_construction_matches_row_unique(self, n, edges):
         g = build_graph(n, edges() if callable(edges) else edges)
@@ -112,6 +119,27 @@ class TestLayering:
     def test_invalid_source(self, chain4):
         with pytest.raises(InputError):
             layer_from_sources(chain4, [9])
+
+    @pytest.mark.parametrize(
+        "sources, named",
+        [
+            ([1.5], "1.5"),
+            (np.array([2.7]), "2.7"),
+            (["1"], "'1'"),
+            ([True], "True"),
+            ([0, 2.5], "2.5"),
+            (np.array([True, False]), "True"),
+        ],
+        ids=["float", "float-ndarray", "string", "bool", "mixed", "bool-ndarray"],
+    )
+    def test_non_integer_source_rejected(self, chain4, sources, named):
+        with pytest.raises(InputError, match=f"node ids must be integers, got {named}"):
+            layer_from_sources(chain4, sources)
+
+    @pytest.mark.parametrize("empty", [[], (), set(), np.array([]), np.array([], dtype=np.int64)])
+    def test_empty_sources_message(self, chain4, empty):
+        with pytest.raises(InputError, match="^source set must be non-empty$"):
+            layer_from_sources(chain4, empty)
 
     def test_unreachable_nodes_have_no_layer(self):
         g = build_graph(4, [(0, 1)])

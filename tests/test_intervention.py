@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,17 @@ from layercast import (
     compute_centrality,
     determine_combat_label,
     intervention_metrics,
+    layer_from_sources,
     minimum_true_seeds,
+    prefix_layerings,
     run_false_process,
     run_intervention,
     run_single_diffusion,
     top_k_by_score,
 )
+
+from layercast import graph as graph_module
+from layercast.graph import _PREFIX_WIDTH
 
 from oracles import interleaved_intervention, optimal_minimum_true_seeds, rational_intervention
 
@@ -213,6 +219,32 @@ class TestInvariants:
         for creators in ({0}, np.array([0, 0]), np.array([0], dtype=np.int32)):
             run_intervention(chain4, creators, [3], FIG45, false_process=false_process)
 
+    @pytest.mark.parametrize("td", [0.0, 0.4, 1.01])
+    def test_given_true_layers_are_bitwise_equal(self, random_graph_factory, td):
+        params = CombatParams(0.6, 0.4, td, 0.1)
+        for seed in range(3):
+            g, _ = random_graph_factory(seed=780 + seed, n=45, p=0.09)
+            rng = np.random.default_rng(seed)
+            ic_f = rng.choice(45, 3, replace=False)
+            order = rng.permutation(45)[: _PREFIX_WIDTH + 5]
+            for k, view in enumerate(prefix_layerings(g, order), 1):
+                fresh = run_intervention(g, ic_f, order[:k], params)
+                given = run_intervention(g, ic_f, order[:k], params, true_layers=view)
+                assert given.true_layers is view
+                for name in ("p_if", "p_it", "blocked", "labels"):
+                    a, b = getattr(fresh, name), getattr(given, name)
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes()
+
+    def test_true_layers_from_other_creators_rejected(self, chain4):
+        view = layer_from_sources(chain4, [1, 2])
+        for creators in ([1], [1, 3], [0, 1, 2], [3]):
+            with pytest.raises(ContractError, match="true_layers"):
+                run_intervention(chain4, [0], creators, FIG45, true_layers=view)
+        # the same creators in another order and with repeats are the same set
+        for creators in ([2, 1], {1, 2}, np.array([2, 1, 2], dtype=np.int32)):
+            run_intervention(chain4, [0], creators, FIG45, true_layers=view)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_rational_oracle(self, random_graph_factory, seed):
         g, edges = random_graph_factory(seed=500 + seed, n=16, p=0.2)
@@ -272,6 +304,46 @@ class TestMinimumTrueSeeds:
     def test_random_strategy_needs_seed(self, chain4):
         with pytest.raises(InputError):
             search_from_node_0(chain4, FIG45, CentralityKind.RANDOM, k_max=2)
+
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, "2", None])
+    def test_non_integer_k_max_rejected(self, chain4, k_max):
+        with pytest.raises(InputError, match="k_max must be an integer"):
+            search_from_node_0(chain4, FIG45, k_max=k_max)
+
+    @pytest.mark.parametrize(
+        "strategy, params",
+        [
+            # the searches stop at k 3 (one block) and k 21 (two blocks)
+            (CentralityKind.DEGREE, CombatParams(0.5, 0.4, 0.4, 0.1)),
+            (CentralityKind.DEGREE, CombatParams(0.5, 0.0, 0.5, 0.1)),
+            (CentralityKind.CLOSENESS, CombatParams(0.5, 0.0, 0.5, 0.1)),
+            (CentralityKind.RANDOM, CombatParams(0.5, 0.0, 0.5, 0.1)),
+        ],
+    )
+    def test_searches_per_graph(self, monkeypatch, random_graph_factory, strategy, params):
+        # a ranked strategy searches its growing creator sets one block of
+        # _PREFIX_WIDTH at a time; random draws fresh creators for every k
+        graphs = [random_graph_factory(seed=830 + i, n=40, p=0.12)[0] for i in range(3)]
+        false_processes = [run_false_process(g, [0, 1], params) for g in graphs]
+        searches = []
+        hop_distances = graph_module.hop_distances
+
+        def counting(A, frontier, buffers=None):
+            searches.append(frontier.shape)
+            return hop_distances(A, frontier, buffers)
+
+        monkeypatch.setattr(graph_module, "hop_distances", counting)
+        curve = []
+        minimum_true_seeds(
+            graphs, strategy, false_processes, params, 2 * _PREFIX_WIDTH + 3, rng_seed=3,
+            curve_out=curve,
+        )
+        k = len(curve)
+        assert k == (3 if params.true_transmission_prob else 21)
+        if strategy is CentralityKind.RANDOM:
+            assert len(searches) == len(graphs) * k
+        else:
+            assert len(searches) == len(graphs) * math.ceil(k / _PREFIX_WIDTH)
 
     @pytest.mark.parametrize(
         "strategy, n, p, params",

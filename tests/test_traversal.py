@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 from layercast import (
+    InputError,
     ErParams,
     betweenness_centrality,
     build_graph,
     closeness_centrality,
     gen_er,
     layer_from_sources,
+    prefix_layerings,
 )
 from layercast import centrality
 from layercast import graph as graph_module
 from layercast.centrality import _BLOCK, _path_scores
-from layercast.graph import SearchBuffers, hop_distances, product_into
+from layercast.graph import _PREFIX_WIDTH, SearchBuffers, hop_distances, product_into
 
 from oracles import dense_closeness, frontier_layering, per_source_betweenness
 
@@ -241,6 +243,68 @@ class TestSharedSweep:
                 scores[0] = 1.0
         assert closeness_centrality(g).scores is _path_scores(g)[0]
         assert betweenness_centrality(g).scores is _path_scores(g)[1]
+
+
+PREFIX_CASES = {
+    **CASES,
+    "n-width-minus-1": lambda: build_graph(_PREFIX_WIDTH - 1, random_graph(_PREFIX_WIDTH - 1, 0.2, 11)),
+    "n-width": lambda: build_graph(_PREFIX_WIDTH, random_graph(_PREFIX_WIDTH, 0.2, 12)),
+    "n-width-plus-1": lambda: build_graph(_PREFIX_WIDTH + 1, random_graph(_PREFIX_WIDTH + 1, 0.2, 13)),
+}
+
+
+def assert_same_view(got, want):
+    for a, b in [(got.layer_of, want.layer_of), (got.sources, want.sources),
+                 *zip(got.layers, want.layers)]:
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
+        assert a.tobytes() == b.tobytes()
+    assert len(got.layers) == len(want.layers)
+
+
+class TestPrefixLayerings:
+    """Each prefix of a node order is layered as one fresh multi-source search."""
+
+    @pytest.mark.parametrize("case", list(PREFIX_CASES))
+    def test_each_prefix_equals_a_fresh_layering(self, case):
+        g = PREFIX_CASES[case]()
+        n = g.node_count
+        rng = np.random.default_rng(len(case))
+        # every node, then a prefix that is no multiple of the block width
+        for order in (rng.permutation(n), rng.permutation(n)[: 2 * _PREFIX_WIDTH + 3]):
+            views = list(prefix_layerings(g, order))
+            assert len(views) == len(order)
+            for k, got in enumerate(views, 1):
+                assert_same_view(got, layer_from_sources(g, order[:k]))
+
+    def test_isolated_and_second_component_stay_unreached(self):
+        g = build_graph(7, [(0, 1), (1, 2), (4, 5)])
+        views = list(prefix_layerings(g, [2, 5, 6]))
+        assert views[0].layer_of.tolist() == [2, 1, 0, -1, -1, -1, -1]
+        assert views[1].layer_of.tolist() == [2, 1, 0, -1, 1, 0, -1]
+        assert views[2].layer_of.tolist() == [2, 1, 0, -1, 1, 0, 0]
+
+    def test_one_search_per_block_as_views_are_taken(self, monkeypatch):
+        calls = []
+
+        def counting(A, frontier, buffers=None):
+            calls.append(frontier.shape)
+            return hop_distances(A, frontier, buffers)
+
+        monkeypatch.setattr(graph_module, "hop_distances", counting)
+        n = 3 * _PREFIX_WIDTH
+        g = build_graph(n, random_graph(n, 0.1, 14))
+        views = prefix_layerings(g, np.arange(2 * _PREFIX_WIDTH + 3))
+        assert calls == []
+        for _ in range(_PREFIX_WIDTH + 1):
+            next(views)
+        assert calls == [(n, _PREFIX_WIDTH), (n, _PREFIX_WIDTH)]
+        assert len(list(views)) == _PREFIX_WIDTH + 2
+        assert calls == [(n, _PREFIX_WIDTH), (n, _PREFIX_WIDTH), (n, 3)]
+
+    @pytest.mark.parametrize("order", [[], [4], [-1], [1.5]])
+    def test_bad_order_rejected(self, chain4, order):
+        with pytest.raises(InputError):
+            next(prefix_layerings(chain4, order))
 
 
 class TestBitwiseAgainstReplacedLoops:
