@@ -20,6 +20,7 @@ from .diffusion import (
     DiffusionState,
     Label,
     diffusion_metrics,
+    label_counts,
     label_nodes,
     run_single_diffusion,
     transmission_factor,

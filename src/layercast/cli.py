@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .centrality import CentralityKind, compute_centrality, select_seeds
-from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
+from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
 from .errors import ContractError, GenerationError, InputError, LayercastError, NumericError
 from .generators import ErParams, GaussianPartitionParams, LfrParams
 from .graph import format_edge_list, load_edge_list
@@ -133,7 +133,7 @@ def _cmd_diffuse(args) -> int:
     metrics = {
         "iterations": iterations,
         "sum_p_i": sum_p_i,
-        "infected_count": int(np.count_nonzero(state.labels == Label.INFECTED)),
+        "infected_count": label_counts(state.labels)[Label.INFECTED],
     }
     _emit_run(lines, metrics, args)
     return 0

@@ -26,6 +26,11 @@ class Label(enum.IntEnum):
     PROTECTED = 2
 
 
+def label_counts(labels) -> list:
+    """How many nodes carry each :class:`Label`, as Python ints indexed by it."""
+    return np.bincount(labels, minlength=len(Label)).tolist()
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Transmission probability P and believer threshold T."""

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, the config field checks, and failure context."""
+"""Exception types shared across the package, the config field checks, failure context
+and the one reader of input files."""
 
 import contextlib
 import dataclasses
 import numbers
+from pathlib import Path
 
 
 class LayercastError(Exception):
@@ -74,3 +76,17 @@ def failing_at(where: str):
     except LayercastError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
+
+
+def read_text(path, what: str, encoding: str = "ascii") -> str:
+    """The text of the ``what`` file at ``path``, decoded from ``encoding``.
+
+    A missing or undecodable file raises :class:`InputError` naming the path.
+    Line endings are kept as they are in the file.
+    """
+    try:
+        return Path(path).read_bytes().decode(encoding)
+    except FileNotFoundError:
+        raise InputError(f"no such {what} file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} file {path} is not {encoding} text: {exc}") from None

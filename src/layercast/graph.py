@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, read_text
 
 
 class Graph:
@@ -262,26 +262,6 @@ def hop_distances(A, frontier, buffers=None):
     return dist, sigma
 
 
-def unique_nodes(nodes) -> np.ndarray:
-    """The distinct node ids of ``nodes``, ascending, as int64.
-
-    An ndarray is used as it is; a list, set or other iterable is listed
-    first.  Ids must be integers: a float, string or bool raises
-    :class:`InputError` naming it, rather than being cast to a node.
-    """
-    if not isinstance(nodes, np.ndarray):
-        nodes = list(nodes)
-    arr = np.asarray(nodes)
-    if arr.size and arr.dtype.kind not in "iu":
-        items = nodes if isinstance(nodes, list) else arr.ravel().tolist()
-        bad = next(
-            (v for v in items if isinstance(v, bool) or not isinstance(v, numbers.Integral)),
-            items[0],
-        )
-        raise InputError(f"node ids must be integers, got {bad!r}")
-    return np.unique(arr.astype(np.int64, copy=False))
-
-
 def layered_view(layer_of) -> LayeredView:
     """The :class:`LayeredView` of an int64 hop-distance vector (-1 unreached).
 
@@ -300,8 +280,24 @@ def layered_view(layer_of) -> LayeredView:
 
 
 def _checked_nodes(g: Graph, nodes, what: str) -> np.ndarray:
-    """:func:`unique_nodes` of a non-empty ``nodes``, all in ``[0, node_count)``."""
-    src = unique_nodes(nodes)
+    """The distinct node ids of ``nodes``, ascending, as int64.
+
+    An ndarray is used as it is; a list, set or other iterable is listed
+    first.  ``nodes`` must be non-empty and its ids integers in ``[0,
+    node_count)``: a float, string or bool raises :class:`InputError`
+    naming it, rather than being cast to a node.
+    """
+    if not isinstance(nodes, np.ndarray):
+        nodes = list(nodes)
+    arr = np.asarray(nodes)
+    if arr.size and arr.dtype.kind not in "iu":
+        items = nodes if isinstance(nodes, list) else arr.ravel().tolist()
+        bad = next(
+            (v for v in items if isinstance(v, bool) or not isinstance(v, numbers.Integral)),
+            items[0],
+        )
+        raise InputError(f"node ids must be integers, got {bad!r}")
+    src = np.unique(arr.astype(np.int64, copy=False))
     if src.size == 0:
         raise InputError(f"{what} must be non-empty")
     if src[0] < 0 or src[-1] >= g.node_count:
@@ -515,8 +511,4 @@ def save_edge_list(g: Graph, path) -> None:
 
 
 def load_edge_list(path) -> Graph:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_edge_list(fh.read())
-    except FileNotFoundError:
-        raise InputError(f"no such edge-list file: {path}") from None
+    return parse_edge_list(read_text(path, "edge-list"))

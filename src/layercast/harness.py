@@ -29,8 +29,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .centrality import CentralityKind, select_seeds
-from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
-from .errors import DegenerateSampleError, InputError, check_int_fields, failing_at
+from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
+from .errors import DegenerateSampleError, InputError, check_int_fields, failing_at, read_text
 from .generators import (
     ErParams,
     GaussianPartitionParams,
@@ -253,7 +253,7 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
             with failing_at(f"graph {graph_index}: {strategy.value}"):
                 ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
                 state = run_single_diffusion(g, ic, point.model)
-            infected = int(np.count_nonzero(state.labels == Label.INFECTED))
+            infected = label_counts(state.labels)[Label.INFECTED]
             out[strategy.value] = dict(
                 zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
             )
@@ -263,7 +263,7 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
         for strategy in point.strategies:
             with failing_at(f"graph {graph_index}: {strategy.value}"):
                 ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
-                state = run_intervention(g, fp.layers.sources, ic_t, point.model, false_process=fp)
+                state = run_intervention(g, fp, ic_t, point.model)
             out[strategy.value] = dict(zip(COMBAT_METRICS, intervention_metrics(state)))
     return out
 
@@ -517,10 +517,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such config file: {path}") from None
+        data = json.loads(read_text(path, "config", "utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"config file is not valid JSON: {exc}") from None
     return config_from_dict(data)
@@ -587,8 +584,7 @@ def _csv_cell(text: str):
 def read_records(path, format: str = "csv"):
     """Re-import exported records (CSV or JSON) as MetricRecord lists."""
     if format == "csv":
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            header, *rows = csv.reader(fh)
+        header, *rows = csv.reader(io.StringIO(read_text(path, "records"), newline=""))
         return [
             MetricRecord(
                 strategy, int(index), _csv_cell(sweep), dict(zip(header[3:], map(_csv_cell, values)))
@@ -596,6 +592,5 @@ def read_records(path, format: str = "csv"):
             for strategy, index, sweep, *values in rows
         ]
     if format == "json":
-        with open(path, "r", encoding="ascii") as fh:
-            return [MetricRecord(**r) for r in json.load(fh)["records"]]
+        return [MetricRecord(**r) for r in json.loads(read_text(path, "records"))["records"]]
     raise InputError(f"format must be 'csv' or 'json', got {format!r}")

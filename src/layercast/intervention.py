@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
-from .diffusion import Label, _spread
+from .diffusion import Label, _spread, label_counts
 from .errors import ContractError, InputError, as_integer, check_unit_interval, failing_at
-from .graph import Graph, LayeredView, layer_from_sources, prefix_layerings, unique_nodes
+from .graph import Graph, LayeredView, layer_from_sources, prefix_layerings
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ class FalseProcess:
     """The false spread of a combat run, computed once per graph and creator set.
 
     The false process never reads the true one, so every true-creator set on
-    the same graph can reuse it.  ``p_if`` is read-only because it is shared.
+    the same graph can reuse it: :func:`run_intervention` takes it in place of
+    the false creators.  ``p_if`` is read-only because it is shared.
     """
 
     layers: LayeredView
@@ -99,15 +100,7 @@ def run_false_process(g: Graph, false_creators, params: CombatParams) -> FalsePr
     return FalseProcess(layers=lv, p_if=p_if, transmission_prob=params.false_transmission_prob)
 
 
-def run_intervention(
-    g: Graph,
-    false_creators,
-    true_creators,
-    params: CombatParams,
-    *,
-    false_process=None,
-    true_layers=None,
-) -> CombatState:
+def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams) -> CombatState:
     """Run the competing diffusion of false and true information.
 
     On the shared timeline, step t updates true layer t - 1 and then false
@@ -122,27 +115,29 @@ def run_intervention(
     halts, while layer L updates, exactly the nodes in
     ``np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td``.
 
-    ``false_process``, when given, is :func:`run_false_process` for the same
-    graph, false creators and false transmission probability, and is used
-    instead of spreading the false belief again; a mismatched one raises
-    :class:`ContractError`.  ``true_layers``, when given, is the
-    :class:`LayeredView` of the true creators on this graph (such as one of
-    :func:`prefix_layerings`), used instead of searching them again; one
-    from other creators raises :class:`ContractError`.
+    ``false_creators`` is node ids or their :func:`run_false_process` on this
+    graph, ``true_creators`` node ids or their :class:`LayeredView` on this
+    graph (such as one of :func:`prefix_layerings`); a given object is used
+    as it is, not spread or searched again.  It is checked only for its size
+    and, a false process, for its false transmission probability: one from a
+    graph of another node count, or spread with another P_F, raises
+    :class:`ContractError`.
     """
-    if false_process is None:
+    false_process = false_creators
+    if not isinstance(false_process, FalseProcess):
         false_process = run_false_process(g, false_creators, params)
-    else:
-        if not np.array_equal(false_process.layers.sources, unique_nodes(false_creators)):
-            raise ContractError("false_process was spread from other false creators")
-        if false_process.transmission_prob != params.false_transmission_prob:
-            raise ContractError(
-                "false_process was spread with another false transmission probability"
-            )
-    if true_layers is None:
+    elif false_process.transmission_prob != params.false_transmission_prob:
+        raise ContractError(
+            "the false process was spread with another false transmission probability"
+        )
+    true_layers = true_creators
+    if not isinstance(true_layers, LayeredView):
         true_layers = layer_from_sources(g, true_creators)
-    elif not np.array_equal(true_layers.sources, unique_nodes(true_creators)):
-        raise ContractError("true_layers was searched from other true creators")
+    for what, lv in (("false process", false_process.layers), ("true layering", true_layers)):
+        if len(lv.layer_of) != g.node_count:
+            raise ContractError(
+                f"the {what} covers {len(lv.layer_of)} nodes, the graph {g.node_count}"
+            )
     false_lv, p_if = false_process.layers, false_process.p_if
 
     f_layer = false_lv.layer_of
@@ -168,12 +163,12 @@ COMBAT_METRICS = ("sum_p_it", "infected", "susceptible", "protected")
 
 def intervention_metrics(state: CombatState):
     """(sum of p_it, infected count, susceptible count, protected count)."""
-    labels = state.labels
+    tally = label_counts(state.labels)
     return (
         math.fsum(state.p_it),
-        int(np.count_nonzero(labels == Label.INFECTED)),
-        int(np.count_nonzero(labels == Label.SUSCEPTIBLE)),
-        int(np.count_nonzero(labels == Label.PROTECTED)),
+        tally[Label.INFECTED],
+        tally[Label.SUSCEPTIBLE],
+        tally[Label.PROTECTED],
     )
 
 
@@ -216,30 +211,26 @@ def minimum_true_seeds(
     if strategy is CentralityKind.RANDOM and rng_seed is None:
         raise InputError("the random strategy requires an explicit rng_seed")
 
-    orders = prefixes = None
+    prefixes = None
     if strategy is not CentralityKind.RANDOM:
         # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
-        orders = []
+        prefixes = []
         for i, g in enumerate(graphs):
             with failing_at(f"graph {i}: {strategy.value}"):
-                orders.append(top_k_by_score(compute_centrality(g, strategy).scores, k_max))
-        prefixes = [prefix_layerings(g, order) for g, order in zip(graphs, orders)]
+                order = top_k_by_score(compute_centrality(g, strategy).scores, k_max)
+            prefixes.append(prefix_layerings(g, order))
 
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))
         infected = np.empty(len(graphs))
         for i, (g, fp) in enumerate(zip(graphs, false_processes)):
-            if orders is not None:
-                ic_t = orders[i][:k]
-            else:
-                rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
-                ic_t = rng.choice(g.node_count, size=k, replace=False)
             with failing_at(f"k={k}: graph {i}: {strategy.value}"):
-                true_layers = None if prefixes is None else next(prefixes[i])
-                state = run_intervention(
-                    g, fp.layers.sources, ic_t, params, false_process=fp, true_layers=true_layers
-                )
-            tally = np.bincount(state.labels, minlength=len(Label))
+                if prefixes is not None:
+                    ic_t = next(prefixes[i])
+                else:
+                    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
+                    ic_t = rng.choice(g.node_count, size=k, replace=False)
+                tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
             protected[i] = tally[Label.PROTECTED]
             infected[i] = tally[Label.INFECTED]
         mean_prot = float(protected.mean())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InputError
+from .errors import DegenerateSampleError, InputError, read_text
 
 #: Statistic convention carried by every result.
 W_CONVENTION = "W+ = rank sum of positive differences (x - y)"
@@ -182,11 +182,7 @@ def load_engagement(path=None):
         resource = importlib.resources.files(__package__).joinpath("data/engagement.csv")
         text = resource.read_text(encoding="ascii")
     else:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            raise InputError(f"no such engagement file: {path}") from None
+        text = read_text(path, "engagement")
     reader = csv.DictReader(text.splitlines())
     required = {"news_id", "true", "false"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):

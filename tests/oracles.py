@@ -626,7 +626,7 @@ def per_k_minimum_true_seeds(graphs, strategy, false_processes, params, k_max, r
             else:
                 rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                 ic_t = rng.choice(g.node_count, size=k, replace=False)
-            state = run_intervention(g, fp.layers.sources, ic_t, params, false_process=fp)
+            state = run_intervention(g, fp, ic_t, params)
             _, inf, _, prot = intervention_metrics(state)
             protected[i] = prot
             infected[i] = inf

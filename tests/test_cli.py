@@ -145,6 +145,14 @@ class TestCentrality:
         assert code == 1
         assert err.startswith("error: input:")
 
+    def test_undecodable_graph_file(self, capsys, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_bytes("2 1\n0 1\n\u00e9\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "centrality", "--graph", str(path), "--measure", "degree")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: input: edge-list file {path} is not ascii text")
+        assert err.count("\n") == 1
+
 
 class TestDiffuse:
     def test_explicit_creators(self, capsys, chain_file):
@@ -286,6 +294,14 @@ class TestStats:
         assert result["median"] == 1587.5
         assert round(result["mean"]) == 2729
 
+    def test_undecodable_input_file(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"news_id,true,false\n1,5,\xc3\xa96\n")
+        code, out, err = run_cli(capsys, "stats", "summarize", "--input", str(path), "--column", "true")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: input: engagement file {path} is not ascii text")
+        assert err.count("\n") == 1
+
     def test_degenerate_sample_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("news_id,true,false\n1,5,5\n2,7,7\n")
@@ -320,6 +336,17 @@ class TestExperiment:
         assert summary["records"] == 8
         assert (out_dir / "results.csv").exists()
         assert (out_dir / "results.json").exists()
+
+    def test_undecodable_config_file(self, capsys, config_file, tmp_path):
+        Path(config_file).write_bytes(Path(config_file).read_bytes() + b"\xff")
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(
+            capsys, "experiment", "run", "--config", config_file, "--out", str(out_dir)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: input: config file {config_file} is not utf-8 text")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_deterministic_csv_across_runs(self, capsys, config_file, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -230,3 +230,10 @@ class TestEdgeListFormat:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_edge_list(tmp_path / "missing.edges")
+
+    def test_load_undecodable_file(self, tmp_path):
+        path = tmp_path / "caf\u00e9.edges"
+        path.write_bytes("2 1\n0 1 # caf\u00e9\n".encode("utf-8"))
+        with pytest.raises(InputError, match="edge-list file .* is not ascii text") as info:
+            load_edge_list(path)
+        assert str(path) in str(info.value)

@@ -433,6 +433,18 @@ class TestExportImport:
             export_results(res, path, fmt)
             assert read_records(path, fmt) == res.records
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unreadable_records_file(self, tmp_path, fmt):
+        missing = tmp_path / f"missing.{fmt}"
+        with pytest.raises(InputError, match=f"no such records file: {missing}"):
+            read_records(missing, fmt)
+        path = tmp_path / f"out.{fmt}"
+        export_results(run_experiment(tiny_single_config()), path, fmt)
+        path.write_bytes(path.read_bytes() + b"\x80")
+        with pytest.raises(InputError, match="records file .* is not ascii text") as info:
+            read_records(path, fmt)
+        assert str(path) in str(info.value)
+
     def test_csv_schema(self, tmp_path):
         res = run_experiment(tiny_single_config())
         path = tmp_path / "out.csv"
@@ -491,6 +503,13 @@ class TestConfigSerialization:
         incomplete.write_text(json.dumps({"mode": "single"}))
         with pytest.raises(InputError):
             load_config(incomplete)
+
+    def test_undecodable_config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"mode": "single\xff"}')
+        with pytest.raises(InputError, match="config file .* is not utf-8 text") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize(
         "field", ["generator", "ensemble_size", "mode", "strategies", "model", "master_rng_seed"]
@@ -783,11 +802,13 @@ class TestMinimumSeedBattery:
         original = intervention.run_intervention
         runs = []
 
-        def fail_at_graph_1_k_3(g, false_creators, true_creators, *args, **kwargs):
-            runs.append(len(true_creators))
-            if g.edges.tobytes() == graphs[1].edges.tobytes() and len(true_creators) == 3:
+        def fail_at_graph_1_k_3(g, false_creators, true_creators, params):
+            # a ranked search hands over a LayeredView, random the drawn nodes
+            k = len(getattr(true_creators, "sources", true_creators))
+            runs.append(k)
+            if g.edges.tobytes() == graphs[1].edges.tobytes() and k == 3:
                 raise error
-            return original(g, false_creators, true_creators, *args, **kwargs)
+            return original(g, false_creators, true_creators, params)
 
         monkeypatch.setattr(intervention, "run_intervention", fail_at_graph_1_k_3)
         with pytest.raises(NumericError) as info:

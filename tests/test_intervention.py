@@ -198,26 +198,30 @@ class TestInvariants:
             for _ in range(3):
                 ic_t = rng.choice(45, 4, replace=False)
                 fresh = run_intervention(g, ic_f, ic_t, params)
-                reused = run_intervention(g, ic_f, ic_t, params, false_process=false_process)
+                reused = run_intervention(g, false_process, ic_t, params)
+                assert reused.p_if is false_process.p_if
                 for name in ("p_if", "p_it", "blocked", "labels"):
                     a, b = getattr(fresh, name), getattr(reused, name)
                     assert a.dtype == b.dtype
                     assert a.tobytes() == b.tobytes()
 
-    def test_false_process_from_other_creators_rejected(self, chain4):
+    def test_false_process_with_other_pf_rejected(self, chain4):
         false_process = run_false_process(chain4, [0], FIG45)
-        with pytest.raises(ContractError):
-            run_intervention(chain4, [3], [1], FIG45, false_process=false_process)
-        with pytest.raises(ContractError):
-            run_intervention(chain4, [0, 3], [1], FIG45, false_process=false_process)
         other_pf = CombatParams(0.3, 0.4, 0.5, 0.1)
-        with pytest.raises(ContractError):
-            run_intervention(chain4, [0], [1], other_pf, false_process=false_process)
-        # the same creators in another order and with repeats are the same set
-        reused = run_intervention(chain4, [0, 0], [3], FIG45, false_process=false_process)
-        assert np.array_equal(reused.p_if, run_intervention(chain4, [0], [3], FIG45).p_if)
-        for creators in ({0}, np.array([0, 0]), np.array([0], dtype=np.int32)):
-            run_intervention(chain4, creators, [3], FIG45, false_process=false_process)
+        with pytest.raises(ContractError, match="false transmission probability"):
+            run_intervention(chain4, false_process, [1], other_pf)
+        # the other three parameters are the true process's and may differ
+        run_intervention(chain4, false_process, [1], CombatParams(0.5, 0.1, 0.9, 0.3))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_objects_from_a_graph_of_another_size_rejected(self, chain4, n):
+        other = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        false_process = run_false_process(other, [0], FIG45)
+        with pytest.raises(ContractError, match=f"false process covers {n} nodes, the graph 4"):
+            run_intervention(chain4, false_process, [3], FIG45)
+        view = layer_from_sources(other, [2])
+        with pytest.raises(ContractError, match=f"true layering covers {n} nodes, the graph 4"):
+            run_intervention(chain4, [0], view, FIG45)
 
     @pytest.mark.parametrize("td", [0.0, 0.4, 1.01])
     def test_given_true_layers_are_bitwise_equal(self, random_graph_factory, td):
@@ -229,21 +233,12 @@ class TestInvariants:
             order = rng.permutation(45)[: _PREFIX_WIDTH + 5]
             for k, view in enumerate(prefix_layerings(g, order), 1):
                 fresh = run_intervention(g, ic_f, order[:k], params)
-                given = run_intervention(g, ic_f, order[:k], params, true_layers=view)
+                given = run_intervention(g, ic_f, view, params)
                 assert given.true_layers is view
                 for name in ("p_if", "p_it", "blocked", "labels"):
                     a, b = getattr(fresh, name), getattr(given, name)
                     assert (a.dtype, a.shape) == (b.dtype, b.shape)
                     assert a.tobytes() == b.tobytes()
-
-    def test_true_layers_from_other_creators_rejected(self, chain4):
-        view = layer_from_sources(chain4, [1, 2])
-        for creators in ([1], [1, 3], [0, 1, 2], [3]):
-            with pytest.raises(ContractError, match="true_layers"):
-                run_intervention(chain4, [0], creators, FIG45, true_layers=view)
-        # the same creators in another order and with repeats are the same set
-        for creators in ([2, 1], {1, 2}, np.array([2, 1, 2], dtype=np.int32)):
-            run_intervention(chain4, [0], creators, FIG45, true_layers=view)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_rational_oracle(self, random_graph_factory, seed):
@@ -344,6 +339,28 @@ class TestMinimumTrueSeeds:
             assert len(searches) == len(graphs) * k
         else:
             assert len(searches) == len(graphs) * math.ceil(k / _PREFIX_WIDTH)
+
+    def test_ranked_search_checks_creators_once_per_graph(self, monkeypatch, random_graph_factory):
+        # the creator sets are checked (one np.unique each) where they are
+        # built, once per graph in prefix_layerings, and never again per run
+        params = CombatParams(0.5, 0.0, 0.5, 0.1)
+        graphs = [random_graph_factory(seed=840 + i, n=40, p=0.12)[0] for i in range(3)]
+        false_processes = [run_false_process(g, [0, 1], params) for g in graphs]
+        unique = np.unique
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        curve = []
+        minimum_true_seeds(
+            graphs, CentralityKind.DEGREE, false_processes, params, 2 * _PREFIX_WIDTH + 3,
+            curve_out=curve,
+        )
+        assert len(curve) == 21
+        assert calls == [2 * _PREFIX_WIDTH + 3] * len(graphs)
 
     @pytest.mark.parametrize(
         "strategy, n, p, params",

@@ -233,3 +233,10 @@ class TestEngagementData:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_engagement(tmp_path / "none.csv")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"news_id,true,false\n1,2,3 \xe9\n")
+        with pytest.raises(InputError, match="engagement file .* is not ascii text") as info:
+            load_engagement(path)
+        assert str(path) in str(info.value)
