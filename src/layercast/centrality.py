@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, as_integer
+from .errors import ContractError, InputError, NumericError, as_integer
 from .graph import Graph, SearchBuffers, hop_distances, product_into
 
 
@@ -94,21 +89,6 @@ def eigenvector_centrality(g: Graph) -> CentralityScores:
 #: memory is O(n * _BLOCK) instead of O(n^2).
 _BLOCK = 128
 
-#: Fewest nodes for which the sweep runs on two threads.  Measured for the
-#: search/backward-pass pipeline (``BENCH_14_threaded_rule.json``): with the
-#: second core free it takes 0.79 of the serial time at 512 nodes, and
-#: 1.25-1.8x at 128-256 nodes, where handing the GIL back and forth between
-#: short numpy passes costs more than the overlap gains.  Where another job
-#: holds the second core, it is slower at every size (1.04x at 512 and 1000).
-_THREADED_MIN_NODES = 4 * _BLOCK
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
 
 def _block_scores(A, dist, sigma, buffers, delta):
     """Distance sums, reach counts and Brandes dependencies of one searched block.
@@ -147,87 +127,41 @@ def _block_scores(A, dist, sigma, buffers, delta):
     return dist_sum, reach_count, delta
 
 
-def _sweep_blocks(A, n):
-    """:func:`_block_scores` of every source block of an n-node graph, in source order.
-
-    A block is one :func:`hop_distances` from a column slice of the sparse
-    identity, so its first hop is a sparse product.  The sweep is serial in
-    blocks of ``_BLOCK`` sources, unless the graph has at least
-    ``_THREADED_MIN_NODES`` nodes, two CPUs are usable and the caller is the
-    main thread (a battery's own worker threads already fill the cores).
-    Then blocks are ``_BLOCK // 2`` sources wide, and a worker thread
-    searches block i + 1 while this thread runs block i's backward pass.
-    Block i is searched in buffers i % 2, and it has been taken before block
-    i + 2 is submitted.
-
-    The buffers are allocated once per graph, none per block.  The serial
-    sweep holds one search's buffers and one ``delta``, n * ``_BLOCK``
-    entries each; the threaded sweep two searches' and one ``delta`` at half
-    the width, so a little less.  A block's ``delta`` is overwritten once
-    the next block is asked for.
-    """
-    from scipy.sparse import identity
-
-    unit = identity(n, format="csr")
-    threaded = (
-        n >= _THREADED_MIN_NODES
-        and threading.current_thread() is threading.main_thread()
-        and _usable_cpus() >= 2
-    )
-    ahead = int(threaded)  # blocks searched beyond the one in its backward pass
-    width = _BLOCK >> ahead
-    spaces = [SearchBuffers((n, min(n, width))) for _ in range(1 + ahead)]
-    delta = np.empty(spaces[0].dist.shape)
-    firsts = range(0, n, width)
-    searches = deque()
-    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-        for i in range(len(firsts) + ahead):
-            if i < len(firsts):
-                buffers = spaces[i % len(spaces)]
-                args = (A, unit[:, firsts[i] : firsts[i] + width], buffers)
-                search = pool.submit(hop_distances, *args) if threaded else hop_distances(*args)
-                searches.append((search, buffers))
-            if i >= ahead:
-                search, buffers = searches.popleft()
-                dist, sigma = search.result() if threaded else search
-                yield _block_scores(A, dist, sigma, buffers, delta)
-
-
 def _path_scores(g: Graph):
     """Closeness and betweenness scores of ``g`` from one sweep, built once.
 
-    Sources are searched in blocks (:func:`_sweep_blocks`), with one
-    :func:`hop_distances` per block.  Its distances give each source's
+    Sources are searched in blocks of ``_BLOCK``, each one
+    :func:`hop_distances` from a column slice of the sparse identity, so its
+    first hop is a sparse product.  Its distances give each source's
     distance sum and reach count, and Brandes' backward pass (Brandes 2001)
     over the same distances and path counts gives its dependencies, summed
-    in source order whatever the block width, so the scores are the same
-    bytes on one thread or two.  Level 1 is skipped: it would write only
-    each source's own dependency, which is excluded.  The two read-only
-    vectors are cached on the graph, 16 bytes per node; a measure asked for
-    alone still pays for both.
+    in source order.  Level 1 is skipped: it would write only each source's
+    own dependency, which is excluded.  One search's buffers and one
+    ``delta``, n * ``_BLOCK`` entries each, are allocated per graph.  Both
+    vectors go into the score cache; a measure asked for alone pays for both.
     """
-    if g._paths is None:
+    cache = g._scores
+    if CentralityKind.CLOSENESS not in cache or CentralityKind.BETWEENNESS not in cache:
+        from scipy.sparse import identity
+
         n = g.node_count
-        dist_sum = np.zeros(n)
-        reach_count = np.zeros(n)
-        bc = np.zeros(n)
-        first = 0
-        for block_sum, block_reach, delta in _sweep_blocks(g.to_csr(), n):
-            last = first + len(block_sum)
-            dist_sum[first:last] = block_sum
-            reach_count[first:last] = block_reach
-            for column in delta.T:
+        A = g.to_csr()
+        unit = identity(n, format="csr")
+        buffers = SearchBuffers((n, min(n, _BLOCK)))
+        delta = np.empty(buffers.dist.shape)
+        dist_sum, reach_count, bc = np.zeros((3, n))
+        for first in range(0, n, _BLOCK):
+            block = slice(first, first + _BLOCK)
+            dist, sigma = hop_distances(A, unit[:, block], buffers)
+            dist_sum[block], reach_count[block], deltas = _block_scores(A, dist, sigma, buffers, delta)
+            for column in deltas.T:
                 bc += column
-            first = last
         closeness = np.zeros(n)
         ok = dist_sum > 0  # empty when n <= 1, so n - 1 never divides
         r1 = reach_count - 1.0
         closeness[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
-        betweenness = bc / 2.0
-        closeness.setflags(write=False)
-        betweenness.setflags(write=False)
-        g._paths = closeness, betweenness
-    return g._paths
+        keep_scores(g, {CentralityKind.CLOSENESS: closeness, CentralityKind.BETWEENNESS: bc / 2.0})
+    return cache[CentralityKind.CLOSENESS], cache[CentralityKind.BETWEENNESS]
 
 
 def closeness_centrality(g: Graph) -> CentralityScores:
@@ -286,12 +220,25 @@ _DISPATCH = {
 }
 
 
+def keep_scores(g: Graph, scores, counts=None) -> None:
+    """Put ``scores`` ({kind: vector}) into ``g``'s score cache, read-only.  ``counts``,
+    the (nodes, edges) of the graph they came from, must be ``g``'s (ContractError)."""
+    if counts is not None and tuple(counts) != (g.node_count, g.edge_count):
+        raise ContractError(f"scores of a graph with (nodes, edges) = {tuple(counts)} given for {g!r}")
+    for kind, vector in scores.items():
+        vector.setflags(write=False)
+        g._scores[kind] = vector
+
+
 def compute_centrality(g: Graph, kind: CentralityKind) -> CentralityScores:
-    """Compute the named measure; the random baseline carries no scores."""
+    """The named measure's scores of ``g``, computed once and kept in the graph's
+    score cache (:func:`keep_scores`); the random baseline carries none."""
     kind = CentralityKind(kind)
     if kind is CentralityKind.RANDOM:
         raise InputError("the random strategy has no centrality scores")
-    return _DISPATCH[kind](g)
+    if kind not in g._scores:
+        keep_scores(g, {kind: _DISPATCH[kind](g).scores})
+    return CentralityScores(kind, g._scores[kind])
 
 
 def top_k_by_score(scores: np.ndarray, k: int) -> np.ndarray:

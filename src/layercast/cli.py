@@ -186,7 +186,7 @@ def _cmd_stats_summarize(args) -> int:
 
 def _cmd_experiment_run(args) -> int:
     config = harness.apply_scale(harness.load_config(args.config), args.scale)
-    result = harness.run_experiment(config, threads=args.threads)
+    result = harness.run_experiment(config, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     harness.export_results(result, out_dir / "results.csv", "csv")
@@ -339,7 +339,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--scale", choices=["desk", "paper"], default="paper",
                        help="desk shrinks node counts 5x and caps ensembles at 30 graphs")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--workers", type=int, help="processes ranking graphs (default: the usable CPUs)")
     p_run.set_defaults(handler=_cmd_experiment_run)
 
     return parser

@@ -21,15 +21,15 @@ class Graph:
 
     Instances are logically immutable and safe to share across threads.  Three
     derived caches, the scipy adjacency (:meth:`to_csr`), the triangle index
-    (:func:`triangle_index`) and the closeness and betweenness scores
-    (``centrality._path_scores``), are built on first use and read-only;
+    (:func:`triangle_index`) and the centrality scores
+    (``centrality.compute_centrality``), are built on first use and read-only;
     two threads racing on first use build identical values, and either one
     may be kept.  Use :func:`build_graph` to construct one from a raw edge
     list.
     """
 
     __slots__ = (
-        "node_count", "edges", "_indptr", "_indices", "_csr", "_triangles", "_paths",
+        "node_count", "edges", "_indptr", "_indices", "_csr", "_triangles", "_scores",
     )
 
     def __init__(self, node_count: int, edge_list) -> None:
@@ -72,7 +72,7 @@ class Graph:
         self._indices.setflags(write=False)
         self._csr = None
         self._triangles = None
-        self._paths = None
+        self._scores = {}
 
     @property
     def edge_count(self) -> int:

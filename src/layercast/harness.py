@@ -22,15 +22,19 @@ import functools
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .centrality import CentralityKind, select_seeds
+from .centrality import CentralityKind, compute_centrality, keep_scores, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
-from .errors import DegenerateSampleError, InputError, check_int_fields, failing_at, read_text
+from .errors import (
+    DegenerateSampleError, InputError, LayercastError, as_integer, check_int_fields, failing_at,
+    read_text,
+)
 from .generators import (
     ErParams,
     GaussianPartitionParams,
@@ -223,30 +227,85 @@ def _apply_sweep_value(config: ExperimentConfig, parameter: str, value):
     raise InputError(f"sweep parameter {parameter!r} is neither a generator nor a model field")
 
 
-def _graph(point: ExperimentConfig, master: int, sweep_index: int, graph_index: int):
-    """Ensemble member ``graph_index``: (graph, communities) from the graph stream."""
+def _graph(point: ExperimentConfig, sweep_index: int, graph_index: int, ranked=None):
+    """Ensemble member ``graph_index``: (graph, communities) from the graph stream,
+    holding the scores of ``ranked``, its future of :func:`_costly_scores`."""
     with failing_at(f"graph {graph_index}"):
-        return generate_graph(
-            point.generator, derive_seed(master, _STREAM_GRAPH, sweep_index, graph_index)
+        g, communities = generate_graph(
+            point.generator, derive_seed(point.master_rng_seed, _STREAM_GRAPH, sweep_index, graph_index)
         )
+        if ranked is not None:
+            keep_scores(g, *ranked.result())
+        return g, communities
 
 
-def _false_process(point: ExperimentConfig, g, master: int, sweep_index: int, graph_index: int):
+def _false_process(point: ExperimentConfig, g, sweep_index: int, graph_index: int):
     """The graph's false process, spread from creators drawn on the false-seed stream."""
-    rng = np.random.default_rng(derive_seed(master, _STREAM_FALSE_SEEDS, sweep_index, graph_index))
+    seed = derive_seed(point.master_rng_seed, _STREAM_FALSE_SEEDS, sweep_index, graph_index)
+    rng = np.random.default_rng(seed)
     ic_f = rng.choice(g.node_count, size=point.false_info_starter, replace=False)
     return run_false_process(g, ic_f, point.model)
 
 
-def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, master: int):
+#: The strategies whose ranking is worth a worker process.
+_COSTLY = frozenset(CentralityKind) - {CentralityKind.DEGREE, CentralityKind.RANDOM}
+
+
+def _usable_cpus() -> int:
+    # not every platform has sched_getaffinity
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _ranking_pool(workers, strategies, graph_count: int):
+    """A fork pool of min(``workers``, ``graph_count``) processes to rank on, or None.
+
+    The one rule for where ranking runs: the pool starts only when that count
+    is above 1, a costly strategy is ranked, the platform can fork and no other
+    thread is live (a fork copies their locks).  ``workers`` None means the
+    usable CPUs.  On exit, tasks not yet started are cancelled.
+    """
+    workers = _usable_cpus() if workers is None else as_integer("workers", workers)
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
+    pool = None
+    if min(workers, graph_count) > 1 and _COSTLY.intersection(strategies) and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            import scipy.sparse  # noqa: F401 (loaded once here, not in every worker)
+
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(min(workers, graph_count), mp_context=context)
+    try:
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _costly_scores(point: ExperimentConfig, sweep_index: int, graph_index: int, strategies):
+    """A worker's task: ``({kind: scores}, (node count, edge count))`` of one member,
+    ranked by its costly ``strategies`` in order up to the first
+    :class:`LayercastError`, which the calling process then meets itself."""
+    g, _ = _graph(point, sweep_index, graph_index)
+    scores = {}
+    with contextlib.suppress(LayercastError):
+        for kind in [s for s in strategies if s in _COSTLY]:
+            scores[kind] = compute_centrality(g, kind).scores
+    return scores, (g.node_count, g.edge_count)
+
+
+def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, ranked):
     """All strategy runs for one ensemble member (shared graph and false seeds).
 
     A :class:`LayercastError` from ranking or spreading names the graph and
     the strategy (or the false process) it stopped at.
     """
-    g, _ = _graph(point, master, sweep_index, graph_index)
+    g, _ = _graph(point, sweep_index, graph_index, ranked)
     # select_seeds reads the stream-2 seed only for the random strategy
-    strategy_seed = derive_seed(master, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
+    strategy_seed = derive_seed(point.master_rng_seed, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
     out = {}
     if point.mode == "single":
         for strategy in point.strategies:
@@ -259,7 +318,7 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
             )
     else:
         with failing_at(f"graph {graph_index}: false process"):
-            fp = _false_process(point, g, master, sweep_index, graph_index)
+            fp = _false_process(point, g, sweep_index, graph_index)
         for strategy in point.strategies:
             with failing_at(f"graph {graph_index}: {strategy.value}"):
                 ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
@@ -273,18 +332,15 @@ def _column(per_graph, strategy: CentralityKind, metric: str) -> np.ndarray:
     return np.array([row[strategy.value][metric] for row in per_graph], dtype=np.float64)
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run the battery described by the config.
 
     Graphs (and, in intervention mode, the random false creators) are shared
     across strategies within each ensemble member, so the per-strategy metric
-    columns form paired samples.  With ``threads > 1`` ensemble members run on
-    a thread pool; results merge in graph-index order, so the output is
-    independent of scheduling.
+    columns form paired samples.  Where :func:`_ranking_pool` opens a pool of
+    ``workers`` processes, they rank each graph by the costly strategies, and
+    this process takes those scores: the output is the same for any count.
     """
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
-    master = config.master_rng_seed
     sweep = config.sweep
     if sweep is None:
         points = [(None, config)]
@@ -296,48 +352,45 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     records = []
     p_values = []
-    for point_index, (sweep_value, point) in enumerate(points):
-        # a model-parameter sweep reuses one shared ensemble of graphs
-        run_one = functools.partial(
-            _run_one_graph, point, point_index if sweep_on_generator else 0, master=master
-        )
-        indices = range(point.ensemble_size)
-        # a failure names its sweep point, then its graph
-        with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
-            if threads == 1:
-                per_graph = [run_one(i) for i in indices]
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    per_graph = list(pool.map(run_one, indices))
-        records += [
-            MetricRecord(strategy.value, i, sweep_value, per_graph[i][strategy.value])
-            for strategy in point.strategies
-            for i in indices
-        ]
-        if CentralityKind.RANDOM not in point.strategies:
-            continue
-        for strategy in point.strategies:
-            if strategy is CentralityKind.RANDOM:
+    with _ranking_pool(workers, config.strategies, config.ensemble_size) as pool:
+        for point_index, (sweep_value, point) in enumerate(points):
+            # a model-parameter sweep reuses one shared ensemble of graphs
+            sweep_index = point_index if sweep_on_generator else 0
+            indices = range(point.ensemble_size)
+            ranked = [pool and pool.submit(_costly_scores, point, sweep_index, i, point.strategies)
+                      for i in indices]
+            # a failure names its sweep point, then its graph
+            with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
+                per_graph = [_run_one_graph(point, sweep_index, i, ranked[i]) for i in indices]
+            records += [
+                MetricRecord(strategy.value, i, sweep_value, per_graph[i][strategy.value])
+                for strategy in point.strategies
+                for i in indices
+            ]
+            if CentralityKind.RANDOM not in point.strategies:
                 continue
-            for metric in _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS:
-                try:
-                    res = compare_strategies(
-                        PairedSample(
-                            x=_column(per_graph, strategy, metric),
-                            y=_column(per_graph, CentralityKind.RANDOM, metric),
-                        ),
-                        METRIC_ALTERNATIVE[metric],
+            for strategy in point.strategies:
+                if strategy is CentralityKind.RANDOM:
+                    continue
+                for metric in _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS:
+                    try:
+                        res = compare_strategies(
+                            PairedSample(
+                                x=_column(per_graph, strategy, metric),
+                                y=_column(per_graph, CentralityKind.RANDOM, metric),
+                            ),
+                            METRIC_ALTERNATIVE[metric],
+                        )
+                        p, method = res.p_one_tailed, res.method
+                    except DegenerateSampleError:
+                        p, method = 1.0, "degenerate"
+                    p_values.append(
+                        PValueEntry(strategy.value, metric, sweep_value, p, method, method == "degenerate")
                     )
-                    p, method = res.p_one_tailed, res.method
-                except DegenerateSampleError:
-                    p, method = 1.0, "degenerate"
-                p_values.append(
-                    PValueEntry(strategy.value, metric, sweep_value, p, method, method == "degenerate")
-                )
 
     provenance = Provenance(
         config_hash=config_hash(config),
-        master_rng_seed=master,
+        master_rng_seed=config.master_rng_seed,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
     return ExperimentResult(config=config, records=records, p_values=p_values, provenance=provenance)
@@ -348,37 +401,36 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 def build_ensemble(config: ExperimentConfig):
     """The ensemble of (graph, communities) the config's battery runs on."""
-    return [_graph(config, config.master_rng_seed, 0, i) for i in range(config.ensemble_size)]
+    return [_graph(config, 0, i) for i in range(config.ensemble_size)]
 
 
-def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
+def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None, workers=None):
     """Minimum true-creator count per strategy for a complete intervention.
 
     Reuses the config's ensemble and false-creator draws so every strategy
     faces identical conditions; each graph's false process is spread once.
-    Returns ``{strategy name: k or None}``.  A :class:`LayercastError` from
-    a false process names its graph; one from the search names what
+    ``workers`` rank the graphs as in :func:`run_experiment`.  Returns
+    ``{strategy name: k or None}``.  A :class:`LayercastError` from a false
+    process names its graph; one from the search names what
     :func:`minimum_true_seeds` names.
     """
     if config.mode != "intervention":
         raise InputError("minimum_seed_battery requires an intervention config")
-    graphs = [g for g, _ in build_ensemble(config)]
+    strategies = [CentralityKind(s) for s in (strategies or config.strategies)]
+    with _ranking_pool(workers, strategies, config.ensemble_size) as pool:
+        indices = range(config.ensemble_size)
+        ranked = [pool and pool.submit(_costly_scores, config, 0, i, strategies) for i in indices]
+        graphs = [_graph(config, 0, i, ranked[i])[0] for i in indices]
     false_processes = []
     for i, g in enumerate(graphs):
         with failing_at(f"graph {i}: false process"):
-            false_processes.append(_false_process(config, g, config.master_rng_seed, 0, i))
-    out = {}
-    for strategy in (strategies or config.strategies):
-        strategy = CentralityKind(strategy)
-        out[strategy.value] = minimum_true_seeds(
-            graphs,
-            strategy,
-            false_processes,
-            config.model,
-            k_max,
-            rng_seed=config.master_rng_seed,
+            false_processes.append(_false_process(config, g, 0, i))
+    return {
+        strategy.value: minimum_true_seeds(
+            graphs, strategy, false_processes, config.model, k_max, rng_seed=config.master_rng_seed
         )
-    return out
+        for strategy in strategies
+    }
 
 
 # -- presets -------------------------------------------------------------------

@@ -428,13 +428,26 @@ class TestExperiment:
         assert code == 0
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
 
-    def test_threads_flag(self, capsys, config_file, tmp_path):
-        out_dir = tmp_path / "t"
-        code, _, _ = run_cli(
-            capsys, "experiment", "run", "--config", config_file, "--out", str(out_dir),
-            "--threads", "3",
+    def test_workers_flag(self, capsys, config_file, tmp_path):
+        # closeness is ranked on the workers when there are two
+        data = json.loads(Path(config_file).read_text())
+        data["strategies"] = ["closeness", "random"]
+        Path(config_file).write_text(json.dumps(data))
+        outputs = set()
+        for workers in ("1", "2"):
+            out_dir = tmp_path / workers
+            code, _, _ = run_cli(
+                capsys, "experiment", "run", "--config", config_file, "--out", str(out_dir),
+                "--workers", workers,
+            )
+            assert code == 0
+            outputs.add((out_dir / "results.csv").read_bytes())
+        assert len(outputs) == 1
+        code, out, err = run_cli(
+            capsys, "experiment", "run", "--config", config_file, "--out", str(tmp_path / "0"),
+            "--workers", "0",
         )
-        assert code == 0
+        assert (code, out, err) == (1, "", "error: input: workers must be >= 1, got 0\n")
 
 
 class TestErrorContract:
@@ -528,15 +541,15 @@ class TestErrorContract:
         )
 
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sweep_failure_names_the_point(self, capsys, tmp_path, threads):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_failure_names_the_point(self, capsys, tmp_path, workers):
         data = config_to_dict(PRESETS["sparse_er_single"])
         data["sweep"] = {"parameter": "edge_exist_prob", "values": [0.02, 0.0025]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(
             capsys, "experiment", "run", "--config", str(path), "--out", str(tmp_path / "out"),
-            "--scale", "desk", "--threads", threads,
+            "--scale", "desk", "--workers", workers,
         )
         assert (code, out) == (2, "")
         assert err == (
@@ -571,7 +584,8 @@ def loaded_after(code: str, module: str) -> bool:
 
 class TestStartup:
     """The CLI does not pay for scipy.stats unless a Wilcoxon test runs, nor
-    for scipy.sparse until a graph needs its adjacency matrix."""
+    for scipy.sparse until a graph needs its adjacency matrix, nor for
+    multiprocessing until a battery ranks on worker processes."""
 
     @STARTUP_CODE
     def test_scipy_stats_not_imported(self, code):
@@ -580,3 +594,7 @@ class TestStartup:
     @STARTUP_CODE
     def test_scipy_sparse_not_imported(self, code):
         assert not loaded_after(code, "scipy.sparse")
+
+    @STARTUP_CODE
+    def test_multiprocessing_not_imported(self, code):
+        assert not loaded_after(code, "multiprocessing")

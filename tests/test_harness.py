@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -181,11 +183,40 @@ class TestRunExperiment:
         b = records_to_csv_text(run_experiment(cfg))
         assert a == b
 
-    def test_threads_do_not_change_output(self):
-        cfg = tiny_single_config()
-        assert records_to_csv_text(run_experiment(cfg)) == records_to_csv_text(
-            run_experiment(cfg, threads=4)
+    @pytest.mark.parametrize("case", ["single", "intervention", "model-sweep"])
+    def test_workers_do_not_change_output(self, case):
+        costly = (
+            CentralityKind.EIGENVECTOR,
+            CentralityKind.CLOSENESS,
+            CentralityKind.BETWEENNESS,
+            CentralityKind.PAGERANK,
+            CentralityKind.RANDOM,
         )
+        if case == "single":
+            cfg = tiny_single_config(strategies=costly, ensemble_size=5)
+        else:
+            cfg = tiny_intervention_config(strategies=costly, ensemble_size=5)
+        if case == "model-sweep":
+            cfg = dataclasses.replace(cfg, sweep=SweepSpec("decisive_threshold", (0.3, 0.5)))
+        outputs = set()
+        for workers in (1, 2, None):
+            outputs.add(records_to_csv_text(run_experiment(cfg, workers=workers)))
+            assert multiprocessing.active_children() == []
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2"])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(InputError, match="workers"):
+            run_experiment(tiny_single_config(), workers=workers)
+
+    def test_worker_scores_of_another_graph_rejected(self):
+        from layercast.centrality import keep_scores
+
+        g, _ = generate_graph(ErParams(n=20, edge_exist_prob=0.2), 1)
+        scores = {CentralityKind.PAGERANK: np.full(20, 0.05)}
+        with pytest.raises(ContractError, match=r"\(nodes, edges\) = \(20, 0\)"):
+            keep_scores(g, scores, (20, 0))
+        assert g._scores == {}
 
     def test_pairing_independent_of_strategy_order(self):
         cfg = tiny_single_config(
@@ -249,7 +280,7 @@ class TestRunExperiment:
         cfg = tiny_single_config(
             strategies=(CentralityKind.CLOSENESS, CentralityKind.BETWEENNESS, CentralityKind.RANDOM)
         )
-        run_experiment(cfg)
+        run_experiment(cfg, workers=1)  # the searches counted are this process's
         # n = 60 is one block of sources per graph
         assert calls == [60] * cfg.ensemble_size
 
@@ -275,19 +306,20 @@ class TestRunExperiment:
         assert info.value is error
         assert str(error) == "graph 0: boom"
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_sweep_failure_names_the_point(self, threads):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_failure_names_the_point(self, workers):
         # the second point's graph 16 defeats the eigenvector iteration
         cfg = dataclasses.replace(
             preset("sparse_er_single"), sweep=SweepSpec("edge_exist_prob", (0.02, 0.0025))
         )
         with pytest.raises(NumericError) as info:
-            run_experiment(cfg, threads=threads)
+            run_experiment(cfg, workers=workers)
         assert str(info.value) == (
             "edge_exist_prob=0.0025: graph 16: eigenvector: "
             "eigenvector centrality did not converge in 1000 iterations"
         )
         assert info.value.last_iterate.shape == (200,)
+        assert multiprocessing.active_children() == []
 
     def test_generation_failure_names_graph_index(self):
         from layercast import GenerationError
@@ -312,15 +344,16 @@ class TestRunExperiment:
         with pytest.raises(GenerationError, match=r"^graph 0: infeasible: "):
             entry(cfg)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_ranking_failure_names_graph_and_strategy(self, threads):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ranking_failure_names_graph_and_strategy(self, workers):
         # the desk sparse-ER battery stops in eigenvector on its graph 21
         with pytest.raises(NumericError) as info:
-            run_experiment(preset("sparse_er_single"), threads=threads)
+            run_experiment(preset("sparse_er_single"), workers=workers)
         assert str(info.value) == (
             "graph 21: eigenvector: eigenvector centrality did not converge in 1000 iterations"
         )
         assert info.value.last_iterate.shape == (200,)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "name, where",
@@ -763,6 +796,30 @@ class TestMinimumSeedBattery:
         assert len(calls) == cfg.ensemble_size
         assert out == {"degree": 11, "closeness": 11, "random": 12}
 
+    def test_costly_rankings_on_workers_only(self, monkeypatch):
+        # the searches give the same k either way; ranking by degree or
+        # random alone opens no pool
+        pools = []
+        opened = harness._ranking_pool
+
+        @contextlib.contextmanager
+        def recording(*args):
+            with opened(*args) as pool:
+                pools.append(pool)
+                yield pool
+
+        monkeypatch.setattr(harness, "_ranking_pool", recording)
+        cfg = tiny_intervention_config(
+            generator=ErParams(n=80, edge_exist_prob=0.1),
+            ensemble_size=4,
+            strategies=(CentralityKind.EIGENVECTOR, CentralityKind.BETWEENNESS, CentralityKind.RANDOM),
+        )
+        out = [minimum_seed_battery(cfg, k_max=60, workers=w) for w in (1, 2)]
+        assert out[0] == out[1] and out[0]["betweenness"] is not None
+        minimum_seed_battery(cfg, k_max=60, strategies=["degree", "random"], workers=2)
+        assert pools[0] is None and pools[1] is not None and pools[2] is None
+        assert multiprocessing.active_children() == []
+
     def test_ranking_failure_names_graph_and_strategy(self):
         # the desk sparse-ER ensemble defeats the eigenvector iteration on graph 21
         cfg = dataclasses.replace(
@@ -774,6 +831,7 @@ class TestMinimumSeedBattery:
             "graph 21: eigenvector: eigenvector centrality did not converge in 1000 iterations"
         )
         assert info.value.last_iterate.shape == (200,)
+        assert multiprocessing.active_children() == []
 
     def test_false_process_failure_names_the_graph(self, monkeypatch):
         error = NumericError("boom", last_iterate=np.arange(3.0))

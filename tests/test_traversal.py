@@ -2,10 +2,9 @@
 traversals built on it, each bitwise equal to the loop it replaced."""
 
 import math
-import sys
+import multiprocessing
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from layercast import (
     layer_from_sources,
     prefix_layerings,
 )
-from layercast import centrality
+from layercast import CentralityKind, centrality, harness
 from layercast import graph as graph_module
 from layercast.centrality import _BLOCK, _path_scores
 from layercast.graph import _PREFIX_WIDTH, SearchBuffers, hop_distances, product_into
@@ -197,14 +196,6 @@ class TestWorkspace:
         assert len(spaces) == 1
         self.check(spaces, products, math.ceil(g.node_count / _BLOCK))
 
-    def test_two_workers_alternate_two_workspaces(self, monkeypatch, products):
-        spaces = recorded_buffers(monkeypatch, products)
-        searches = forced_two_workers(monkeypatch)
-        g = CASES["n-2-blocks-plus-1"]()
-        _path_scores(g)
-        assert len(spaces) == 2
-        self.check(spaces, products, len(searches))
-
 
 class TestSharedSweep:
     """Closeness and betweenness come from one blocked search per graph."""
@@ -331,102 +322,54 @@ class TestBitwiseAgainstReplacedLoops:
         assert got.tobytes() == per_source_betweenness(graph).scores.tobytes()
 
 
-def forced_two_workers(monkeypatch):
-    """Make every sweep run on two workers; returns, per block search in the
-    order the searches started, its first source, its width and its thread."""
-    monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", 1)
-    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
-    searches = []
-
-    def recording(A, frontier, buffers=None):
-        first = int(frontier.nonzero()[0].min())
-        searches.append((first, frontier.shape[1], threading.current_thread()))
-        return hop_distances(A, frontier, buffers)
-
-    monkeypatch.setattr(centrality, "hop_distances", recording)
-    return searches
-
-
 class TestTwoWorkerSweep:
-    """Above the size rule two workers search half-width blocks; the scores
-    are the serial sweep's bytes and the replaced loops' bytes."""
+    """A graph ranked on a worker process of the battery's pool
+    (``harness._ranking_pool``) gets the serial sweep's bytes and the
+    replaced loops' bytes, and the worker starts no thread of its own."""
 
-    def test_same_bytes_as_serial_and_oracles(self, monkeypatch, graph):
-        n = graph.node_count
-        serial = _path_scores(graph)  # every case is below the size rule
-        searches = forced_two_workers(monkeypatch)
-        fresh = build_graph(n, graph.edges)
-        closeness, betweenness = _path_scores(fresh)
-        half = _BLOCK // 2
-        # two blocks in flight may start in either order
-        assert sorted((first, width) for first, width, _ in searches) == [
-            (first, min(half, n - first)) for first in range(0, n, half)
-        ]
-        assert all(t is not threading.main_thread() for _, _, t in searches)
+    COSTLY = [CentralityKind.CLOSENESS]
+
+    def test_same_bytes_as_serial_and_oracles(self, graph):
+        serial = _path_scores(graph)
+        fresh = build_graph(graph.node_count, graph.edges)
+        with harness._ranking_pool(2, self.COSTLY, 2) as pool:
+            closeness, betweenness = pool.submit(_path_scores, fresh).result()
+            assert pool.submit(threading.active_count).result() == 1
+        assert not fresh._scores  # the sweep ran on the worker's copy
         assert closeness.tobytes() == serial[0].tobytes()
         assert betweenness.tobytes() == serial[1].tobytes()
         assert closeness.tobytes() == dense_closeness(fresh).scores.tobytes()
         assert betweenness.tobytes() == per_source_betweenness(fresh).scores.tobytes()
 
-    def test_same_bytes_under_fast_thread_switching(self, monkeypatch):
-        g = CASES["n-2-blocks-plus-1"]()
-        serial = _path_scores(g)
-        forced_two_workers(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                closeness, betweenness = _path_scores(build_graph(g.node_count, g.edges))
-                assert closeness.tobytes() == serial[0].tobytes()
-                assert betweenness.tobytes() == serial[1].tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_no_worker_below_the_rule_off_the_main_thread_or_on_one_cpu(self, monkeypatch):
+        # one worker, one graph or no costly strategy: ranking stays here
+        for workers, strategies, graphs in [
+            (1, self.COSTLY, 8),
+            (2, self.COSTLY, 1),
+            (2, [CentralityKind.DEGREE, CentralityKind.RANDOM], 8),
+        ]:
+            with harness._ranking_pool(workers, strategies, graphs) as pool:
+                assert pool is None
+        # off the main thread another thread is live, and a fork would copy
+        # the locks it holds
         pools = []
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(threading.current_thread())
-                super().__init__(*args, **kwargs)
+        def open_pool():
+            with harness._ranking_pool(2, self.COSTLY, 8) as pool:
+                pools.append(pool)
 
-        monkeypatch.setattr(centrality, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
-        rule = centrality._THREADED_MIN_NODES
-
-        def fresh(n, seed):
-            return build_graph(n, random_graph(n, 4 / n, seed))
-
-        _path_scores(fresh(rule - 1, 11))
-        assert pools == []
-        g = fresh(rule, 12)
-        off_main = threading.Thread(target=_path_scores, args=(g,))
+        off_main = threading.Thread(target=open_pool)
         off_main.start()
         off_main.join(timeout=60)
-        assert not off_main.is_alive() and g._paths is not None and pools == []
-        monkeypatch.setattr(centrality, "_usable_cpus", lambda: 1)
-        _path_scores(fresh(rule, 13))
-        assert pools == []
-        monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
-        _path_scores(fresh(rule, 14))
-        assert pools == [threading.main_thread()]
-
-
-@pytest.mark.paper
-def test_two_workers_on_a_paper_graph(monkeypatch):
-    n = 1000
-    g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 2718)
-    assert n >= centrality._THREADED_MIN_NODES
-    monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", n + 1)
-    serial = _path_scores(g)
-    searches = forced_two_workers(monkeypatch)
-    fresh = gen_er(ErParams(n=n, edge_exist_prob=0.04), 2718)
-    closeness, betweenness = _path_scores(fresh)
-    assert len(searches) == math.ceil(n / (_BLOCK // 2))
-    assert closeness.tobytes() == serial[0].tobytes()
-    assert betweenness.tobytes() == serial[1].tobytes()
-    assert closeness.tobytes() == dense_closeness(fresh).scores.tobytes()
-    assert betweenness.tobytes() == per_source_betweenness(fresh).scores.tobytes()
+        assert not off_main.is_alive() and pools == [None]
+        # the default worker count is the usable CPUs
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        with harness._ranking_pool(None, self.COSTLY, 8) as pool:
+            assert pool is None
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with harness._ranking_pool(None, self.COSTLY, 8) as pool:
+            assert pool is not None
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("centrality", [closeness_centrality, betweenness_centrality])
@@ -438,7 +381,7 @@ def test_peak_memory_grows_linearly_in_n(centrality):
         # a fresh graph, so the sweep runs under the tracer: a graph that
         # already holds its scores would measure a cache read
         g = gen_er(ErParams(n=n, edge_exist_prob=8 / n), 7)
-        assert g._paths is None
+        assert not g._scores
         tracemalloc.start()
         try:
             centrality(g)
@@ -448,30 +391,10 @@ def test_peak_memory_grows_linearly_in_n(centrality):
     assert peaks[1] <= 2.5 * peaks[0]
 
 
-def test_two_workers_peak_at_most_the_serial_peak(monkeypatch):
-    # two half-width blocks in flight hold no more than one full-width block
-    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 2)
-    n = 1000
-    assert n >= centrality._THREADED_MIN_NODES
-    _path_scores(build_graph(40, random_graph(40, 0.1, 1)))  # lazy imports first
-    peaks = {}
-    for mode, rule in (("serial", n + 1), ("two workers", centrality._THREADED_MIN_NODES)):
-        monkeypatch.setattr(centrality, "_THREADED_MIN_NODES", rule)
-        g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 7)  # fresh: no cached scores
-        tracemalloc.start()
-        try:
-            _path_scores(g)
-            peaks[mode] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks["two workers"] <= peaks["serial"]
-
-
-def test_serial_sweep_allocates_no_block_array_beyond_its_buffers(monkeypatch):
+def test_serial_sweep_allocates_no_block_array_beyond_its_buffers():
     # the buffers are allocated once; what the blocks allocate on top (the
     # sparse first hop, numpy's cast buffers, per-source vectors) stays
     # below a quarter of one (n, _BLOCK) float array
-    monkeypatch.setattr(centrality, "_usable_cpus", lambda: 1)
     n = 1000
     _path_scores(build_graph(40, random_graph(40, 0.1, 1)))  # lazy imports first
     g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 7)
