@@ -404,20 +404,20 @@ def build_ensemble(config: ExperimentConfig):
     return [_graph(config, 0, i) for i in range(config.ensemble_size)]
 
 
-def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None, workers=None):
+def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     """Minimum true-creator count per strategy for a complete intervention.
 
     Reuses the config's ensemble and false-creator draws so every strategy
     faces identical conditions; each graph's false process is spread once.
-    ``workers`` rank the graphs as in :func:`run_experiment`.  Returns
-    ``{strategy name: k or None}``.  A :class:`LayercastError` from a false
-    process names its graph; one from the search names what
-    :func:`minimum_true_seeds` names.
+    The graphs are ranked as in :func:`run_experiment`, on the default
+    workers.  Returns ``{strategy name: k or None}``.  A
+    :class:`LayercastError` from a false process names its graph; one from
+    the search names what :func:`minimum_true_seeds` names.
     """
     if config.mode != "intervention":
         raise InputError("minimum_seed_battery requires an intervention config")
     strategies = [CentralityKind(s) for s in (strategies or config.strategies)]
-    with _ranking_pool(workers, strategies, config.ensemble_size) as pool:
+    with _ranking_pool(None, strategies, config.ensemble_size) as pool:
         indices = range(config.ensemble_size)
         ranked = [pool and pool.submit(_costly_scores, config, 0, i, strategies) for i in indices]
         graphs = [_graph(config, 0, i, ranked[i])[0] for i in indices]

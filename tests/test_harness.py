@@ -814,9 +814,12 @@ class TestMinimumSeedBattery:
             ensemble_size=4,
             strategies=(CentralityKind.EIGENVECTOR, CentralityKind.BETWEENNESS, CentralityKind.RANDOM),
         )
-        out = [minimum_seed_battery(cfg, k_max=60, workers=w) for w in (1, 2)]
+        out = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            out.append(minimum_seed_battery(cfg, k_max=60))
         assert out[0] == out[1] and out[0]["betweenness"] is not None
-        minimum_seed_battery(cfg, k_max=60, strategies=["degree", "random"], workers=2)
+        minimum_seed_battery(cfg, k_max=60, strategies=["degree", "random"])
         assert pools[0] is None and pools[1] is not None and pools[2] is None
         assert multiprocessing.active_children() == []
 
