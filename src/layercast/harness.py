@@ -410,12 +410,15 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     Reuses the config's ensemble and false-creator draws so every strategy
     faces identical conditions; each graph's false process is spread once.
     The graphs are ranked as in :func:`run_experiment`, on the default
-    workers.  Returns ``{strategy name: k or None}``.  A
+    workers.  Returns ``{strategy name: k or None}``.  A swept config is an
+    :class:`InputError`: the search runs one point.  A
     :class:`LayercastError` from a false process names its graph; one from
     the search names what :func:`minimum_true_seeds` names.
     """
     if config.mode != "intervention":
         raise InputError("minimum_seed_battery requires an intervention config")
+    if config.sweep is not None:
+        raise InputError("minimum_seed_battery searches one point; the config has a sweep")
     strategies = [CentralityKind(s) for s in (strategies or config.strategies)]
     with _ranking_pool(None, strategies, config.ensemble_size) as pool:
         indices = range(config.ensemble_size)

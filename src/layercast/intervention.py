@@ -100,6 +100,20 @@ def run_false_process(g: Graph, false_creators, params: CombatParams) -> FalsePr
     return FalseProcess(layers=lv, p_if=p_if, transmission_prob=params.false_transmission_prob)
 
 
+def _check_covers(g: Graph, what: str, lv: LayeredView) -> None:
+    if len(lv.layer_of) != g.node_count:
+        raise ContractError(f"the {what} covers {len(lv.layer_of)} nodes, the graph {g.node_count}")
+
+
+def _check_false_process(g: Graph, false_process: FalseProcess, params: CombatParams) -> None:
+    """Raise :class:`ContractError` unless ``false_process`` fits ``g`` and ``params``."""
+    if false_process.transmission_prob != params.false_transmission_prob:
+        raise ContractError(
+            "the false process was spread with another false transmission probability"
+        )
+    _check_covers(g, "false process", false_process.layers)
+
+
 def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams) -> CombatState:
     """Run the competing diffusion of false and true information.
 
@@ -124,20 +138,15 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
     :class:`ContractError`.
     """
     false_process = false_creators
-    if not isinstance(false_process, FalseProcess):
+    if isinstance(false_process, FalseProcess):
+        _check_false_process(g, false_process, params)
+    else:
         false_process = run_false_process(g, false_creators, params)
-    elif false_process.transmission_prob != params.false_transmission_prob:
-        raise ContractError(
-            "the false process was spread with another false transmission probability"
-        )
     true_layers = true_creators
-    if not isinstance(true_layers, LayeredView):
+    if isinstance(true_layers, LayeredView):
+        _check_covers(g, "true layering", true_layers)
+    else:
         true_layers = layer_from_sources(g, true_creators)
-    for what, lv in (("false process", false_process.layers), ("true layering", true_layers)):
-        if len(lv.layer_of) != g.node_count:
-            raise ContractError(
-                f"the {what} covers {len(lv.layer_of)} nodes, the graph {g.node_count}"
-            )
     false_lv, p_if = false_process.layers, false_process.p_if
 
     f_layer = false_lv.layer_of
@@ -172,6 +181,19 @@ def intervention_metrics(state: CombatState):
     )
 
 
+def _surely_infected(false_process: FalseProcess, params: CombatParams) -> int:
+    """How many nodes are infected at every true-creator set that leaves them out.
+
+    These are the nodes of false layer 0 or 1 whose false belief reaches both
+    thresholds.  Such a node that is not a true creator is either never
+    reached by the true process or halted at its true layer L >= 1, which is
+    at least its false layer; so its ``p_it`` stays 0 and it is infected.
+    """
+    f = false_process.layers.layer_of
+    level = max(params.decisive_threshold, params.comparative_threshold)
+    return int(np.count_nonzero((f >= 0) & (f <= 1) & (false_process.p_if >= level)))
+
+
 def minimum_true_seeds(
     graphs,
     strategy: CentralityKind,
@@ -188,14 +210,22 @@ def minimum_true_seeds(
     order and returns the first qualifying k (completeness is not guaranteed
     monotone in k), or None when no k qualifies.  ``false_processes`` gives
     each graph its :func:`run_false_process`, spread once from its fixed false
-    creators; the random strategy draws its true creators from seeds derived
-    per (graph, k) and requires ``rng_seed``.  A ranked strategy's creators
-    at k are its first k ranked nodes, so one :func:`prefix_layerings` per
-    graph layers them for every k.
+    creators; each is checked against its graph and ``params`` before any
+    combat run.  The random strategy draws its true creators from seeds
+    derived per (graph, k) and requires ``rng_seed``.  A ranked strategy's
+    creators at k are its first k ranked nodes, so one
+    :func:`prefix_layerings` per graph layers them for every k.
 
-    ``curve_out``, if given, receives ``(k, mean_protected, mean_infected)``
-    for every k examined.  A :class:`LayercastError` is re-raised with its
-    graph and the strategy in front (``graph <i>: <strategy>: `` from a
+    The counts are integers, so the means compare as the sums do.  At k, a
+    graph of n nodes with S surely infected nodes (:func:`_surely_infected`)
+    has protected - infected <= U(k) = n - 2 max(0, S - k).  Graph i's run
+    is skipped once the runs before it plus U(k) of it and every later graph
+    sum to at most 0: k cannot qualify then.  A search with ``curve_out``
+    skips nothing, and the list receives ``(k, mean_protected,
+    mean_infected)`` for every k examined.
+
+    A :class:`LayercastError` is re-raised with its graph and the strategy in
+    front (``graph <i>: <strategy>: `` from a false-process check or a
     ranking, ``k=<k>: graph <i>: <strategy>: `` from a combat run).
     """
     graphs = list(graphs)
@@ -211,6 +241,15 @@ def minimum_true_seeds(
     if strategy is CentralityKind.RANDOM and rng_seed is None:
         raise InputError("the random strategy requires an explicit rng_seed")
 
+    # a skipped run would defer or hide the mismatch run_intervention reports
+    surely_infected = []
+    for i, (g, fp) in enumerate(zip(graphs, false_processes)):
+        with failing_at(f"graph {i}: {strategy.value}"):
+            if not isinstance(fp, FalseProcess):
+                raise ContractError(f"expected a FalseProcess, got {type(fp).__name__}")
+            _check_false_process(g, fp, params)
+        surely_infected.append(_surely_infected(fp, params))
+
     prefixes = None
     if strategy is not CentralityKind.RANDOM:
         # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
@@ -221,22 +260,29 @@ def minimum_true_seeds(
             prefixes.append(prefix_layerings(g, order))
 
     for k in range(1, k_max + 1):
+        bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely_infected)]
+        # lead: protected - infected summed over the graphs run; rest: the
+        # bounds of the graphs not run yet
+        lead, rest = 0, sum(bounds)
         protected = np.empty(len(graphs))
         infected = np.empty(len(graphs))
         for i, (g, fp) in enumerate(zip(graphs, false_processes)):
             with failing_at(f"k={k}: graph {i}: {strategy.value}"):
                 if prefixes is not None:
-                    ic_t = next(prefixes[i])
-                else:
+                    ic_t = next(prefixes[i])  # advanced for a skipped run too
+                if curve_out is None and lead + rest <= 0:
+                    continue
+                if prefixes is None:
                     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                     ic_t = rng.choice(g.node_count, size=k, replace=False)
                 tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
             protected[i] = tally[Label.PROTECTED]
             infected[i] = tally[Label.INFECTED]
-        mean_prot = float(protected.mean())
-        mean_inf = float(infected.mean())
+            lead += tally[Label.PROTECTED] - tally[Label.INFECTED]
+            rest -= bounds[i]
         if curve_out is not None:
-            curve_out.append((k, mean_prot, mean_inf))
-        if mean_prot > mean_inf:
+            curve_out.append((k, float(protected.mean()), float(infected.mean())))
+        # with every graph run, lead + rest is the sum of protected - infected
+        if lead + rest > 0:
             return k
     return None

@@ -604,29 +604,38 @@ def dense_block_path_scores(g, block=128):
     return closeness, bc / 2.0
 
 
+def _search_creators(graphs, strategy, rng_seed):
+    """``creators(i, k)``: graph i's true creators at k in the minimum-seed
+    search, from a fresh ranking per k or a draw seeded per (graph, k)."""
+    from layercast.centrality import CentralityKind, compute_centrality, top_k_by_score
+
+    strategy = CentralityKind(strategy)
+    if strategy is CentralityKind.RANDOM:
+        def creators(i, k):
+            rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
+            return rng.choice(graphs[i].node_count, size=k, replace=False)
+    else:
+        scores = [compute_centrality(g, strategy).scores for g in graphs]
+
+        def creators(i, k):
+            return top_k_by_score(scores[i], k)
+    return creators
+
+
 def per_k_minimum_true_seeds(graphs, strategy, false_processes, params, k_max, rng_seed=None,
                              curve_out=None):
     """The package's earlier ``intervention.minimum_true_seeds`` loop: it ranks
     every graph afresh for each k and reads the counts from
     ``intervention_metrics``.  Kept as the reference for the search's result
     and its curve."""
-    from layercast.centrality import CentralityKind, compute_centrality, top_k_by_score
     from layercast.intervention import intervention_metrics, run_intervention
 
-    strategy = CentralityKind(strategy)
-    scores = None
-    if strategy is not CentralityKind.RANDOM:
-        scores = [compute_centrality(g, strategy).scores for g in graphs]
+    creators = _search_creators(graphs, strategy, rng_seed)
     for k in range(1, k_max + 1):
         protected = np.empty(len(graphs))
         infected = np.empty(len(graphs))
         for i, (g, fp) in enumerate(zip(graphs, false_processes)):
-            if scores is not None:
-                ic_t = top_k_by_score(scores[i], k)
-            else:
-                rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
-                ic_t = rng.choice(g.node_count, size=k, replace=False)
-            state = run_intervention(g, fp, ic_t, params)
+            state = run_intervention(g, fp, creators(i, k), params)
             _, inf, _, prot = intervention_metrics(state)
             protected[i] = prot
             infected[i] = inf
@@ -637,6 +646,43 @@ def per_k_minimum_true_seeds(graphs, strategy, false_processes, params, k_max, r
         if mean_prot > mean_inf:
             return k
     return None
+
+
+def surely_infected_nodes(false_process, params):
+    """The nodes of false layer 0 or 1 whose false belief reaches both the
+    decisive and the comparative threshold, one node at a time."""
+    level = max(params.decisive_threshold, params.comparative_threshold)
+    return [
+        v for v, layer in enumerate(false_process.layers.layer_of.tolist())
+        if layer in (0, 1) and false_process.p_if[v] >= level
+    ]
+
+
+def bounded_search_runs(graphs, strategy, false_processes, params, k_max, rng_seed=None):
+    """``(runs, k)``: the (k, graph index) combat runs the bounded minimum-seed
+    search makes without a curve, in order, and the k it returns.  Every graph
+    runs at every k here; the skip rule then keeps graph i's run at k only
+    while the protected - infected of graphs 0..i-1 plus the bound
+    n - 2 max(0, S - k) of graphs i.. sums above 0."""
+    from layercast.diffusion import Label, label_counts
+    from layercast.intervention import run_intervention
+
+    creators = _search_creators(graphs, strategy, rng_seed)
+    surely = [len(surely_infected_nodes(fp, params)) for fp in false_processes]
+    runs = []
+    for k in range(1, k_max + 1):
+        diffs = []
+        for i, (g, fp) in enumerate(zip(graphs, false_processes)):
+            tally = label_counts(run_intervention(g, fp, creators(i, k), params).labels)
+            diffs.append(tally[Label.PROTECTED] - tally[Label.INFECTED])
+        bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely)]
+        for i in range(len(graphs)):
+            if sum(diffs[:i]) + sum(bounds[i:]) <= 0:
+                break
+            runs.append((k, i))
+        if sum(diffs) > 0:
+            return runs, k
+    return runs, None
 
 
 def row_pair_edges(rng, n, pair_prob):

@@ -2,7 +2,7 @@
 
 Criteria 3 and 5 run their batteries at desk scale by default; the paper-scale
 versions are marked ``paper`` and deselected unless requested explicitly
-(``pytest -m paper``).
+(``pytest -m paper``).  The paper-scale criterion 5 pins every strategy's k.
 """
 
 import math
@@ -155,6 +155,27 @@ def test_criterion_5_intervention_efficiency_ordering(capfd):
             assert minimums[name] <= minimums["random"], f"{name}: {minimums[name]} > random {minimums['random']}"
 
     report("5 intervention efficiency ordering (desk)", body, capfd)
+
+
+#: The paper six-strategy search's k values, pinned so a change to the
+#: search cannot move them unnoticed.
+PAPER_MINIMUM_SEEDS = {
+    "degree": 48,
+    "eigenvector": 49,
+    "closeness": 49,
+    "betweenness": 48,
+    "pagerank": 48,
+    "random": 65,
+}
+
+
+@pytest.mark.paper
+def test_criterion_5_intervention_efficiency_ordering_paper(capfd):
+    def body():
+        minimums = minimum_seed_battery(er_intervention_preset("paper"), k_max=80)
+        assert minimums == PAPER_MINIMUM_SEEDS
+
+    report("5 intervention efficiency ordering (paper)", body, capfd)
 
 
 def test_criterion_6_oracle_equivalence(capfd):

@@ -41,6 +41,8 @@ from layercast.harness import (
     run_experiment,
 )
 
+from oracles import bounded_search_runs
+
 TWO_STRATEGIES = (CentralityKind.DEGREE, CentralityKind.RANDOM)
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -860,14 +862,16 @@ class TestMinimumSeedBattery:
         error = NumericError("boom", last_iterate=np.arange(4.0))
         cfg = tiny_intervention_config()
         graphs = [g for g, _ in build_ensemble(cfg)]
+        index = {g.edges.tobytes(): i for i, g in enumerate(graphs)}
+        false_processes = [harness._false_process(cfg, g, 0, i) for i, g in enumerate(graphs)]
         original = intervention.run_intervention
         runs = []
 
         def fail_at_graph_1_k_3(g, false_creators, true_creators, params):
             # a ranked search hands over a LayeredView, random the drawn nodes
             k = len(getattr(true_creators, "sources", true_creators))
-            runs.append(k)
-            if g.edges.tobytes() == graphs[1].edges.tobytes() and k == 3:
+            runs.append((k, index[g.edges.tobytes()]))
+            if runs[-1] == (3, 1):
                 raise error
             return original(g, false_creators, true_creators, params)
 
@@ -877,8 +881,17 @@ class TestMinimumSeedBattery:
         assert info.value is error
         assert str(error) == f"k=3: graph 1: {strategy}: boom"
         assert error.last_iterate.tolist() == [0.0, 1.0, 2.0, 3.0]
-        # every graph ran at k = 1 and 2, then graph 0 and graph 1 at k = 3
-        assert runs == [1] * len(graphs) + [2] * len(graphs) + [3, 3]
+        # the runs the skip rule keeps, up to graph 1 at k = 3
+        monkeypatch.setattr(intervention, "run_intervention", original)
+        expected, _ = bounded_search_runs(
+            graphs, strategy, false_processes, cfg.model, 3, rng_seed=cfg.master_rng_seed
+        )
+        assert runs == expected[: expected.index((3, 1)) + 1]
+
+    def test_swept_config_rejected(self):
+        cfg = tiny_intervention_config(sweep=SweepSpec("true_transmission_prob", (0.3, 0.4)))
+        with pytest.raises(InputError, match="sweep"):
+            minimum_seed_battery(cfg, k_max=5)
 
     def test_build_ensemble_matches_config(self):
         cfg = tiny_intervention_config()

@@ -27,7 +27,18 @@ from layercast import (
 from layercast import graph as graph_module
 from layercast.graph import _PREFIX_WIDTH
 
-from oracles import interleaved_intervention, optimal_minimum_true_seeds, rational_intervention
+from layercast import intervention
+from layercast.harness import _false_process, build_ensemble, preset
+
+from conftest import random_edges
+from oracles import (
+    bounded_search_runs,
+    interleaved_intervention,
+    optimal_minimum_true_seeds,
+    per_k_minimum_true_seeds,
+    rational_intervention,
+    surely_infected_nodes,
+)
 
 FIG45 = CombatParams(
     false_transmission_prob=0.5,
@@ -403,6 +414,31 @@ class TestMinimumTrueSeeds:
         assert got == expected_k
         assert curve == expected_curve
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda g, fp: run_false_process(g, [0, 1], CombatParams(0.6, 0.4, 0.4, 0.1)),
+             "graph 1: degree: the false process was spread with another false transmission probability"),
+            (lambda g, fp: run_false_process(build_graph(5, [(0, 1)]), [0], FIG45),
+             "graph 1: degree: the false process covers 5 nodes, the graph 40"),
+            (lambda g, fp: [0, 1], "graph 1: degree: expected a FalseProcess, got list"),
+        ],
+        ids=["other-pf", "other-graph", "node-ids"],
+    )
+    def test_false_processes_checked_before_any_run(
+        self, monkeypatch, random_graph_factory, spoil, message
+    ):
+        # a graph whose runs the bound would skip cannot hide a mismatch
+        graphs = [random_graph_factory(seed=850 + i, n=40, p=0.12)[0] for i in range(3)]
+        false_processes = [run_false_process(g, [0, 1], FIG45) for g in graphs]
+        false_processes[1] = spoil(graphs[1], false_processes[1])
+        runs = []
+        monkeypatch.setattr(intervention, "run_intervention", lambda *args: runs.append(args))
+        with pytest.raises(ContractError) as info:
+            minimum_true_seeds(graphs, CentralityKind.DEGREE, false_processes, FIG45, k_max=5)
+        assert str(info.value) == message
+        assert runs == []
+
     def test_random_strategy_deterministic(self, random_graph_factory):
         g, _ = random_graph_factory(seed=31, n=30, p=0.15)
         params = CombatParams(0.5, 0.4, 0.4, 0.1)
@@ -410,3 +446,116 @@ class TestMinimumTrueSeeds:
         a = minimum_true_seeds(*args, k_max=30, rng_seed=5)
         b = minimum_true_seeds(*args, k_max=30, rng_seed=5)
         assert a == b
+
+
+def two_components_and_isolated(seed):
+    """Two random components of 14 nodes each, then 4 isolated nodes."""
+    rng = np.random.default_rng(seed)
+    edges = random_edges(rng, 14, 0.3)
+    edges += [(u + 14, v + 14) for u, v in random_edges(rng, 14, 0.3)]
+    return build_graph(32, edges)
+
+
+def adversarial_ensemble(case):
+    """(graphs, false processes, params) of one small ensemble for the bound."""
+    params = {
+        "no-blocking": CombatParams(0.5, 0.4, 1.5, 0.1),
+        "td-zero": CombatParams(0.5, 0.4, 0.0, 0.1),
+        "tc-zero": CombatParams(0.5, 0.4, 0.4, 0.0),
+        # a halted node whose false belief lies in [T_D, T_C) is susceptible
+        "tc-above-td": CombatParams(0.5, 0.4, 0.3, 0.55),
+        "overlap": CombatParams(0.5, 0.4, 0.4, 0.1),
+        "components": CombatParams(0.6, 0.4, 0.4, 0.1),
+        "never": CombatParams(0.5, 0.0, 0.4, 0.1),
+    }[case]
+    if case == "components":
+        graphs = [two_components_and_isolated(870 + i) for i in range(4)]
+    else:
+        graphs = [build_graph(30, random_edges(np.random.default_rng(860 + i), 30, 0.15)) for i in range(4)]
+    false_processes = []
+    for i, g in enumerate(graphs):
+        if case == "overlap":
+            # the top-degree nodes, so the degree strategy's creators start with them
+            creators = top_k_by_score(compute_centrality(g, CentralityKind.DEGREE).scores, 3)
+        else:
+            creators = np.random.default_rng(i).choice(g.node_count, 3, replace=False)
+        false_processes.append(run_false_process(g, creators, params))
+    return graphs, false_processes, params
+
+
+ADVERSARIAL = ["no-blocking", "td-zero", "tc-zero", "tc-above-td", "overlap", "components", "never"]
+
+
+def assert_bound_holds(g, fp, params, creator_sets):
+    """protected - infected <= n - 2 max(0, S - k) for each true-creator set,
+    since every surely infected node outside it is infected."""
+    surely = surely_infected_nodes(fp, params)
+    assert intervention._surely_infected(fp, params) == len(surely)
+    for ic_t in creator_sets:
+        lv = ic_t if isinstance(ic_t, graph_module.LayeredView) else layer_from_sources(g, ic_t)
+        labels = run_intervention(g, fp, lv, params).labels
+        outside = np.setdiff1d(np.array(surely, dtype=np.int64), lv.sources)
+        assert (labels[outside] == Label.INFECTED).all()
+        k = len(lv.sources)
+        tally = np.bincount(labels, minlength=3)
+        assert tally[Label.PROTECTED] - tally[Label.INFECTED] <= g.node_count - 2 * max(0, len(surely) - k)
+
+
+class TestSkipBound:
+    def test_holds_on_the_desk_ensemble(self):
+        config = preset("er_intervention")
+        graphs = [g for g, _ in build_ensemble(config)]
+        for i, g in enumerate(graphs):
+            fp = _false_process(config, g, 0, i)
+            order = top_k_by_score(compute_centrality(g, CentralityKind.DEGREE).scores, 80)
+            assert_bound_holds(g, fp, config.model, prefix_layerings(g, order))
+
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_holds_on_adversarial_ensembles(self, case):
+        graphs, false_processes, params = adversarial_ensemble(case)
+        rng = np.random.default_rng(3)
+        for g, fp in zip(graphs, false_processes):
+            n = g.node_count
+            ranked = top_k_by_score(compute_centrality(g, CentralityKind.DEGREE).scores, n)
+            # the false creators among the true ones, then random sets
+            overlapping = [np.union1d(fp.layers.sources, [int(ranked[-1])])]
+            drawn = [rng.choice(n, k, replace=False) for k in range(1, n + 1)]
+            assert_bound_holds(g, fp, params, list(prefix_layerings(g, ranked)) + overlapping + drawn)
+
+    @pytest.mark.parametrize("strategy", ["degree", "closeness", "random"])
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_search_equals_per_k_oracle(self, case, strategy):
+        graphs, false_processes, params = adversarial_ensemble(case)
+        # by k = 16 the true creators alone outnumber the infected
+        args = (graphs, strategy, false_processes, params, 12 if case == "never" else 20)
+        got = minimum_true_seeds(*args, rng_seed=11)
+        assert got == per_k_minimum_true_seeds(*args, rng_seed=11)
+        assert got == bounded_search_runs(*args, rng_seed=11)[1]
+        if case == "never":
+            assert got is None
+
+    def test_desk_search_skips_runs_and_curve_keeps_them(self, monkeypatch):
+        config = preset("er_intervention")
+        graphs = [g for g, _ in build_ensemble(config)]
+        false_processes = [_false_process(config, g, 0, i) for i, g in enumerate(graphs)]
+        args = (graphs, CentralityKind.DEGREE, false_processes, config.model, 80)
+        original = intervention.run_intervention
+        runs = []
+
+        def counting(g, *rest):
+            runs.append(g)
+            return original(g, *rest)
+
+        monkeypatch.setattr(intervention, "run_intervention", counting)
+        assert minimum_true_seeds(*args) == 55
+        assert len(runs) <= 1100
+        made = len(runs)
+        runs.clear()
+        curve = []
+        assert minimum_true_seeds(*args, curve_out=curve) == 55
+        assert len(runs) == 55 * len(graphs)
+        monkeypatch.setattr(intervention, "run_intervention", original)
+        want_curve = []
+        assert per_k_minimum_true_seeds(*args, curve_out=want_curve) == 55
+        assert curve == want_curve
+        assert len(bounded_search_runs(*args)[0]) == made
