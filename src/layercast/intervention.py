@@ -261,28 +261,25 @@ def minimum_true_seeds(
 
     for k in range(1, k_max + 1):
         bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely_infected)]
-        # lead: protected - infected summed over the graphs run; rest: the
-        # bounds of the graphs not run yet
-        lead, rest = 0, sum(bounds)
-        protected = np.empty(len(graphs))
-        infected = np.empty(len(graphs))
+        # prot, inf: summed over the graphs run; rest: the bounds of the
+        # graphs not run yet
+        prot, inf, rest = 0, 0, sum(bounds)
         for i, (g, fp) in enumerate(zip(graphs, false_processes)):
             with failing_at(f"k={k}: graph {i}: {strategy.value}"):
                 if prefixes is not None:
                     ic_t = next(prefixes[i])  # advanced for a skipped run too
-                if curve_out is None and lead + rest <= 0:
+                if curve_out is None and prot - inf + rest <= 0:
                     continue
                 if prefixes is None:
                     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                     ic_t = rng.choice(g.node_count, size=k, replace=False)
                 tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
-            protected[i] = tally[Label.PROTECTED]
-            infected[i] = tally[Label.INFECTED]
-            lead += tally[Label.PROTECTED] - tally[Label.INFECTED]
+            prot += tally[Label.PROTECTED]
+            inf += tally[Label.INFECTED]
             rest -= bounds[i]
         if curve_out is not None:
-            curve_out.append((k, float(protected.mean()), float(infected.mean())))
-        # with every graph run, lead + rest is the sum of protected - infected
-        if lead + rest > 0:
+            curve_out.append((k, prot / len(graphs), inf / len(graphs)))
+        # with every graph run, prot - inf + rest is the sum of protected - infected
+        if prot - inf + rest > 0:
             return k
     return None
