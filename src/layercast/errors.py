@@ -37,8 +37,9 @@ class DegenerateSampleError(InputError):
 
 def as_integer(name: str, value) -> int:
     """``value`` as a Python int; :class:`InputError` naming ``name`` unless it
-    is an integer (``200.5``, ``1e3``, NaN and strings are not)."""
-    if not isinstance(value, numbers.Integral):
+    is an integer (``200.5``, ``1e3``, NaN, strings and ``True`` are not)."""
+    # bool is an Integral, but a JSON true is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -319,13 +319,16 @@ _PREFIX_WIDTH = 16
 
 
 def prefix_layerings(g: Graph, order):
-    """Yield ``layer_from_sources(g, order[:k])`` for k = 1, 2, ..., len(order).
+    """Yield the hop distances from ``order[:k]`` for k = 1, 2, ..., len(order).
 
-    A multi-source hop distance is the minimum of the sources' own, so the
-    view at k is the running minimum of the first k nodes' distances.  The
-    nodes are searched ``_PREFIX_WIDTH`` one-hot columns at a time, one
-    :func:`hop_distances` per block, as the views are asked for; between
-    blocks only the block's (n, width) int64 distances are kept.
+    Each is a fresh int64 vector (-1 unreached), and ``layered_view`` of it
+    is ``layer_from_sources(g, order[:k])``; a caller builds that view only
+    for the k it runs.  A multi-source hop distance is the minimum of the
+    sources' own, so the vector at k is the running minimum of the first k
+    nodes' distances.  The nodes are searched ``_PREFIX_WIDTH`` one-hot
+    columns at a time, one :func:`hop_distances` per block, as the vectors
+    are asked for; between blocks only the block's (n, width) int64
+    distances are kept.
     """
     order = np.asarray(order)
     _checked_nodes(g, order, "node order")
@@ -344,7 +347,7 @@ def prefix_layerings(g: Graph, order):
             np.minimum(u[:, 0], running, out=u[:, 0])
         np.minimum.accumulate(u, axis=1, out=u)
         for j in range(len(block)):
-            yield layered_view(dist[:, j].copy())
+            yield dist[:, j].copy()
         running = u[:, -1].copy()
         del dist, u
 

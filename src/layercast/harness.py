@@ -22,13 +22,12 @@ import functools
 import hashlib
 import io
 import json
-import os
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
+from . import forking
 from .centrality import CentralityKind, compute_centrality, keep_scores, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
 from .errors import (
@@ -251,33 +250,27 @@ def _false_process(point: ExperimentConfig, g, sweep_index: int, graph_index: in
 _COSTLY = frozenset(CentralityKind) - {CentralityKind.DEGREE, CentralityKind.RANDOM}
 
 
-def _usable_cpus() -> int:
-    # not every platform has sched_getaffinity
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _ranking_pool(workers, strategies, graph_count: int):
     """A fork pool of min(``workers``, ``graph_count``) processes to rank on, or None.
 
-    The one rule for where ranking runs: the pool starts only when that count
-    is above 1, a costly strategy is ranked, the platform can fork and no other
-    thread is live (a fork copies their locks).  ``workers`` None means the
-    usable CPUs.  On exit, tasks not yet started are cancelled.
+    The pool starts only when a costly strategy is ranked and
+    :func:`forking.fork_context` allows that many processes.  ``workers``
+    None means the usable CPUs.  On exit, tasks not yet started are
+    cancelled.
     """
-    workers = _usable_cpus() if workers is None else as_integer("workers", workers)
+    workers = forking.usable_cpus() if workers is None else as_integer("workers", workers)
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
+    processes = min(workers, graph_count)
+    context = forking.fork_context(processes) if _COSTLY.intersection(strategies) else None
     pool = None
-    if min(workers, graph_count) > 1 and _COSTLY.intersection(strategies) and threading.active_count() == 1:
-        import multiprocessing
+    if context is not None:
         from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            import scipy.sparse  # noqa: F401 (loaded once here, not in every worker)
+        import scipy.sparse  # noqa: F401 (loaded once here, not in every worker)
 
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(min(workers, graph_count), mp_context=context)
+        pool = ProcessPoolExecutor(processes, mp_context=context)
     try:
         yield pool
     finally:

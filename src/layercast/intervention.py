@@ -11,15 +11,19 @@ probabilities.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import forking
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread, label_counts
 from .errors import ContractError, InputError, as_integer, check_unit_interval, failing_at
-from .graph import Graph, LayeredView, layer_from_sources, prefix_layerings
+from .graph import Graph, LayeredView, layer_from_sources, layered_view, prefix_layerings
 
 
 @dataclass(frozen=True)
@@ -131,11 +135,11 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
 
     ``false_creators`` is node ids or their :func:`run_false_process` on this
     graph, ``true_creators`` node ids or their :class:`LayeredView` on this
-    graph (such as one of :func:`prefix_layerings`); a given object is used
-    as it is, not spread or searched again.  It is checked only for its size
-    and, a false process, for its false transmission probability: one from a
-    graph of another node count, or spread with another P_F, raises
-    :class:`ContractError`.
+    graph (such as the ``layered_view`` of one of :func:`prefix_layerings`);
+    a given object is used as it is, not spread or searched again.  It is
+    checked only for its size and, a false process, for its false
+    transmission probability: one from a graph of another node count, or
+    spread with another P_F, raises :class:`ContractError`.
     """
     false_process = false_creators
     if isinstance(false_process, FalseProcess):
@@ -194,6 +198,117 @@ def _surely_infected(false_process: FalseProcess, params: CombatParams) -> int:
     return int(np.count_nonzero((f >= 0) & (f <= 1) & (false_process.p_if >= level)))
 
 
+def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, skip: bool):
+    """One process's ``sums(k)``: ``(protected sum, infected sum, qualified)`` at k.
+
+    ``orders`` holds each graph's ranking, or is None for the random
+    strategy.  ``sums`` must be called for ascending k: each graph's
+    :func:`prefix_layerings` distances are read up to the k asked for, and a
+    view is built only for a run made.  With ``skip``, graph i's run is
+    skipped once the runs before it plus U(k) of it and every later graph sum
+    to at most 0 (see :func:`minimum_true_seeds`).
+    """
+    surely_infected = [_surely_infected(fp, params) for fp in false_processes]
+    prefixes = None if orders is None else [prefix_layerings(g, o) for g, o in zip(graphs, orders)]
+    at = [0] * len(graphs)  # the k each graph's prefixes yielded last
+
+    def distances(i, k):
+        # the vectors of the k skipped since are dropped unread
+        dist = next(itertools.islice(prefixes[i], k - at[i] - 1, None))
+        at[i] = k
+        return dist
+
+    def sums(k):
+        bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely_infected)]
+        # prot, inf: summed over the graphs run; rest: the bounds of the
+        # graphs not run
+        prot, inf, rest = 0, 0, sum(bounds)
+        for i, (g, fp) in enumerate(zip(graphs, false_processes)):
+            if skip and prot - inf + rest <= 0:
+                break  # and so for every later graph: the sum stays put
+            with failing_at(f"k={k}: graph {i}: {strategy.value}"):
+                if prefixes is None:
+                    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
+                    ic_t = rng.choice(g.node_count, size=k, replace=False)
+                else:
+                    ic_t = layered_view(distances(i, k))
+                tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
+            prot += tally[Label.PROTECTED]
+            inf += tally[Label.INFECTED]
+            rest -= bounds[i]
+        # with every graph run, prot - inf + rest is the sum of protected - infected
+        return prot, inf, prot - inf + rest > 0
+
+    return sums
+
+
+def _even_k(conn, caller_end, sums, k_max: int) -> None:
+    """The forked worker: k = 2, 4, ..., k_max in order, each sent to the
+    caller as ``(k, protected sum, infected sum, qualified)``.
+
+    ``qualified`` is None when k's runs raised; the worker stops there, and
+    the caller runs k itself.  Each k past 4 waits for the caller's go, sent
+    as the caller starts k - 3: the worker runs at most one of its k past
+    the one the caller waits for, so a k slower on one side than the other
+    need not hold either up, and at most two of its k are wasted.
+    """
+    caller_end.close()  # so a caller that dies leaves this end at EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
+    try:
+        for k in range(2, k_max + 1, 2):
+            if k > 4:
+                conn.recv()
+            try:
+                verdict = (k, *sums(k))
+            except Exception:
+                conn.send((k, 0, 0, None))
+                return
+            conn.send(verdict)
+    except (EOFError, OSError):
+        return
+
+
+@contextlib.contextmanager
+def _even_k_worker(sums, k_max: int):
+    """A forked :func:`_even_k` worker's pipe end, or None where
+    :func:`forking.fork_context` refuses two processes.
+
+    On exit the worker is killed, even mid-k (it holds nothing to release),
+    and joined.
+    """
+    context = forking.fork_context(min(forking.usable_cpus(), k_max))
+    if context is None:
+        yield None
+        return
+    conn, child_end = context.Pipe()
+    worker = context.Process(target=_even_k, args=(child_end, conn, sums, k_max), daemon=True)
+    worker.start()
+    child_end.close()
+    try:
+        yield conn
+    finally:
+        worker.kill()
+        worker.join()
+        worker.close()
+        conn.close()
+
+
+def _worker_verdict(conn, k: int, k_max: int):
+    """The worker's ``(protected sum, infected sum, qualified)`` at even k, or
+    None when its runs at k failed or it is gone.  A verdict that does not
+    end the search sends the go for k + 4."""
+    try:
+        _, prot, inf, qualified = conn.recv()
+    except (EOFError, OSError):
+        return None
+    if qualified is None:
+        return None
+    if not qualified and k + 4 <= k_max:
+        with contextlib.suppress(OSError):  # a gone worker shows at the next recv
+            conn.send(k + 4)
+    return prot, inf, qualified
+
+
 def minimum_true_seeds(
     graphs,
     strategy: CentralityKind,
@@ -206,14 +321,14 @@ def minimum_true_seeds(
     """Smallest true-creator count achieving a complete intervention.
 
     A complete intervention means the ensemble-mean protected count strictly
-    exceeds the ensemble-mean infected count.  The search runs k = 1..k_max in
-    order and returns the first qualifying k (completeness is not guaranteed
-    monotone in k), or None when no k qualifies.  ``false_processes`` gives
-    each graph its :func:`run_false_process`, spread once from its fixed false
-    creators; each is checked against its graph and ``params`` before any
-    combat run.  The random strategy draws its true creators from seeds
-    derived per (graph, k) and requires ``rng_seed``.  A ranked strategy's
-    creators at k are its first k ranked nodes, so one
+    exceeds the ensemble-mean infected count.  The search examines k =
+    1..k_max in order and returns the first qualifying k (completeness is not
+    guaranteed monotone in k), or None when no k qualifies.
+    ``false_processes`` gives each graph its :func:`run_false_process`, spread
+    once from its fixed false creators; each is checked against its graph and
+    ``params`` before any combat run.  The random strategy draws its true
+    creators from seeds derived per (graph, k) and requires ``rng_seed``.  A
+    ranked strategy's creators at k are its first k ranked nodes, so one
     :func:`prefix_layerings` per graph layers them for every k.
 
     The counts are integers, so the means compare as the sums do.  At k, a
@@ -224,9 +339,17 @@ def minimum_true_seeds(
     skips nothing, and the list receives ``(k, mean_protected,
     mean_infected)`` for every k examined.
 
+    Each k's verdict depends on its own runs only.  So where
+    :func:`forking.fork_context` allows two processes, one forked worker
+    examines the even k and this process the odd k, and this process takes
+    the verdicts in k order; the answer, the curve and the runs this process
+    makes do not depend on the timing.  An even k whose runs failed on the
+    worker, or that a gone worker did not report, is run here.
+
     A :class:`LayercastError` is re-raised with its graph and the strategy in
     front (``graph <i>: <strategy>: `` from a false-process check or a
-    ranking, ``k=<k>: graph <i>: <strategy>: `` from a combat run).
+    ranking, ``k=<k>: graph <i>: <strategy>: `` from a combat run); it is the
+    error object the serial search raises.
     """
     graphs = list(graphs)
     false_processes = list(false_processes)
@@ -242,44 +365,35 @@ def minimum_true_seeds(
         raise InputError("the random strategy requires an explicit rng_seed")
 
     # a skipped run would defer or hide the mismatch run_intervention reports
-    surely_infected = []
     for i, (g, fp) in enumerate(zip(graphs, false_processes)):
         with failing_at(f"graph {i}: {strategy.value}"):
             if not isinstance(fp, FalseProcess):
                 raise ContractError(f"expected a FalseProcess, got {type(fp).__name__}")
             _check_false_process(g, fp, params)
-        surely_infected.append(_surely_infected(fp, params))
 
-    prefixes = None
+    orders = None
     if strategy is not CentralityKind.RANDOM:
         # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
-        prefixes = []
+        orders = []
         for i, g in enumerate(graphs):
             with failing_at(f"graph {i}: {strategy.value}"):
-                order = top_k_by_score(compute_centrality(g, strategy).scores, k_max)
-            prefixes.append(prefix_layerings(g, order))
+                orders.append(top_k_by_score(compute_centrality(g, strategy).scores, k_max))
 
-    for k in range(1, k_max + 1):
-        bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely_infected)]
-        # prot, inf: summed over the graphs run; rest: the bounds of the
-        # graphs not run yet
-        prot, inf, rest = 0, 0, sum(bounds)
-        for i, (g, fp) in enumerate(zip(graphs, false_processes)):
-            with failing_at(f"k={k}: graph {i}: {strategy.value}"):
-                if prefixes is not None:
-                    ic_t = next(prefixes[i])  # advanced for a skipped run too
-                if curve_out is None and prot - inf + rest <= 0:
-                    continue
-                if prefixes is None:
-                    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
-                    ic_t = rng.choice(g.node_count, size=k, replace=False)
-                tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
-            prot += tally[Label.PROTECTED]
-            inf += tally[Label.INFECTED]
-            rest -= bounds[i]
-        if curve_out is not None:
-            curve_out.append((k, prot / len(graphs), inf / len(graphs)))
-        # with every graph run, prot - inf + rest is the sum of protected - infected
-        if prot - inf + rest > 0:
-            return k
+    sums = _search_sums(
+        graphs, strategy, false_processes, params, orders, rng_seed, skip=curve_out is None
+    )
+    with _even_k_worker(sums, k_max) as conn:
+        for k in range(1, k_max + 1):
+            verdict = None
+            if conn is not None and k % 2 == 0:
+                verdict = _worker_verdict(conn, k, k_max)
+                if verdict is None:
+                    conn = None  # k and every later k run here
+            if verdict is None:
+                verdict = sums(k)
+            prot, inf, qualified = verdict
+            if curve_out is not None:
+                curve_out.append((k, prot / len(graphs), inf / len(graphs)))
+            if qualified:
+                return k
     return None

@@ -126,7 +126,7 @@ class TestSelectSeeds:
             select_seeds(chain4, CentralityKind.DEGREE, 5)
 
     @pytest.mark.parametrize("kind", [CentralityKind.DEGREE, CentralityKind.RANDOM])
-    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
     def test_non_integer_k_rejected(self, chain4, kind, k):
         with pytest.raises(InputError, match="k must be an integer"):
             select_seeds(chain4, kind, k, rng_seed=1)

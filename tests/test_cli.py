@@ -389,6 +389,7 @@ class TestExperiment:
             ("generator", {"type": "er", "n": 1e3, "edge_exist_prob": 0.12}),
             ("generator", {"type": "lfr", "n": 100, "tau1": 3.0, "tau2": 1.5, "mu": 0.1,
                            "average_degree": 5.0, "min_community": 20.5}),
+            ("ensemble_size", True),
         ],
     )
     def test_bad_battery_config_is_input_error(self, capsys, tmp_path, field, value):
@@ -585,7 +586,8 @@ def loaded_after(code: str, module: str) -> bool:
 class TestStartup:
     """The CLI does not pay for scipy.stats unless a Wilcoxon test runs, nor
     for scipy.sparse until a graph needs its adjacency matrix, nor for
-    multiprocessing until a battery ranks on worker processes."""
+    multiprocessing until a battery ranks on worker processes or a
+    minimum-seed search forks its worker."""
 
     @STARTUP_CODE
     def test_scipy_stats_not_imported(self, code):

@@ -17,6 +17,7 @@ from layercast import (
     InputError,
     LfrParams,
     NumericError,
+    forking,
     harness,
 )
 from layercast.harness import (
@@ -206,7 +207,7 @@ class TestRunExperiment:
             assert multiprocessing.active_children() == []
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(InputError, match="workers"):
             run_experiment(tiny_single_config(), workers=workers)
@@ -586,6 +587,11 @@ class TestNumpyConfig:
             run_experiment(python_cfg)
         )
 
+    def test_bool_count_rejected(self):
+        # a JSON true is a Python bool, which is an Integral
+        with pytest.raises(InputError, match="^ensemble_size must be an integer, got True$"):
+            dataclasses.replace(preset("er_intervention"), ensemble_size=True)
+
     def test_integer_counts(self):
         self.assert_same_output(
             tiny_single_config(
@@ -818,7 +824,7 @@ class TestMinimumSeedBattery:
         )
         out = []
         for cpus in (1, 2):
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
             out.append(minimum_seed_battery(cfg, k_max=60))
         assert out[0] == out[1] and out[0]["betweenness"] is not None
         minimum_seed_battery(cfg, k_max=60, strategies=["degree", "random"])
@@ -859,6 +865,8 @@ class TestMinimumSeedBattery:
     def test_combat_failure_names_k_graph_and_strategy(self, monkeypatch, strategy):
         from layercast import intervention
 
+        # one usable CPU: the runs counted are the serial search's, in order
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         error = NumericError("boom", last_iterate=np.arange(4.0))
         cfg = tiny_intervention_config()
         graphs = [g for g, _ in build_ensemble(cfg)]

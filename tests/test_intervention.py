@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +16,13 @@ from layercast import (
     DiffusionParams,
     InputError,
     Label,
+    NumericError,
     build_graph,
     compute_centrality,
     determine_combat_label,
     intervention_metrics,
     layer_from_sources,
+    layered_view,
     minimum_true_seeds,
     prefix_layerings,
     run_false_process,
@@ -27,7 +34,7 @@ from layercast import (
 from layercast import graph as graph_module
 from layercast.graph import _PREFIX_WIDTH
 
-from layercast import intervention
+from layercast import forking, intervention
 from layercast.harness import _false_process, build_ensemble, preset
 
 from conftest import random_edges
@@ -242,7 +249,8 @@ class TestInvariants:
             rng = np.random.default_rng(seed)
             ic_f = rng.choice(45, 3, replace=False)
             order = rng.permutation(45)[: _PREFIX_WIDTH + 5]
-            for k, view in enumerate(prefix_layerings(g, order), 1):
+            for k, dist in enumerate(prefix_layerings(g, order), 1):
+                view = layered_view(dist)
                 fresh = run_intervention(g, ic_f, order[:k], params)
                 given = run_intervention(g, ic_f, view, params)
                 assert given.true_layers is view
@@ -311,7 +319,7 @@ class TestMinimumTrueSeeds:
         with pytest.raises(InputError):
             search_from_node_0(chain4, FIG45, CentralityKind.RANDOM, k_max=2)
 
-    @pytest.mark.parametrize("k_max", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, "2", None, True])
     def test_non_integer_k_max_rejected(self, chain4, k_max):
         with pytest.raises(InputError, match="k_max must be an integer"):
             search_from_node_0(chain4, FIG45, k_max=k_max)
@@ -329,6 +337,8 @@ class TestMinimumTrueSeeds:
     def test_searches_per_graph(self, monkeypatch, random_graph_factory, strategy, params):
         # a ranked strategy searches its growing creator sets one block of
         # _PREFIX_WIDTH at a time; random draws fresh creators for every k
+        # one usable CPU: the searches counted are the serial search's
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         graphs = [random_graph_factory(seed=830 + i, n=40, p=0.12)[0] for i in range(3)]
         false_processes = [run_false_process(g, [0, 1], params) for g in graphs]
         searches = []
@@ -508,7 +518,7 @@ class TestSkipBound:
         for i, g in enumerate(graphs):
             fp = _false_process(config, g, 0, i)
             order = top_k_by_score(compute_centrality(g, CentralityKind.DEGREE).scores, 80)
-            assert_bound_holds(g, fp, config.model, prefix_layerings(g, order))
+            assert_bound_holds(g, fp, config.model, map(layered_view, prefix_layerings(g, order)))
 
     @pytest.mark.parametrize("case", ADVERSARIAL)
     def test_holds_on_adversarial_ensembles(self, case):
@@ -520,7 +530,8 @@ class TestSkipBound:
             # the false creators among the true ones, then random sets
             overlapping = [np.union1d(fp.layers.sources, [int(ranked[-1])])]
             drawn = [rng.choice(n, k, replace=False) for k in range(1, n + 1)]
-            assert_bound_holds(g, fp, params, list(prefix_layerings(g, ranked)) + overlapping + drawn)
+            views = list(map(layered_view, prefix_layerings(g, ranked)))
+            assert_bound_holds(g, fp, params, views + overlapping + drawn)
 
     @pytest.mark.parametrize("strategy", ["degree", "closeness", "random"])
     @pytest.mark.parametrize("case", ADVERSARIAL)
@@ -535,6 +546,8 @@ class TestSkipBound:
             assert got is None
 
     def test_desk_search_skips_runs_and_curve_keeps_them(self, monkeypatch):
+        # one usable CPU: the runs counted are the serial search's
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         config = preset("er_intervention")
         graphs = [g for g, _ in build_ensemble(config)]
         false_processes = [_false_process(config, g, 0, i) for i, g in enumerate(graphs)]
@@ -559,3 +572,185 @@ class TestSkipBound:
         assert per_k_minimum_true_seeds(*args, curve_out=want_curve) == 55
         assert curve == want_curve
         assert len(bounded_search_runs(*args)[0]) == made
+
+    def test_desk_search_builds_views_for_its_runs_only(self, monkeypatch):
+        # 1 010 runs at seed 1729; the 640 skipped ones build no view
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
+        views = []
+
+        def counting(layer_of):
+            views.append(len(layer_of))
+            return layered_view(layer_of)
+
+        monkeypatch.setattr(intervention, "layered_view", counting)
+        graphs, false_processes, params = desk_ensemble(1729)
+        assert minimum_true_seeds(graphs, "degree", false_processes, params, 80) == 55
+        assert len(views) == 1010
+
+
+def chain4_search():
+    """The degree search of :func:`search_from_node_0` on the 4-node chain."""
+    return search_from_node_0(build_graph(4, [(0, 1), (1, 2), (2, 3)]), FIG45, k_max=4)
+
+
+def desk_ensemble(seed):
+    """(graphs, false processes, params) of the desk ``er_intervention`` battery at ``seed``."""
+    config = dataclasses.replace(preset("er_intervention"), master_rng_seed=seed)
+    graphs = [g for g, _ in build_ensemble(config)]
+    return graphs, [_false_process(config, g, 0, i) for i, g in enumerate(graphs)], config.model
+
+
+class TestTwoProcessSearch:
+    """On two usable CPUs a forked worker examines the even k and the calling
+    process the odd k; the answer, the curve, the error and the calling
+    process's runs are those of the serial search."""
+
+    @staticmethod
+    def forking_search(monkeypatch, cpus, *args, **kwargs):
+        """minimum_true_seeds on ``cpus`` usable CPUs, checking that two forked."""
+        contexts = []
+        fork_context = forking.fork_context
+
+        def recording(processes):
+            contexts.append(fork_context(processes))
+            return contexts[-1]
+
+        monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forking, "fork_context", recording)
+        got = minimum_true_seeds(*args, **kwargs)
+        assert [c is not None for c in contexts] == [cpus > 1]
+        assert multiprocessing.active_children() == []
+        return got
+
+    def assert_equals_serial(self, monkeypatch, graphs, false_processes, params, strategy, k_max):
+        args = (graphs, strategy, false_processes, params, k_max)
+        answers = []
+        for cpus in (1, 2):
+            curve = []
+            answers.append((
+                self.forking_search(monkeypatch, cpus, *args, rng_seed=11),
+                self.forking_search(monkeypatch, cpus, *args, rng_seed=11, curve_out=curve),
+                curve,
+            ))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == answers[0][1]
+        return answers[0][0]
+
+    @pytest.mark.parametrize("strategy", ["degree", "closeness", "random"])
+    @pytest.mark.parametrize("seed", [1729, 2718])
+    def test_desk_ensemble_equals_serial(self, monkeypatch, seed, strategy):
+        k = self.assert_equals_serial(monkeypatch, *desk_ensemble(seed), strategy, 80)
+        assert k is not None and k > 2
+
+    @pytest.mark.parametrize("strategy", ["degree", "closeness", "random"])
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_adversarial_ensembles_equal_serial(self, monkeypatch, case, strategy):
+        graphs, false_processes, params = adversarial_ensemble(case)
+        k_max = 12 if case == "never" else 20
+        self.assert_equals_serial(monkeypatch, graphs, false_processes, params, strategy, k_max)
+
+    @pytest.mark.parametrize("k_fail", [2, 3], ids=["worker-k", "caller-k"])
+    def test_failure_is_the_serial_error(self, monkeypatch, k_fail):
+        # the never case examines every k; the curve makes every graph run
+        graphs, false_processes, params = adversarial_ensemble("never")
+        original = intervention.run_intervention
+        errors = []
+
+        def failing(g, false_creators, true_creators, params):
+            if g is graphs[1] and len(true_creators.sources) == k_fail:
+                errors.append(NumericError("boom", last_iterate=np.arange(4.0)))
+                raise errors[-1]
+            return original(g, false_creators, true_creators, params)
+
+        monkeypatch.setattr(intervention, "run_intervention", failing)
+        for cpus in (1, 2):
+            errors.clear()
+            with pytest.raises(NumericError) as info:
+                self.forking_search(
+                    monkeypatch, cpus, graphs, "degree", false_processes, params, 12, curve_out=[]
+                )
+            # raised here, by this process's own run
+            assert errors == [info.value]
+            assert str(info.value) == f"k={k_fail}: graph 1: degree: boom"
+            assert info.value.last_iterate.tolist() == [0.0, 1.0, 2.0, 3.0]
+            assert multiprocessing.active_children() == []
+
+    def test_killed_worker_gives_the_serial_answer(self, monkeypatch):
+        graphs, false_processes, params = desk_ensemble(1729)
+        caller = os.getpid()
+        original = intervention.run_intervention
+
+        def dying_on_the_worker_at_k_4(g, false_creators, true_creators, params):
+            if os.getpid() != caller and len(true_creators.sources) == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(g, false_creators, true_creators, params)
+
+        monkeypatch.setattr(intervention, "run_intervention", dying_on_the_worker_at_k_4)
+        args = (graphs, "degree", false_processes, params, 80)
+        serial, killed = [], []
+        assert self.forking_search(monkeypatch, 1, *args, curve_out=serial) == 55
+        assert self.forking_search(monkeypatch, 2, *args, curve_out=killed) == 55
+        assert killed == serial
+
+    def test_caller_exception_stops_the_worker(self, monkeypatch):
+        graphs, false_processes, params = desk_ensemble(1729)
+        caller = os.getpid()
+        original = intervention.run_intervention
+
+        def interrupted_on_the_caller_at_k_5(g, false_creators, true_creators, params):
+            if os.getpid() == caller and len(true_creators.sources) == 5:
+                raise KeyboardInterrupt
+            return original(g, false_creators, true_creators, params)
+
+        monkeypatch.setattr(intervention, "run_intervention", interrupted_on_the_caller_at_k_5)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        with pytest.raises(KeyboardInterrupt):
+            minimum_true_seeds(graphs, "degree", false_processes, params, 80)
+        assert multiprocessing.active_children() == []
+
+    def test_search_in_a_daemonic_worker_is_serial(self, monkeypatch):
+        # a multiprocessing.Pool's workers are daemonic and may start no child
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(chain4_search) == 2
+        assert multiprocessing.active_children() == []
+
+    def counted_runs(self, monkeypatch, graphs, *args):
+        """The (k, graph index) runs this process makes in one search, and its answer."""
+        index = {id(g): i for i, g in enumerate(graphs)}
+        original = intervention.run_intervention
+        runs = []
+
+        def counting(g, false_creators, true_creators, params):
+            runs.append((len(true_creators.sources), index[id(g)]))
+            return original(g, false_creators, true_creators, params)
+
+        monkeypatch.setattr(intervention, "run_intervention", counting)
+        k = minimum_true_seeds(graphs, *args)
+        monkeypatch.setattr(intervention, "run_intervention", original)
+        return runs, k
+
+    def test_caller_makes_the_odd_k_runs_every_time(self, monkeypatch):
+        # the tracer compares the runs of repeated searches
+        graphs, false_processes, params = desk_ensemble(1729)
+        args = ("degree", false_processes, params, 80)
+        serial = bounded_search_runs(graphs, *args)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        first = self.counted_runs(monkeypatch, graphs, *args)
+        assert first == ([(k, i) for k, i in serial[0] if k % 2], serial[1])
+        assert self.counted_runs(monkeypatch, graphs, *args) == first
+
+    def test_caller_with_a_live_thread_searches_serially(self, monkeypatch):
+        graphs, false_processes, params = desk_ensemble(1729)
+        args = ("degree", false_processes, params, 80)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            got = self.counted_runs(monkeypatch, graphs, *args)
+        finally:
+            release.set()
+            helper.join()
+        assert got == bounded_search_runs(graphs, *args)
+        assert multiprocessing.active_children() == []

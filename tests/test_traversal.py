@@ -17,9 +17,10 @@ from layercast import (
     closeness_centrality,
     gen_er,
     layer_from_sources,
+    layered_view,
     prefix_layerings,
 )
-from layercast import CentralityKind, centrality, harness
+from layercast import CentralityKind, centrality, forking, harness
 from layercast import graph as graph_module
 from layercast.centrality import _BLOCK, _path_scores
 from layercast.graph import _PREFIX_WIDTH, SearchBuffers, hop_distances, product_into
@@ -253,7 +254,8 @@ def assert_same_view(got, want):
 
 
 class TestPrefixLayerings:
-    """Each prefix of a node order is layered as one fresh multi-source search."""
+    """Each prefix of a node order gets the distances of one fresh multi-source
+    search, and their view is that search's."""
 
     @pytest.mark.parametrize("case", list(PREFIX_CASES))
     def test_each_prefix_equals_a_fresh_layering(self, case):
@@ -262,17 +264,20 @@ class TestPrefixLayerings:
         rng = np.random.default_rng(len(case))
         # every node, then a prefix that is no multiple of the block width
         for order in (rng.permutation(n), rng.permutation(n)[: 2 * _PREFIX_WIDTH + 3]):
-            views = list(prefix_layerings(g, order))
-            assert len(views) == len(order)
-            for k, got in enumerate(views, 1):
-                assert_same_view(got, layer_from_sources(g, order[:k]))
+            dists = list(prefix_layerings(g, order))
+            assert len(dists) == len(order)
+            # each vector is its own, so a view may take it over
+            assert len({d.ctypes.data for d in dists}) == len(dists)
+            for k, dist in enumerate(dists, 1):
+                assert dist.dtype == np.int64 and dist.flags.c_contiguous
+                assert_same_view(layered_view(dist), layer_from_sources(g, order[:k]))
 
     def test_isolated_and_second_component_stay_unreached(self):
         g = build_graph(7, [(0, 1), (1, 2), (4, 5)])
-        views = list(prefix_layerings(g, [2, 5, 6]))
-        assert views[0].layer_of.tolist() == [2, 1, 0, -1, -1, -1, -1]
-        assert views[1].layer_of.tolist() == [2, 1, 0, -1, 1, 0, -1]
-        assert views[2].layer_of.tolist() == [2, 1, 0, -1, 1, 0, 0]
+        dists = list(prefix_layerings(g, [2, 5, 6]))
+        assert dists[0].tolist() == [2, 1, 0, -1, -1, -1, -1]
+        assert dists[1].tolist() == [2, 1, 0, -1, 1, 0, -1]
+        assert dists[2].tolist() == [2, 1, 0, -1, 1, 0, 0]
 
     def test_one_search_per_block_as_views_are_taken(self, monkeypatch):
         calls = []
@@ -284,12 +289,12 @@ class TestPrefixLayerings:
         monkeypatch.setattr(graph_module, "hop_distances", counting)
         n = 3 * _PREFIX_WIDTH
         g = build_graph(n, random_graph(n, 0.1, 14))
-        views = prefix_layerings(g, np.arange(2 * _PREFIX_WIDTH + 3))
+        dists = prefix_layerings(g, np.arange(2 * _PREFIX_WIDTH + 3))
         assert calls == []
         for _ in range(_PREFIX_WIDTH + 1):
-            next(views)
+            next(dists)
         assert calls == [(n, _PREFIX_WIDTH), (n, _PREFIX_WIDTH)]
-        assert len(list(views)) == _PREFIX_WIDTH + 2
+        assert len(list(dists)) == _PREFIX_WIDTH + 2
         assert calls == [(n, _PREFIX_WIDTH), (n, _PREFIX_WIDTH), (n, 3)]
 
     @pytest.mark.parametrize("order", [[], [4], [-1], [1.5]])
@@ -363,10 +368,10 @@ class TestTwoWorkerSweep:
         off_main.join(timeout=60)
         assert not off_main.is_alive() and pools == [None]
         # the default worker count is the usable CPUs
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         with harness._ranking_pool(None, self.COSTLY, 8) as pool:
             assert pool is None
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         with harness._ranking_pool(None, self.COSTLY, 8) as pool:
             assert pool is not None
         assert multiprocessing.active_children() == []
