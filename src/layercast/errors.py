@@ -44,6 +44,16 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def as_real(name: str, value):
+    """``value`` unchanged; :class:`InputError` naming ``name`` unless it is a
+    real number (an int or a float of Python or NumPy; ``True``, strings and
+    ``None`` are not).  NaN and infinities are real numbers here."""
+    # bool is a Real too, but a JSON true is no probability
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def check_int_fields(params) -> None:
     """Make every ``int`` field of the frozen dataclass ``params`` a Python int.
 
@@ -58,9 +68,10 @@ def check_int_fields(params) -> None:
 
 
 def check_unit_interval(params, *names) -> None:
-    """Raise :class:`InputError` unless each named field, in order, is in [0, 1] (not NaN)."""
+    """Raise :class:`InputError` unless each named field, in order, is a real
+    number in [0, 1] (not NaN)."""
     for name in names:
-        value = getattr(params, name)
+        value = as_real(name, getattr(params, name))
         if not 0.0 <= value <= 1.0:
             raise InputError(f"{name} must be in [0, 1], got {value}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, InputError, check_int_fields, check_unit_interval
+from .errors import GenerationError, InputError, as_real, check_int_fields, check_unit_interval
 from .graph import Graph
 
 # Shared retry/rewiring budget factor: a generator may spend at most
@@ -58,9 +58,9 @@ class GaussianPartitionParams:
         check_int_fields(self)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        if not self.mean_size >= 1:  # also rejects NaN
-            raise InputError(f"mean_size must be >= 1, got {self.mean_size}")
-        if not self.shape > 0:
+        if not 1 <= as_real("mean_size", self.mean_size) < math.inf:  # also rejects NaN
+            raise InputError(f"mean_size must be finite and >= 1, got {self.mean_size}")
+        if not as_real("shape", self.shape) > 0:  # shape = inf: equal sizes
             raise InputError(f"shape must be > 0, got {self.shape}")
         check_unit_interval(self, "p_in", "p_out")
 
@@ -80,12 +80,13 @@ class LfrParams:
         check_int_fields(self)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        if not (self.tau1 > 1 and self.tau2 > 1):  # also rejects NaN
-            raise InputError("tau1 and tau2 must both be > 1")
-        if not 0.0 < self.mu < 1.0:
+        for name in ("tau1", "tau2"):
+            if not 1 < as_real(name, getattr(self, name)) < math.inf:  # also rejects NaN
+                raise InputError(f"{name} must be finite and > 1, got {getattr(self, name)}")
+        if not 0.0 < as_real("mu", self.mu) < 1.0:
             raise InputError(f"mu must be in (0, 1), got {self.mu}")
-        if not self.average_degree > 0:
-            raise InputError(f"average_degree must be > 0, got {self.average_degree}")
+        if not 0 < as_real("average_degree", self.average_degree) < math.inf:
+            raise InputError(f"average_degree must be finite and > 0, got {self.average_degree}")
         if self.min_community < 1:
             raise InputError(f"min_community must be >= 1, got {self.min_community}")
 
@@ -210,65 +211,138 @@ def _solve_degree_floor(tau: float, target_mean: float, xmax: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _match_stubs(rng, stubs, occupied, communities=None, budget=0):
+#: Swap attempts one invalid pair gets before :func:`_match_stubs` drops it.
+_SWAP_ATTEMPTS = 60
+
+_UINT32_SPAN = 1 << 32
+#: Raw outputs :class:`_BoundedDraws` reads from the generator at a time.
+_CHUNK = 256
+
+
+class _BoundedDraws:
+    """Stands in for a run of scalar ``rng.integers(bound)`` calls, ``1 <= bound <= 2**32``.
+
+    ``draw(bound)`` returns what the next such call would return.  The raw
+    32-bit outputs come from ``rng`` in chunks, and each is reduced by
+    Lemire's multiply-and-reject method (Lemire 2019) as numpy 2.4.6 reduces
+    them for a range of at most 2**32: the result is the high word of
+    ``u * bound``, and an output whose low word falls below
+    ``(2**32 - bound) % bound`` is rejected for the next one.  ``bound == 1``
+    returns 0 and takes no output, as numpy does.
+
+    Stream contract: the chunks read ``rng`` ahead of the draws, so nothing
+    else may draw from ``rng`` until :meth:`close`.  Closing restores the
+    state before the first chunk and draws exactly the outputs used, which
+    leaves ``rng``, PCG64's buffered half-word included, where the scalar
+    calls would have left it.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._state = None
+        self._chunk = []
+        self._pos = 0
+        self._before = 0  # outputs used from the earlier chunks
+
+    def draw(self, bound: int) -> int:
+        if bound == 1:
+            return 0
+        while True:
+            if self._pos == len(self._chunk):
+                self._refill()
+            m = self._chunk[self._pos] * bound
+            self._pos += 1
+            low = m & 0xFFFFFFFF
+            # numpy's order: the threshold is computed only when low < bound
+            if low >= bound or low >= (_UINT32_SPAN - bound) % bound:
+                return m >> 32
+
+    def _refill(self):
+        if self._state is None:
+            self._state = self._rng.bit_generator.state
+        self._before += self._pos
+        self._chunk = self._rng.integers(0, _UINT32_SPAN, size=_CHUNK, dtype=np.uint32).tolist()
+        self._pos = 0
+
+    def close(self):
+        """Leave ``rng`` exactly where the scalar calls would have left it."""
+        if self._state is not None:
+            self._rng.bit_generator.state = self._state
+            self._rng.integers(0, _UINT32_SPAN, size=self._before + self._pos, dtype=np.uint32)
+            self._state = None
+        self._chunk = []
+        self._pos = self._before = 0
+
+
+def _match_stubs(rng, stubs, occupied, n, communities=None, budget=0):
     """Configuration-model matching with swap repair.
 
-    Pairs the stubs into simple edges; invalid pairs (self-loop, duplicate, or
-    same-community when ``communities`` is given) are repaired by partner
-    swaps with randomly chosen valid pairs.  Pairs still invalid once the
-    budget runs out are dropped.  ``occupied`` (a set of canonical (u, v)
-    keys) is extended in place with the edges produced.
+    Pairs the stubs into simple edges between nodes ``0 .. n-1``.  An invalid
+    pair (self-loop, duplicate, or same-community when ``communities`` is
+    given) is repaired by partner swaps with randomly chosen valid pairs.  It
+    is dropped after ``_SWAP_ATTEMPTS`` failed attempts, and every pair still
+    invalid once ``budget`` attempts are spent in this call is dropped too.
+    The edges produced go into ``occupied``, a set of keys ``lo * n + hi``
+    of the edges ``(lo, hi)``, ``lo < hi``, so it holds exactly the edges
+    matched so far.
     """
     stubs = rng.permutation(stubs)
     if len(stubs) % 2:
         stubs = stubs[:-1]
     pairs = stubs.reshape(-1, 2).tolist()
     if not pairs:
-        return []
-
-    def ok(u, v):
-        if u == v:
-            return False
-        if communities is not None and communities[u] == communities[v]:
-            return False
-        return (min(u, v), max(u, v)) not in occupied
+        return
+    comm = None if communities is None else communities.tolist()
 
     good = [False] * len(pairs)
     bad = deque()
     for i, (u, v) in enumerate(pairs):
-        if ok(u, v):
-            occupied.add((min(u, v), max(u, v)))
-            good[i] = True
-        else:
-            bad.append(i)
+        if u != v and (comm is None or comm[u] != comm[v]):
+            key = u * n + v if u < v else v * n + u
+            if key not in occupied:
+                occupied.add(key)
+                good[i] = True
+                continue
+        bad.append(i)
 
+    count = len(pairs)
     spent = 0
+    draws = _BoundedDraws(rng)
     while bad and spent < budget:
         i = bad.popleft()
         u, v = pairs[i]
-        for _ in range(60):
+        for _ in range(_SWAP_ATTEMPTS):
             spent += 1
             if spent >= budget:
                 break
-            j = int(rng.integers(len(pairs)))
+            j = draws.draw(count)
             if j == i or not good[j]:
                 continue
             x, y = pairs[j]
-            if rng.integers(2):
-                (a, b), (c, d) = (u, y), (x, v)
+            if draws.draw(2):
+                a, b, c, d = u, y, x, v
             else:
-                (a, b), (c, d) = (u, x), (v, y)
-            key_j = (min(x, y), max(x, y))
+                a, b, c, d = u, x, v, y
+            if a == b or c == d:
+                continue
+            if comm is not None and (comm[a] == comm[b] or comm[c] == comm[d]):
+                continue
+            key_ab = a * n + b if a < b else b * n + a
+            key_cd = c * n + d if c < d else d * n + c
+            key_j = x * n + y if x < y else y * n + x
+            # pair j's own edge is free for the swap: the two new edges may reuse it
+            if key_ab == key_cd or (key_ab in occupied and key_ab != key_j) or (
+                key_cd in occupied and key_cd != key_j
+            ):
+                continue
             occupied.discard(key_j)
-            if ok(a, b) and ok(c, d) and {min(a, b), max(a, b)} != {min(c, d), max(c, d)}:
-                occupied.add((min(a, b), max(a, b)))
-                occupied.add((min(c, d), max(c, d)))
-                pairs[i] = [a, b]
-                pairs[j] = [c, d]
-                good[i] = True
-                break
-            occupied.add(key_j)
-    return [pairs[i] for i in range(len(pairs)) if good[i]]
+            occupied.add(key_ab)
+            occupied.add(key_cd)
+            pairs[i] = [a, b]
+            pairs[j] = [c, d]
+            good[i] = True
+            break
+    draws.close()
 
 
 def _sample_community_sizes(rng, n, tau2, min_community, max_community):
@@ -340,29 +414,38 @@ def gen_lfr(params: LfrParams, rng_seed):
         # Place high-internal-degree nodes first; a node fits a community only
         # if the community is strictly larger than its internal degree.
         capacity = list(sizes)
-        assignment = np.full(n, -1, dtype=np.int64)
+        wanted = internal.tolist()
+        assignment = [-1] * n
         placed = True
-        for node in np.argsort(-internal, kind="stable"):
-            eligible = [
-                c for c in range(len(sizes))
-                if capacity[c] > 0 and sizes[c] > internal[node]
-            ]
+        draws = _BoundedDraws(rng)
+        degree = None
+        for node in np.argsort(-internal, kind="stable").tolist():
+            # the communities open to this node, in index order; between two
+            # nodes of one internal degree only a community that fills up leaves
+            if wanted[node] != degree:
+                degree = wanted[node]
+                eligible = [
+                    c for c in range(len(sizes)) if capacity[c] > 0 and sizes[c] > degree
+                ]
             if not eligible:
                 placed = False
                 last_failure = (
                     f"no community large enough for a node with internal degree "
-                    f"{int(internal[node])} (sizes max {max(sizes)})"
+                    f"{degree} (sizes max {max(sizes)})"
                 )
                 break
-            c = eligible[int(rng.integers(len(eligible)))]
+            c = eligible[draws.draw(len(eligible))]
             assignment[node] = c
             capacity[c] -= 1
+            if not capacity[c]:
+                eligible.remove(c)
+        draws.close()
         if not placed:
             continue
+        assignment = np.array(assignment, dtype=np.int64)
 
         external = degrees - internal
         occupied: set = set()
-        edges: list = []
         for c in range(len(sizes)):
             members = np.nonzero(assignment == c)[0]
             if members.size == 0:
@@ -375,13 +458,12 @@ def gen_lfr(params: LfrParams, rng_seed):
                     internal[pick] -= 1
                     external[pick] += 1
             stubs = np.repeat(members, internal[members])
-            edges.extend(_match_stubs(rng, stubs, occupied, budget=budget))
+            _match_stubs(rng, stubs, occupied, n, budget=budget)
         if len(sizes) > 1:
             stubs = np.repeat(np.arange(n, dtype=np.int64), external)
-            edges.extend(
-                _match_stubs(rng, stubs, occupied, communities=assignment, budget=budget)
-            )
+            _match_stubs(rng, stubs, occupied, n, communities=assignment, budget=budget)
+        keys = np.fromiter(occupied, dtype=np.int64, count=len(occupied))
         assignment.setflags(write=False)
-        return Graph(n, edges), assignment
+        return Graph(n, np.stack([keys // n, keys % n], axis=1)), assignment
 
     raise GenerationError(f"LFR generation failed: {last_failure}")

@@ -22,7 +22,7 @@ import numpy as np
 from . import forking
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread, label_counts
-from .errors import ContractError, InputError, as_integer, check_unit_interval, failing_at
+from .errors import ContractError, InputError, as_integer, as_real, check_unit_interval, failing_at
 from .graph import Graph, LayeredView, layer_from_sources, layered_view, prefix_layerings
 
 
@@ -45,7 +45,7 @@ class CombatParams:
         check_unit_interval(
             self, "false_transmission_prob", "true_transmission_prob", "comparative_threshold"
         )
-        if not self.decisive_threshold >= 0.0:  # also rejects NaN
+        if not as_real("decisive_threshold", self.decisive_threshold) >= 0.0:  # also rejects NaN
             raise InputError(
                 f"decisive_threshold must be >= 0, got {self.decisive_threshold}"
             )

@@ -8,7 +8,7 @@ than reusing package internals, so agreement is meaningful.
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -699,3 +699,166 @@ def row_pair_edges(rng, n, pair_prob):
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(rows)
+
+
+def scalar_match_stubs(rng, stubs, occupied, communities=None, budget=0, paths=None):
+    """Configuration-model matching with one scalar ``rng.integers`` call per
+    draw and ``(min, max)`` tuple keys in ``occupied``: the package's earlier
+    ``generators._match_stubs``, kept as the bitwise reference of the
+    bulk-drawing one.  ``paths`` (a ``collections.Counter``), when given,
+    counts the pairs dropped after 60 failed swaps (``"dropped"``) and the
+    calls that ran out of budget (``"budget"``)."""
+    stubs = rng.permutation(stubs)
+    if len(stubs) % 2:
+        stubs = stubs[:-1]
+    pairs = stubs.reshape(-1, 2).tolist()
+    if not pairs:
+        return []
+
+    def ok(u, v):
+        if u == v:
+            return False
+        if communities is not None and communities[u] == communities[v]:
+            return False
+        return (min(u, v), max(u, v)) not in occupied
+
+    good = [False] * len(pairs)
+    bad = deque()
+    for i, (u, v) in enumerate(pairs):
+        if ok(u, v):
+            occupied.add((min(u, v), max(u, v)))
+            good[i] = True
+        else:
+            bad.append(i)
+
+    spent = 0
+    while bad and spent < budget:
+        i = bad.popleft()
+        u, v = pairs[i]
+        for _ in range(60):
+            spent += 1
+            if spent >= budget:
+                if paths is not None:
+                    paths["budget"] += 1
+                break
+            j = int(rng.integers(len(pairs)))
+            if j == i or not good[j]:
+                continue
+            x, y = pairs[j]
+            if rng.integers(2):
+                (a, b), (c, d) = (u, y), (x, v)
+            else:
+                (a, b), (c, d) = (u, x), (v, y)
+            key_j = (min(x, y), max(x, y))
+            occupied.discard(key_j)
+            if ok(a, b) and ok(c, d) and {min(a, b), max(a, b)} != {min(c, d), max(c, d)}:
+                occupied.add((min(a, b), max(a, b)))
+                occupied.add((min(c, d), max(c, d)))
+                pairs[i] = [a, b]
+                pairs[j] = [c, d]
+                good[i] = True
+                break
+            occupied.add(key_j)
+        else:
+            if paths is not None:
+                paths["dropped"] += 1
+    return [pairs[i] for i in range(len(pairs)) if good[i]]
+
+
+def scalar_lfr(params, rng_seed, paths=None):
+    """``(graph, communities)``: the package's earlier ``generators.gen_lfr``,
+    one scalar ``rng.integers`` call per draw, kept as the bitwise reference
+    of the bulk-drawing one.  The degree and community-size helpers it calls
+    did not change, so they are the package's own.  ``paths`` counts as in
+    :func:`scalar_match_stubs`, plus the parity fixes (``"parity"``)."""
+    from layercast.errors import GenerationError
+    from layercast.graph import Graph
+    from layercast.generators import (
+        _BUDGET_FACTOR,
+        _MAX_STRUCTURE_ATTEMPTS,
+        _power_law_inverse,
+        _sample_community_sizes,
+        _solve_degree_floor,
+    )
+
+    rng = np.random.default_rng(rng_seed)
+    n = params.n
+    if params.min_community > n:
+        raise GenerationError(
+            f"infeasible: min_community ({params.min_community}) exceeds node count ({n})"
+        )
+    budget = _BUDGET_FACTOR * n
+    max_degree = min(n - 1, max(1, round(sqrt(n) * params.average_degree)))
+    if params.average_degree > max_degree:
+        raise GenerationError(
+            f"infeasible: average_degree ({params.average_degree}) exceeds the "
+            f"degree cap ({max_degree})"
+        )
+    degree_floor = _solve_degree_floor(params.tau1, params.average_degree, max_degree)
+
+    last_failure = "community assignment never attempted"
+    for _ in range(_MAX_STRUCTURE_ATTEMPTS):
+        u = rng.random(n)
+        degrees = np.clip(
+            np.rint(_power_law_inverse(u, degree_floor, float(max_degree), params.tau1)).astype(np.int64),
+            1,
+            max_degree,
+        )
+        max_community = min(n, max(params.min_community, int(degrees.max())))
+        sizes = _sample_community_sizes(rng, n, params.tau2, params.min_community, max_community)
+        if sizes is None:
+            last_failure = f"community sizes >= {params.min_community} cannot sum to {n}"
+            continue
+
+        frac = (1.0 - params.mu) * degrees
+        internal = np.floor(frac).astype(np.int64)
+        internal += (rng.random(n) < frac - internal).astype(np.int64)
+        internal = np.minimum(internal, degrees)
+
+        capacity = list(sizes)
+        assignment = np.full(n, -1, dtype=np.int64)
+        placed = True
+        for node in np.argsort(-internal, kind="stable"):
+            eligible = [
+                c for c in range(len(sizes))
+                if capacity[c] > 0 and sizes[c] > internal[node]
+            ]
+            if not eligible:
+                placed = False
+                last_failure = (
+                    f"no community large enough for a node with internal degree "
+                    f"{int(internal[node])} (sizes max {max(sizes)})"
+                )
+                break
+            c = eligible[int(rng.integers(len(eligible)))]
+            assignment[node] = c
+            capacity[c] -= 1
+        if not placed:
+            continue
+
+        external = degrees - internal
+        occupied: set = set()
+        edges: list = []
+        for c in range(len(sizes)):
+            members = np.nonzero(assignment == c)[0]
+            if members.size == 0:
+                continue
+            if internal[members].sum() % 2:
+                cand = members[internal[members] > 0]
+                if cand.size:
+                    pick = int(cand[int(rng.integers(cand.size))])
+                    internal[pick] -= 1
+                    external[pick] += 1
+                    if paths is not None:
+                        paths["parity"] += 1
+            stubs = np.repeat(members, internal[members])
+            edges.extend(scalar_match_stubs(rng, stubs, occupied, budget=budget, paths=paths))
+        if len(sizes) > 1:
+            stubs = np.repeat(np.arange(n, dtype=np.int64), external)
+            edges.extend(scalar_match_stubs(
+                rng, stubs, occupied, communities=assignment, budget=budget, paths=paths
+            ))
+        assignment.setflags(write=False)
+        return Graph(n, edges), assignment
+
+    raise GenerationError(f"LFR generation failed: {last_failure}")

@@ -106,6 +106,25 @@ class TestGenerate:
         assert err.startswith("error: input:")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gaussian", "--n", "100", "--mean-size", "inf", "--shape", "1",
+             "--p-in", "0.1", "--p-out", "0.01"),
+            ("lfr", "--n", "120", "--tau1", "inf", "--tau2", "1.5", "--mu", "0.1",
+             "--average-degree", "4", "--min-community", "25"),
+            ("lfr", "--n", "120", "--tau1", "3", "--tau2", "inf", "--mu", "0.1",
+             "--average-degree", "4", "--min-community", "25"),
+            ("lfr", "--n", "120", "--tau1", "3", "--tau2", "1.5", "--mu", "0.1",
+             "--average-degree", "inf", "--min-community", "25"),
+        ],
+        ids=["gaussian-mean_size", "lfr-tau1", "lfr-tau2", "lfr-average_degree"],
+    )
+    def test_infinite_param_is_one_line_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "generate", *argv, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: input:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv, params, generate",
         [
             (("er", "--n", "30", "--edge-exist-prob", "0.2"),
@@ -390,6 +409,9 @@ class TestExperiment:
             ("generator", {"type": "lfr", "n": 100, "tau1": 3.0, "tau2": 1.5, "mu": 0.1,
                            "average_degree": 5.0, "min_community": 20.5}),
             ("ensemble_size", True),
+            ("generator", {"type": "er", "n": 40, "edge_exist_prob": True}),
+            ("generator", {"type": "lfr", "n": 100, "tau1": "3", "tau2": 1.5, "mu": 0.1,
+                           "average_degree": 5.0, "min_community": 20}),
         ],
     )
     def test_bad_battery_config_is_input_error(self, capsys, tmp_path, field, value):

@@ -57,6 +57,14 @@ class TestUpdateFromSource:
         assert transmission_factor(p, 1030) == 1.0 - (1.0 - p) * (1.0 - p * p) ** 1030
 
 
+@pytest.mark.parametrize("name", ["transmission_prob", "threshold"])
+@pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "none"])
+def test_params_reject_non_real(name, value):
+    fields = {"transmission_prob": 0.5, "threshold": 0.5}
+    with pytest.raises(InputError, match=f"{name} must be a real number"):
+        DiffusionParams(**{**fields, name: value})
+
+
 class TestRunSingleDiffusion:
     def test_chain_half_prob(self, chain4):
         state = run_single_diffusion(chain4, [0], DiffusionParams(0.5, 0.5))

@@ -61,8 +61,11 @@ FIG45 = CombatParams(
         {"decisive_threshold": -0.1},
         {"decisive_threshold": float("nan")},
         {"false_transmission_prob": 1.5},
+        {"true_transmission_prob": True},
+        {"comparative_threshold": "0.1"},
+        {"decisive_threshold": True},
     ],
-    ids=["negative-td", "nan-td", "pf-above-1"],
+    ids=["negative-td", "nan-td", "pf-above-1", "pt-bool", "tc-string", "td-bool"],
 )
 def test_combat_params_rejects_invalid(override):
     fields = {
