@@ -131,28 +131,34 @@ def _path_scores(g: Graph):
     """Closeness and betweenness scores of ``g`` from one sweep, built once.
 
     Sources are searched in blocks of ``_BLOCK``, each one
-    :func:`hop_distances` from a column slice of the sparse identity, so its
-    first hop is a sparse product.  Its distances give each source's
-    distance sum and reach count, and Brandes' backward pass (Brandes 2001)
-    over the same distances and path counts gives its dependencies, summed
-    in source order.  Level 1 is skipped: it would write only each source's
-    own dependency, which is excluded.  One search's buffers and one
-    ``delta``, n * ``_BLOCK`` entries each, are allocated per graph.  Both
-    vectors go into the score cache; a measure asked for alone pays for both.
+    :func:`hop_distances` from a one-hot block on the graph's int16
+    adjacency, so the path counts are int16 while they provably fit, and
+    the distances int16 below 2**15 nodes.  Its distances give each
+    source's distance sum and reach count, and Brandes' backward pass
+    (Brandes 2001) over the same distances and path counts gives its
+    dependencies, in float64 products, summed in source order.  Level 1 is
+    skipped: it would write only each source's own dependency, which is
+    excluded.  One search's buffers and one ``delta``, n * ``_BLOCK``
+    entries each, are allocated per graph.  Both vectors go into the score
+    cache; a measure asked for alone pays for both.
     """
     cache = g._scores
     if CentralityKind.CLOSENESS not in cache or CentralityKind.BETWEENNESS not in cache:
-        from scipy.sparse import identity
-
         n = g.node_count
         A = g.to_csr()
-        unit = identity(n, format="csr")
-        buffers = SearchBuffers((n, min(n, _BLOCK)))
+        counts = g.to_csr(np.int16)
+        # a distance is at most n - 1, so int16 holds it below 2**15 nodes
+        buffers = SearchBuffers((n, min(n, _BLOCK)), np.int16 if n <= 2**15 else np.int64)
         delta = np.empty(buffers.dist.shape)
         dist_sum, reach_count, bc = np.zeros((3, n))
         for first in range(0, n, _BLOCK):
             block = slice(first, first + _BLOCK)
-            dist, sigma = hop_distances(A, unit[:, block], buffers)
+            sources = np.arange(n)[block]
+            # the block's sources, one-hot, seeded in the search's own sigma
+            seed = buffers.shaped((n, len(sources)))[1]
+            seed.fill(0.0)
+            seed[sources, sources - first] = 1.0
+            dist, sigma = hop_distances(counts, seed, buffers)
             dist_sum[block], reach_count[block], deltas = _block_scores(A, dist, sigma, buffers, delta)
             for column in deltas.T:
                 bc += column

@@ -171,15 +171,33 @@ def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
 # -- LFR benchmark ------------------------------------------------------------
 
 
-def _power_law_cdf(x, xmin: float, xmax: float, tau: float):
+def _power_law_span(xmin: float, xmax: float, tau: float) -> float:
+    """``xmin**a - xmax**a`` with ``a = 1 - tau``: the truncated power law's
+    normaliser, for ``xmin < xmax``.  Raises :class:`GenerationError`
+    naming the exponent when it underflows to 0 or is not finite."""
     a = 1.0 - tau
+    span = xmin**a - xmax**a
+    if span == 0 or not math.isfinite(span):
+        raise GenerationError(
+            f"power-law exponent {tau} is too steep to sample on [{xmin}, {xmax}] "
+            f"in float64: {xmin}**{a} - {xmax}**{a} is {span}"
+        )
+    return span
+
+
+def _power_law_cdf(x, xmin: float, xmax: float, tau: float):
     x = np.clip(x, xmin, xmax)
-    return (xmin**a - x**a) / (xmin**a - xmax**a)
+    if xmin == xmax:  # a point mass
+        return np.ones_like(x)
+    a = 1.0 - tau
+    return (xmin**a - x**a) / _power_law_span(xmin, xmax, tau)
 
 
 def _power_law_inverse(u, xmin: float, xmax: float, tau: float):
+    if xmin == xmax:  # a point mass
+        return np.zeros_like(u) + xmin
     a = 1.0 - tau
-    return (xmin**a - u * (xmin**a - xmax**a)) ** (1.0 / a)
+    return (xmin**a - u * _power_law_span(xmin, xmax, tau)) ** (1.0 / a)
 
 
 def _rounded_power_law_mean(xmin: float, xmax: float, tau: float) -> float:
@@ -346,7 +364,13 @@ def _match_stubs(rng, stubs, occupied, n, communities=None, budget=0):
 
 
 def _sample_community_sizes(rng, n, tau2, min_community, max_community):
-    """Power-law community sizes >= min_community summing exactly to n, or None."""
+    """Power-law community sizes >= min_community summing exactly to n.
+
+    Needs ``min_community <= max_community <= n``.  Each size is drawn in
+    [min_community, max_community]; the last is cut to make the sum n, and
+    when that leaves it below min_community it joins the one before.  A
+    lone size is cut to n >= min_community, so there always is one before.
+    """
     sizes = []
     total = 0
     while total < n:
@@ -356,8 +380,6 @@ def _sample_community_sizes(rng, n, tau2, min_community, max_community):
         total += size
     sizes[-1] -= total - n
     if sizes[-1] < min_community:
-        if len(sizes) < 2:
-            return None
         sizes[-2] += sizes[-1]
         sizes.pop()
     return sizes
@@ -402,9 +424,6 @@ def gen_lfr(params: LfrParams, rng_seed):
         )
         max_community = min(n, max(params.min_community, int(degrees.max())))
         sizes = _sample_community_sizes(rng, n, params.tau2, params.min_community, max_community)
-        if sizes is None:
-            last_failure = f"community sizes >= {params.min_community} cannot sum to {n}"
-            continue
 
         frac = (1.0 - params.mu) * degrees
         internal = np.floor(frac).astype(np.int64)

@@ -20,8 +20,8 @@ class Graph:
     """Undirected simple graph: no self-loops, no duplicate edges.
 
     Instances are logically immutable and safe to share across threads.  Three
-    derived caches, the scipy adjacency (:meth:`to_csr`), the triangle index
-    (:func:`triangle_index`) and the centrality scores
+    derived caches, the scipy adjacency (:meth:`to_csr`, one per dtype), the
+    triangle index (:func:`triangle_index`) and the centrality scores
     (``centrality.compute_centrality``), are built on first use and read-only;
     two threads racing on first use build identical values, and either one
     may be kept.  Use :func:`build_graph` to construct one from a raw edge
@@ -70,7 +70,7 @@ class Graph:
         self._indices = entries % n if entries.size else entries
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
-        self._csr = None
+        self._csr = {}
         self._triangles = None
         self._scores = {}
 
@@ -91,20 +91,29 @@ class Graph:
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
-    def to_csr(self):
-        """Adjacency as a scipy CSR matrix of float64, built once, read-only."""
-        if self._csr is None:
+    def to_csr(self, dtype=np.float64):
+        """Adjacency as a read-only scipy CSR matrix of ``dtype``, built once per
+        dtype: float64 for the spectral measures, int16 for the path counts
+        of :func:`hop_distances`.  Every dtype shares one copy of the index
+        arrays."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._csr:
             from scipy.sparse import csr_matrix
 
-            data = np.ones(len(self._indices), dtype=np.float64)
+            # the index arrays scipy made for the first dtype serve them all;
+            # a snapshot, as another thread may be adding a dtype
+            built = [*self._csr.values(), None][0]
+            indices, indptr = (
+                (self._indices, self._indptr) if built is None else (built.indices, built.indptr)
+            )
             A = csr_matrix(
-                (data, self._indices, self._indptr),
+                (np.ones(len(indices), dtype=dtype), indices, indptr),
                 shape=(self.node_count, self.node_count),
             )
             for arr in (A.data, A.indices, A.indptr):
                 arr.setflags(write=False)
-            self._csr = A
-        return self._csr
+            self._csr[dtype] = A
+        return self._csr[dtype]
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
@@ -143,12 +152,12 @@ class LayeredView:
 
 
 def product_into(A, x, out):
-    """``A @ x`` for CSR ``A``, written into the C-contiguous float64 ``out``.
+    """``A @ x`` for CSR ``A`` and a dense ``x``, written into the C-contiguous ``out``.
 
-    A dense ``x`` goes through the kernel scipy's ``A @ x`` picks for it:
+    ``A``, ``x`` and ``out`` share one dtype (float64 or int16 here).  The
+    product goes through the kernel scipy's ``A @ x`` picks for it:
     ``csr_matvec`` for a vector or a single column, ``csr_matvecs`` for a
-    wider block.  So the result is the same bytes.  A scipy sparse ``x``
-    gives a sparse product, densified into ``out``.  Both kernels add into
+    wider block.  So the result is the same bytes.  Both kernels add into
     ``out``, so it is zeroed first and may hold anything before the call.
     Returns ``out``.
 
@@ -159,12 +168,12 @@ def product_into(A, x, out):
     """
     rows, cols = A.shape
     # the kernels write through out's memory unchecked: wrong shape or layout
-    # would write out of bounds or into a copy
+    # would write out of bounds, and another dtype into a converted copy
     if x.shape[0] != cols or out.shape != (rows, *x.shape[1:]) or not out.flags.c_contiguous:
         raise ContractError(f"cannot write a {A.shape} @ {x.shape} product into {out.shape}")
-    out.fill(0.0)
-    if hasattr(x, "toarray"):
-        return (A @ x).toarray(out=out)
+    if not A.dtype == x.dtype == out.dtype:
+        raise ContractError(f"cannot write a {A.dtype} @ {x.dtype} product into {out.dtype}")
+    out.fill(0)
     # imported here: scipy.sparse loads on first use, not with the package
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
@@ -181,16 +190,18 @@ class SearchBuffers:
     Allocated in the widest ``shape`` a caller will search, (n,) or (n, B).
     A narrower search takes the first entries of each array, reshaped, so
     every view is C-contiguous and needs no buffers of its own.  After a
-    search, ``dist`` and ``sigma`` hold its result, and ``masks`` (the
-    unreached and the newly found nodes) and ``products`` (one hop's
-    frontier and the next) are free for the caller.
+    search, ``dist`` (of ``dist_dtype``, which must hold the deepest hop
+    distance) and ``sigma`` hold its result, and ``masks`` (the unreached
+    and the newly found nodes) and the float64 ``products`` (one hop's
+    frontier and the next; an int16 search works in int16 views of them)
+    are free for the caller.
     """
 
     __slots__ = ("dist", "sigma", "masks", "products")
 
-    def __init__(self, shape) -> None:
+    def __init__(self, shape, dist_dtype=np.int64) -> None:
         shape = tuple(shape)
-        self.dist = np.empty(shape, dtype=np.int64)
+        self.dist = np.empty(shape, dtype=dist_dtype)
         self.sigma = np.empty(shape)
         self.masks = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
         self.products = (np.empty(shape), np.empty(shape))
@@ -213,50 +224,88 @@ class SearchBuffers:
         )
 
 
+#: Path counts are exact in int16 below this; a hop whose every count
+#: provably stays below it takes its product in int16.
+_NARROW_LIMIT = 2**15
+
+
+def _narrow(a, shape, at=0):
+    """An int16 array of ``shape`` in the memory of the float64 array ``a``,
+    starting at its ``at``-th ``shape``-sized int16 slot (four fit)."""
+    size = math.prod(shape)
+    return a.reshape(-1).view(np.int16)[at * size : (at + 1) * size].reshape(shape)
+
+
 def hop_distances(A, frontier, buffers=None):
     """Breadth-first search on CSR adjacency ``A``, one product with ``A`` per hop.
 
-    ``frontier`` is an (n,) vector or an (n, B) block of independent searches,
-    positive at the sources; a scipy sparse block is taken as it is, so its
-    first product stays sparse until it is densified.  Returns ``(dist,
-    sigma)`` of its shape: the hop distance to the nearest source (-1 when
-    unreached) and shortest-path counts.  A search that reaches every node
-    stops without the product that would find nothing new, so it takes one
-    product (:func:`product_into`) per hop of its depth.  It works in
-    ``buffers`` (:class:`SearchBuffers`), fresh ones unless given, and
-    allocates no array of the frontier's shape; the two it returns are views
-    of ``buffers``.
+    ``A`` holds 1 at each edge, as ``Graph.to_csr`` does in either dtype.
+    ``frontier`` is an (n,) vector or an (n, B) block of independent
+    searches, 1 at the sources and 0 elsewhere; any other value raises
+    :class:`ContractError`.  Returns ``(dist, sigma)`` of its shape: the hop
+    distance to the nearest source (-1 when unreached) and the float64
+    shortest-path counts.  A search that reaches every node stops without
+    the product that would find nothing new, so it takes one product
+    (:func:`product_into`) per hop of its depth.
+
+    The products are taken in ``A``'s dtype, float64 or int16.  A hop's
+    counts are at most the frontier's largest times the largest degree, so
+    an int16 hop is exact while that bound is below ``_NARROW_LIMIT``; at the
+    first hop where it is not, the frontier is widened to float64 and the
+    rest of the search runs in float64.  The counts before are exact
+    integers either way, so both dtypes give the same bytes.
+
+    It works in ``buffers`` (:class:`SearchBuffers`), fresh ones unless
+    given, and allocates no array of the frontier's shape (but the float64
+    adjacency, if an int16 search widens); the two it returns are views of
+    ``buffers``.  ``frontier`` may be their ``sigma`` view of its shape: it
+    is read before that is written.
     """
-    shape = np.shape(frontier)
+    if not isinstance(frontier, np.ndarray):
+        raise ContractError(f"a search's frontier must be a numpy array, got {type(frontier).__name__}")
+    shape = frontier.shape
     if buffers is None:
         buffers = SearchBuffers(shape)
     dist, sigma, (unreached, new), products = buffers.shaped(shape)
-    if hasattr(frontier, "toarray"):
-        sigma.fill(0.0)
-        frontier.toarray(out=sigma)
-    else:
-        np.copyto(sigma, frontier)
-        frontier = sigma  # read by the first product only, before sigma grows
-    np.less_equal(sigma, 0.0, out=unreached)
+    np.equal(frontier, 0, out=unreached)
+    np.equal(frontier, 1, out=new)
     remaining = np.count_nonzero(unreached)
-    # dist counts the hops each node stayed unreached; the never-reached get -1
-    dist.fill(0)
-    hop = 0
+    if remaining + np.count_nonzero(new) != unreached.size:
+        raise ContractError("a search's frontier must be 0 or 1 at every node")
+    steps, counts = products, sigma  # one hop's frontier and the next; the path counts
+    if A.dtype == np.int16:
+        # int16 at the head of the two product buffers, the counts behind the first
+        steps, counts = tuple(_narrow(p, shape) for p in products), _narrow(products[0], shape, 1)
+        degree = int(np.diff(A.indptr).max(initial=0))
+        largest = int(remaining < unreached.size)  # the frontier's: 1 unless empty
+    np.copyto(steps[0], new)
+    np.copyto(counts, new)
+    at = 0  # the step buffer holding the frontier
+    dist.fill(0)  # dist counts the hops each node stayed unreached
     while remaining:
+        if counts is not sigma and largest * degree >= _NARROW_LIMIT:
+            # widen: the counts so far are exact in float64 too
+            np.copyto(sigma, counts)
+            np.copyto(products[1 - at], steps[at])
+            steps, counts, at = products, sigma, 1 - at
+            A = A.astype(np.float64)
         # path counts arriving one hop out, beside the frontier they came from
-        contrib = product_into(A, frontier, products[hop % 2])
-        # exact: counts are >= 0, so a reached node's becomes +0.0
+        contrib = product_into(A, steps[at], steps[1 - at])
+        # exact: counts are >= 0, so a reached node's becomes 0
         np.multiply(contrib, unreached, out=contrib)
-        np.greater(contrib, 0.0, out=new)
+        np.greater(contrib, 0, out=new)
         found = np.count_nonzero(new)
         if not found:
             break
         dist += unreached
         unreached ^= new
-        sigma += contrib  # exact: an unreached node's count is still 0
-        frontier = contrib
+        counts += contrib  # exact: an unreached node's count is still 0
         remaining -= found
-        hop += 1
+        at = 1 - at
+        if counts is not sigma:
+            largest = int(contrib.max())
+    if counts is not sigma:
+        np.copyto(sigma, counts)
     if remaining:
         np.copyto(dist, -1, where=unreached)
     return dist, sigma
@@ -306,7 +355,11 @@ def _checked_nodes(g: Graph, nodes, what: str) -> np.ndarray:
 
 
 def layer_from_sources(g: Graph, sources) -> LayeredView:
-    """Multi-source BFS: layer = hop distance to the nearest source."""
+    """Multi-source BFS: layer = hop distance to the nearest source.
+
+    One vector search on the float64 adjacency: on a vector, the int16
+    search's bound check costs more than its narrower products save.
+    """
     src = _checked_nodes(g, sources, "source set")
     frontier = np.zeros(g.node_count)
     frontier[src] = 1.0
@@ -326,13 +379,13 @@ def prefix_layerings(g: Graph, order):
     for the k it runs.  A multi-source hop distance is the minimum of the
     sources' own, so the vector at k is the running minimum of the first k
     nodes' distances.  The nodes are searched ``_PREFIX_WIDTH`` one-hot
-    columns at a time, one :func:`hop_distances` per block, as the vectors
-    are asked for; between blocks only the block's (n, width) int64
-    distances are kept.
+    columns at a time, one :func:`hop_distances` per block on the int16
+    adjacency, as the vectors are asked for; between blocks only the
+    block's (n, width) int64 distances are kept.
     """
     order = np.asarray(order)
     _checked_nodes(g, order, "node order")
-    A = g.to_csr()
+    A = g.to_csr(np.int16)
     running = None
     for lo in range(0, len(order), _PREFIX_WIDTH):
         block = order[lo : lo + _PREFIX_WIDTH]

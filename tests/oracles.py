@@ -604,6 +604,63 @@ def dense_block_path_scores(g, block=128):
     return closeness, bc / 2.0
 
 
+def float64_path_scores(g, block=128):
+    """``(closeness, betweenness)`` as ``centrality._path_scores`` computed them
+    with float64 path counts and int64 distances throughout, each block's
+    first hop a sparse product with a column slice of the identity; kept
+    as the bitwise reference for the sweep that counts paths in int16."""
+    from scipy.sparse import identity
+
+    n = g.node_count
+    A = g.to_csr()
+    unit = identity(n, format="csr")
+    dist_sum, reach_count, bc = np.zeros((3, n))
+    for first in range(0, n, block):
+        # the forward search: one product per hop, masked by the unreached
+        sigma = unit[:, first : first + block].toarray()
+        frontier = unit[:, first : first + block]
+        unreached = sigma <= 0.0
+        remaining = np.count_nonzero(unreached)
+        dist = np.zeros(sigma.shape, dtype=np.int64)
+        while remaining:
+            contrib = A @ frontier
+            contrib = contrib.toarray() if hasattr(contrib, "toarray") else contrib
+            contrib *= unreached
+            new = contrib > 0.0
+            found = np.count_nonzero(new)
+            if not found:
+                break
+            dist += unreached
+            unreached ^= new
+            sigma += contrib
+            frontier = contrib
+            remaining -= found
+        if remaining:
+            dist[unreached] = -1
+        # the distance sums, reach counts and Brandes' backward pass
+        shell = dist < 0
+        unreached = shell.sum(axis=0)
+        reach_count[first : first + block] = dist.shape[0] - unreached
+        dist_sum[first : first + block] = dist.sum(axis=0) + unreached
+        sigma[shell] = 1.0
+        delta = np.zeros(sigma.shape)
+        top = dist.max()
+        shell = dist == top
+        for d in range(top, 1, -1):
+            coef = (1.0 + delta) / sigma * shell
+            pull = sigma * (A @ coef)
+            inner = dist == d - 1
+            delta += pull * inner
+            shell = inner
+        for column in delta.T:
+            bc += column
+    closeness = np.zeros(n)
+    ok = dist_sum > 0
+    r1 = reach_count - 1.0
+    closeness[ok] = (r1[ok] / (n - 1)) * (r1[ok] / dist_sum[ok])
+    return closeness, bc / 2.0
+
+
 def _search_creators(graphs, strategy, rng_seed):
     """``creators(i, k)``: graph i's true creators at k in the minimum-seed
     search, from a fresh ranking per k or a draw seeded per (graph, k)."""
@@ -769,7 +826,7 @@ def scalar_lfr(params, rng_seed, paths=None):
     """``(graph, communities)``: the package's earlier ``generators.gen_lfr``,
     one scalar ``rng.integers`` call per draw, kept as the bitwise reference
     of the bulk-drawing one.  The degree and community-size helpers it calls
-    did not change, so they are the package's own.  ``paths`` counts as in
+    draw as they did, so they are the package's own.  ``paths`` counts as in
     :func:`scalar_match_stubs`, plus the parity fixes (``"parity"``)."""
     from layercast.errors import GenerationError
     from layercast.graph import Graph
@@ -806,9 +863,6 @@ def scalar_lfr(params, rng_seed, paths=None):
         )
         max_community = min(n, max(params.min_community, int(degrees.max())))
         sizes = _sample_community_sizes(rng, n, params.tau2, params.min_community, max_community)
-        if sizes is None:
-            last_failure = f"community sizes >= {params.min_community} cannot sum to {n}"
-            continue
 
         frac = (1.0 - params.mu) * degrees
         internal = np.floor(frac).astype(np.int64)

@@ -124,6 +124,25 @@ class TestGenerate:
         assert (code, out) == (1, "")
         assert err.startswith("error: input:") and err.count("\n") == 1
 
+    def test_lfr_exponent_too_steep_is_one_line_generation_error(self, capsys):
+        # tau2 = 400: 25**-399 underflows to 0 in float64
+        code, out, err = run_cli(
+            capsys, "generate", "lfr", "--n", "120", "--tau1", "3", "--tau2", "400", "--mu", "0.1",
+            "--average-degree", "4", "--min-community", "25", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: generation:") and "400" in err and err.count("\n") == 1
+
+    def test_lfr_point_mass_degrees_run_without_warning(self, capsys):
+        # average degree 0.01 caps degrees at 1: the degree law's bounds meet;
+        # pytest turns a RuntimeWarning into an error here
+        code, out, err = run_cli(
+            capsys, "generate", "lfr", "--n", "120", "--tau1", "3", "--tau2", "2", "--mu", "0.1",
+            "--average-degree", "0.01", "--min-community", "2", "--seed", "1",
+        )
+        assert code == 0 and err == ""
+        assert out.startswith("120 ")
+
     @pytest.mark.parametrize(
         "argv, params, generate",
         [

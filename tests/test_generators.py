@@ -15,11 +15,15 @@ from layercast import (
     gen_gaussian_partition,
     gen_lfr,
 )
+from layercast import generators
 from layercast.generators import (
     _CHUNK,
     _SWAP_ATTEMPTS,
     _BoundedDraws,
     _match_stubs,
+    _power_law_cdf,
+    _power_law_inverse,
+    _sample_community_sizes,
     _sample_pair_edges,
 )
 
@@ -291,6 +295,83 @@ class TestLfr:
         params = LfrParams(n=9, tau1=3.0, tau2=1.5, mu=0.1, average_degree=8.9, min_community=2)
         with pytest.raises(GenerationError, match="average_degree"):
             gen_lfr(params, 0)
+
+
+class TestPowerLawHelpers:
+    """The truncated power law's CDF and inverse: a point mass when the bounds
+    meet, a GenerationError naming the exponent when float64 cannot hold its
+    normaliser, and the same bytes as before everywhere else."""
+
+    def test_equal_bounds_are_a_point_mass(self):
+        u = np.random.default_rng(0).random(50)
+        assert (_power_law_inverse(u, 25.0, 25.0, 400.0) == 25.0).all()
+        assert _power_law_inverse(0.3, 7.0, 7.0, 3.0) == 7.0
+        assert (_power_law_cdf(np.array([0.5, 1.0, 1.5]), 1.0, 1.0, 3.0) == 1.0).all()
+
+    @pytest.mark.parametrize("helper", [_power_law_inverse, _power_law_cdf])
+    @pytest.mark.parametrize("xmin, xmax, tau", [(25.0, 27.0, 400.0), (22.5, 44.0, 1e6)])
+    def test_underflow_names_the_exponent(self, helper, xmin, xmax, tau):
+        with pytest.raises(GenerationError, match=f"exponent {tau}"):
+            helper(np.array([0.2, 0.7]), xmin, xmax, tau)
+
+    def test_finite_case_unchanged(self):
+        u = np.random.default_rng(1).random(200)
+        for xmin, xmax, tau in [(1.0, 44.0, 3.0), (2.7, 200.0, 1.5), (50.0, 1000.0, 1.01)]:
+            a = 1.0 - tau
+            want = (xmin**a - u * (xmin**a - xmax**a)) ** (1.0 / a)
+            assert _power_law_inverse(u, xmin, xmax, tau).tobytes() == want.tobytes()
+            x = np.clip(u * xmax, xmin, xmax)
+            want = (xmin**a - x**a) / (xmin**a - xmax**a)
+            assert _power_law_cdf(u * xmax, xmin, xmax, tau).tobytes() == want.tobytes()
+
+
+def check_community_sizes(sizes, n, min_community, max_community):
+    """Sizes sum to n and are at least min_community; each is at most
+    max_community but the last, which may have taken in a cut remainder
+    below min_community."""
+    assert sum(sizes) == n and min(sizes) >= min_community
+    assert max(sizes[:-1], default=0) <= max_community
+    assert sizes[-1] < max_community + min_community
+
+
+class TestCommunitySizes:
+    def test_sweep_of_valid_arguments(self):
+        rng = np.random.default_rng(2)
+        for seed in range(600):
+            n = int(rng.integers(1, 400))
+            min_community = int(rng.integers(1, n + 1))
+            max_community = int(rng.integers(min_community, n + 1))
+            tau2 = float(rng.choice([1.01, 1.5, 2.0, 3.0, 10.0, 100.0]))
+            sizes = _sample_community_sizes(
+                np.random.default_rng(seed), n, tau2, min_community, max_community
+            )
+            check_community_sizes(sizes, n, min_community, max_community)
+
+    def test_sweep_of_lfr_params(self, monkeypatch):
+        # the arguments gen_lfr passes, over valid LfrParams
+        calls = []
+        sample = generators._sample_community_sizes
+
+        def checking(rng, n, tau2, min_community, max_community):
+            sizes = sample(rng, n, tau2, min_community, max_community)
+            check_community_sizes(sizes, n, min_community, max_community)
+            calls.append(sizes)
+            return sizes
+
+        monkeypatch.setattr(generators, "_sample_community_sizes", checking)
+        rng = np.random.default_rng(3)
+        for seed in range(60):
+            n = int(rng.integers(20, 150))
+            params = LfrParams(
+                n=n, tau1=float(rng.choice([2.0, 3.0])), tau2=float(rng.choice([1.1, 1.5, 2.0])),
+                mu=0.1, average_degree=float(rng.integers(2, 6)),
+                min_community=int(rng.integers(1, n // 2)),
+            )
+            try:
+                gen_lfr(params, seed)
+            except GenerationError:
+                pass
+        assert len(calls) >= 60
 
 
 def _scalar_then_bulk(seed, bounds, lead):

@@ -1,6 +1,7 @@
 """The one breadth-first primitive, ``graph.hop_distances``, and the three
 traversals built on it, each bitwise equal to the loop it replaced."""
 
+import dataclasses
 import math
 import multiprocessing
 import threading
@@ -20,12 +21,19 @@ from layercast import (
     layered_view,
     prefix_layerings,
 )
-from layercast import CentralityKind, centrality, forking, harness
+from layercast import PRESETS, CentralityKind, centrality, forking, harness, preset
 from layercast import graph as graph_module
 from layercast.centrality import _BLOCK, _path_scores
+from layercast.harness import build_ensemble
 from layercast.graph import _PREFIX_WIDTH, SearchBuffers, hop_distances, product_into
 
-from oracles import dense_closeness, frontier_layering, per_source_betweenness
+from oracles import (
+    dense_closeness,
+    float64_path_scores,
+    frontier_layering,
+    per_source_betweenness,
+    scatter_hop_distances,
+)
 
 
 def random_graph(n, p, seed, offset=0):
@@ -87,6 +95,103 @@ class TestHopDistances:
             assert sigma[:, s].tobytes() == c.tobytes()
 
 
+def grid_graph(side):
+    """The side x side grid: a corner's path counts are binomial coefficients,
+    past 2**15 from 18 hops out."""
+    v = np.arange(side * side).reshape(side, side)
+    right = np.stack([v[:, :-1].ravel(), v[:, 1:].ravel()], axis=1)
+    down = np.stack([v[:-1].ravel(), v[1:].ravel()], axis=1)
+    return build_graph(side * side, np.concatenate([right, down]))
+
+
+def hub_graph(leaves=2**15, joiners=100):
+    """A hub (node 0) of degree ``leaves``; node ``leaves + 1 + j`` joins
+    leaves j * 300 + 1 ... (j + 1) * 300, and a tail hangs off the last."""
+    hub = [(0, leaf) for leaf in range(1, leaves + 1)]
+    joins = [(leaves + 1 + j, j * 300 + 1 + i) for j in range(joiners) for i in range(300)]
+    n = leaves + 1 + joiners
+    tail = [(n - 1, n), (n, n + 1)]
+    return build_graph(n + 2, hub + joins + tail)
+
+
+#: The adjacency dtypes a search takes its products in.
+DTYPES = (np.float64, np.int16)
+
+NARROW_CASES = {
+    "grid": lambda: grid_graph(30),
+    "hub": hub_graph,
+    "two-components": CASES["disconnected"],
+    "edgeless": CASES["edgeless"],
+    "n-1": CASES["n-1"],
+}
+
+
+class TestNarrowSearch:
+    """An int16 search gives the bytes of the float64 loop it replaced
+    (``oracles.scatter_hop_distances``), widening to float64 at the first hop
+    whose counts could pass 2**15."""
+
+    def check(self, g, frontier):
+        got = hop_distances(g.to_csr(np.int16), frontier)
+        want = scatter_hop_distances(g.to_csr(), frontier)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        return want
+
+    @pytest.mark.parametrize("case", list(NARROW_CASES))
+    def test_bitwise_equal_to_float64_loop(self, case):
+        g = NARROW_CASES[case]()
+        n = g.node_count
+        self.check(g, np.eye(1, n)[0])
+        width = min(n, 9)
+        self.check(g, np.eye(n, width, -(n // 3)))
+        self.check(g, np.eye(n, width).sum(axis=1))  # several sources at once
+        if n <= 300:
+            self.check(g, np.eye(n))
+
+    def test_grid_widens_partway(self, products):
+        g = grid_graph(30)
+        _, sigma = self.check(g, np.eye(1, 900)[0])
+        assert sigma.max() >= 2**15
+        kinds = [out.dtype for out in products]
+        assert kinds[0] == np.int16 and kinds[-1] == np.float64
+        # once widened, the search stays in float64
+        first_wide = kinds.index(np.float64)
+        assert 0 < first_wide and set(kinds[first_wide:]) == {np.dtype(np.float64)}
+
+    def test_hub_widens_at_the_first_hop(self, products):
+        g = hub_graph()
+        dist, sigma = self.check(g, np.eye(1, g.node_count)[0])
+        assert g.degrees[0] >= 2**15 and dist.max() == 4 and sigma.max() == 300
+        assert [out.dtype for out in products] == [np.float64] * 4
+
+    def test_narrow_counts_below_the_bound(self, products):
+        g = CASES["random-300"]()
+        self.check(g, np.eye(300, 16))
+        assert {out.dtype for out in products} == {np.dtype(np.int16)}
+
+    @pytest.mark.parametrize(
+        "frontier",
+        [np.full(5, 2.0), np.array([1.0, 0.5, 0, 0, 0]), np.array([1, -1, 0, 0, 0]),
+         np.array([np.nan, 1, 0, 0, 0]), [1, 0, 0, 0, 0]],
+        ids=["two", "half", "negative", "nan", "list"],
+    )
+    def test_frontier_other_than_0_1_rejected(self, frontier):
+        from layercast import ContractError
+
+        g = build_graph(5, path_edges(5))
+        for dtype in DTYPES:
+            with pytest.raises(ContractError):
+                hop_distances(g.to_csr(dtype), frontier)
+
+    def test_bool_and_integer_frontiers_accepted(self):
+        g = CASES["random-40"]()
+        want = hop_distances(g.to_csr(), np.eye(40, 4))
+        for frontier in (np.eye(40, 4, dtype=bool), np.eye(40, 4, dtype=np.int16)):
+            for got in (hop_distances(g.to_csr(), frontier), hop_distances(g.to_csr(np.int16), frontier)):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 @pytest.fixture
 def products(monkeypatch):
     """The output buffer of every product the searches take with the adjacency."""
@@ -102,30 +207,40 @@ def products(monkeypatch):
 
 
 class TestProductCount:
+    """One product per hop, whether the search counts paths in float64 or int16."""
+
     def test_fully_reached_search_takes_one_product_per_hop(self, products):
-        A = build_graph(4, path_edges(4)).to_csr()
-        dist, _ = hop_distances(A, np.eye(4)[0])
-        assert dist.max() == 3 and len(products) == 3
+        g = build_graph(4, path_edges(4))
+        for dtype in DTYPES:
+            products.clear()
+            dist, _ = hop_distances(g.to_csr(dtype), np.eye(4)[0])
+            assert dist.max() == 3 and len(products) == 3
 
     def test_unreached_node_costs_one_more_product(self, products):
-        A = build_graph(5, path_edges(4)).to_csr()
-        dist, _ = hop_distances(A, np.eye(5)[0])
-        assert dist.tolist() == [0, 1, 2, 3, -1] and len(products) == 4
+        g = build_graph(5, path_edges(4))
+        for dtype in DTYPES:
+            products.clear()
+            dist, _ = hop_distances(g.to_csr(dtype), np.eye(5)[0])
+            assert dist.tolist() == [0, 1, 2, 3, -1] and len(products) == 4
 
     def test_block_takes_its_deepest_search(self, products):
         n = 30
-        A = build_graph(n, path_edges(n)).to_csr()
-        dist, _ = hop_distances(A, np.eye(n, 10))
-        assert dist.max() == n - 1 and len(products) == n - 1
+        g = build_graph(n, path_edges(n))
+        for dtype in DTYPES:
+            products.clear()
+            dist, _ = hop_distances(g.to_csr(dtype), np.eye(n, 10))
+            assert dist.max() == n - 1 and len(products) == n - 1
 
     def test_all_sources_take_no_product(self, products):
-        A = build_graph(3, path_edges(3)).to_csr()
-        dist, _ = hop_distances(A, np.ones(3))
-        assert dist.tolist() == [0, 0, 0] and len(products) == 0
+        g = build_graph(3, path_edges(3))
+        for dtype in DTYPES:
+            dist, _ = hop_distances(g.to_csr(dtype), np.ones(3))
+            assert dist.tolist() == [0, 0, 0] and len(products) == 0
 
 
 class TestProductInto:
-    """The in-place product is ``A @ x``, byte for byte, whatever ``out`` held."""
+    """The in-place product is ``A @ x``, byte for byte, whatever ``out`` held,
+    in float64 and in the int16 the searches count paths in."""
 
     @pytest.mark.parametrize("width", [None, 1, 63, 64, 127, 128])
     def test_same_bytes_as_matmul(self, width):
@@ -140,15 +255,31 @@ class TestProductInto:
         want = A @ x
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
-    def test_sparse_block_is_densified_in_place(self):
-        from scipy.sparse import identity
-
-        n = 90
-        A = build_graph(n, random_graph(n, 0.1, 22)).to_csr()
-        x = identity(n, format="csr")[:, 10:73]
-        out = np.full((n, 63), 7.5)
+    @pytest.mark.parametrize("width", [None, 1, 63, 64, 127, 128])
+    def test_int16_same_bytes_as_matmul(self, width):
+        rng = np.random.default_rng(width or 0)
+        n = 150
+        A = build_graph(n, random_graph(n, 0.1, 21)).to_csr().copy()
+        A.data = rng.integers(1, 4, A.nnz).astype(np.float64)
+        A = A.astype(np.int16)
+        shape = (n,) if width is None else (n, width)
+        x = rng.integers(-40, 41, shape, dtype=np.int16)
+        out = np.full(shape, -7, dtype=np.int16)  # garbage before the call
         assert product_into(A, x, out) is out
-        assert out.tobytes() == (A @ x).toarray().tobytes()
+        want = A @ x
+        assert out.dtype == want.dtype == np.int16 and out.tobytes() == want.tobytes()
+
+    def test_mixed_dtypes_rejected(self):
+        from layercast import ContractError
+
+        g = build_graph(40, random_graph(40, 0.1, 24))
+        for A, x, out in [
+            (g.to_csr(np.int16), np.ones(40), np.zeros(40)),
+            (g.to_csr(), np.ones(40, np.int16), np.zeros(40, np.int16)),
+            (g.to_csr(np.int16), np.ones(40, np.int16), np.zeros(40)),
+        ]:
+            with pytest.raises(ContractError):
+                product_into(A, x, out)
 
     def test_search_buffers_are_reused(self):
         A = CASES["random-300"]().to_csr()
@@ -167,8 +298,8 @@ def recorded_buffers(monkeypatch, products):
     spaces = []
 
     class Recording(SearchBuffers):
-        def __init__(self, size):
-            super().__init__(size)
+        def __init__(self, *args):
+            super().__init__(*args)
             spaces.append(self)
 
     monkeypatch.setattr(centrality, "SearchBuffers", Recording)
@@ -327,6 +458,35 @@ class TestBitwiseAgainstReplacedLoops:
         assert got.tobytes() == per_source_betweenness(graph).scores.tobytes()
 
 
+def preset_graphs(name, scale):
+    """The first graphs of a preset battery's ensemble."""
+    config = dataclasses.replace(preset(name, scale), ensemble_size=4 if scale == "desk" else 2)
+    return [g for g, _ in build_ensemble(config)]
+
+
+class TestSweepEqualsFloat64Sweep:
+    """The sweep that counts paths in int16 gives the bytes of the float64
+    sweep it replaced (``oracles.float64_path_scores``)."""
+
+    def check(self, g):
+        for got, want in zip(_path_scores(g), float64_path_scores(g, _BLOCK)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_graph_that_widens(self):
+        g = grid_graph(30)
+        assert scatter_hop_distances(g.to_csr(), np.eye(1, 900)[0])[1].max() >= 2**15
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "name, scale",
+        [pytest.param(name, scale, marks=[pytest.mark.paper] if scale == "paper" else [])
+         for scale in ("desk", "paper") for name in sorted(PRESETS)],
+    )
+    def test_preset_graphs(self, name, scale):
+        for g in preset_graphs(name, scale):
+            self.check(g)
+
+
 class TestTwoWorkerSweep:
     """A graph ranked on a worker process of the battery's pool
     (``harness._ranking_pool``) gets the serial sweep's bytes and the
@@ -396,21 +556,23 @@ def test_peak_memory_grows_linearly_in_n(centrality):
     assert peaks[1] <= 2.5 * peaks[0]
 
 
-def test_serial_sweep_allocates_no_block_array_beyond_its_buffers():
-    # the buffers are allocated once; what the blocks allocate on top (the
-    # sparse first hop, numpy's cast buffers, per-source vectors) stays
-    # below a quarter of one (n, _BLOCK) float array
+def test_serial_sweep_allocates_no_block_array_beyond_its_buffers(monkeypatch):
+    # the buffers are allocated once; what the blocks allocate on top
+    # (numpy's cast buffers, per-source vectors) stays below a quarter of
+    # one (n, _BLOCK) float array
     n = 1000
     _path_scores(build_graph(40, random_graph(40, 0.1, 1)))  # lazy imports first
     g = gen_er(ErParams(n=n, edge_exist_prob=0.04), 7)
-    g.to_csr()  # the adjacency is the graph's, not the sweep's
+    g.to_csr(), g.to_csr(np.int16)  # the adjacency is the graph's, not the sweep's
+    spaces = recorded_buffers(monkeypatch, None)
     tracemalloc.start()
     try:
         _path_scores(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    buffers = SearchBuffers((n, _BLOCK))
+    (buffers,) = spaces
+    assert buffers.dist.shape == (n, _BLOCK)
     held = buffers.dist.nbytes + buffers.sigma.nbytes + n * _BLOCK * 8  # and delta
     held += sum(a.nbytes for a in (*buffers.masks, *buffers.products))
     assert held <= peak < held + n * _BLOCK * 2
