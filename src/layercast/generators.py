@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, InputError, as_real, check_int_fields, check_unit_interval
+from .errors import (
+    ContractError, GenerationError, InputError, as_real, check_int_fields, check_unit_interval,
+)
 from .graph import Graph
 
 # Shared retry/rewiring budget factor: a generator may spend at most
@@ -95,28 +97,38 @@ class LfrParams:
 _PAIR_CHUNK = 1 << 16
 
 
-def _sample_pair_edges(rng: np.random.Generator, n: int, pair_prob) -> np.ndarray:
+def _sample_pair_edges(rng: np.random.Generator, n: int, pair_prob, pmax: float) -> np.ndarray:
     """Draw each pair (i, j), i < j, with its own inclusion probability.
 
     ``pair_prob(i, j)`` returns the probabilities of the pairs given by the
     equal-length index arrays ``i`` and ``j`` (a scalar means the same for
-    all).  One uniform draw per pair, in row-major order (i, then j), so two
-    parameterizations with identical probabilities consume identical draws.
-    The draws come in chunks of whole rows, at most ``_PAIR_CHUNK`` pairs
-    unless one row is longer; a float draw takes one generator output, so the
-    stream is the same as one call per row.
+    all), none above ``pmax``.  One uniform draw per pair, in row-major order
+    (i, then j), so two parameterizations with identical probabilities
+    consume identical draws.  The draws come in chunks of whole rows, at most
+    ``_PAIR_CHUNK`` pairs unless one row is longer; a float draw takes one
+    generator output, so the stream is the same as one call per row.  Only a
+    draw below ``pmax`` can be an edge, so only those draws are mapped to
+    their pairs and passed to ``pair_prob``; a probability above ``pmax``
+    among them raises :class:`ContractError`, as the draws skipped would
+    have been wrong.
     """
     lengths = np.arange(n - 1, 0, -1)  # pairs of rows 0 .. n-2
     ends = np.cumsum(lengths)
+    starts = ends - lengths
     chunks = []
     i0 = 0
     while i0 < n - 1:
-        before = ends[i0] - lengths[i0]
-        i1 = max(int(np.searchsorted(ends, before + _PAIR_CHUNK, "right")), i0 + 1)
-        w = lengths[i0:i1]
-        i = np.repeat(np.arange(i0, i1), w)
-        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(w) - w, w)
-        hits = np.flatnonzero(rng.random(len(i)) < pair_prob(i, j))
+        i1 = max(int(np.searchsorted(ends, starts[i0] + _PAIR_CHUNK, "right")), i0 + 1)
+        u = rng.random(int(ends[i1 - 1] - starts[i0]))
+        at = np.flatnonzero(u < pmax)  # the candidates, by position in the chunk
+        u = u[at]
+        at += starts[i0]
+        i = np.searchsorted(ends[i0:i1], at, "right") + i0
+        j = at - starts[i] + i + 1
+        prob = pair_prob(i, j)
+        if np.any(prob > pmax):
+            raise ContractError(f"a pair probability exceeds the bound {pmax}")
+        hits = np.flatnonzero(u < prob)
         chunks.append(np.stack([i[hits], j[hits]], axis=1))
         i0 = i1
     if not chunks:
@@ -128,7 +140,7 @@ def gen_er(params: ErParams, rng_seed) -> Graph:
     """Erdős–Rényi G(n, p) graph, deterministic given the seed."""
     rng = np.random.default_rng(rng_seed)
     p = params.edge_exist_prob
-    edges = _sample_pair_edges(rng, params.n, lambda i, j: p)
+    edges = _sample_pair_edges(rng, params.n, lambda i, j: p, p)
     return Graph(params.n, edges)
 
 
@@ -163,7 +175,7 @@ def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
     def pair_prob(i, j):
         return np.where(communities[i] == communities[j], p_in, p_out)
 
-    edges = _sample_pair_edges(rng, n, pair_prob)
+    edges = _sample_pair_edges(rng, n, pair_prob, max(p_in, p_out))
     communities.setflags(write=False)
     return Graph(n, edges), communities
 

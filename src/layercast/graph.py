@@ -50,8 +50,9 @@ class Graph:
                     f"edge endpoint out of range [0, {n}): "
                     f"min={e.min()}, max={e.max()}"
                 )
-            lo = e.min(axis=1)
-            hi = e.max(axis=1)
+            # np.minimum of the two columns: e.min(axis=1) costs several times more
+            lo = np.minimum(e[:, 0], e[:, 1])
+            hi = np.maximum(e[:, 0], e[:, 1])
             keep = lo != hi  # drop self-loops
             key = np.sort(lo[keep] * n + hi[keep])
             first = np.ones(len(key), dtype=bool)
@@ -184,6 +185,33 @@ def product_into(A, x, out):
     return out
 
 
+def _frontier_product(A, x, out):
+    """``A @ x`` for CSR ``A`` holding 1 at each edge and an ``x`` of 0s and
+    1s (fastest as bool), written into the C-contiguous ``out`` in its dtype;
+    returns ``out``.
+
+    ``out[u, j]`` counts u's neighbours v with ``x[v, j] = 1``, so one
+    ``np.add.at`` of 1 over the CSR rows of x's nonzero entries writes it,
+    in memory the size of those rows rather than of ``out``.  The counts are
+    integers at most the largest degree, exact in float64 and, below 2**15,
+    in int16, so the bytes are :func:`product_into`'s.
+    """
+    width = 1 if x.ndim == 1 else x.shape[1]
+    node, col = np.divmod(np.flatnonzero(x), width)
+    start = A.indptr[node]
+    deg = A.indptr[node + 1] - start
+    ends = np.cumsum(deg)
+    entries = np.arange(int(ends[-1]) if len(ends) else 0)
+    entries += np.repeat(start - (ends - deg), deg)
+    # each entry's (neighbour, column), as a flat index into out
+    targets = A.indices.take(entries).astype(np.intp)
+    targets *= width
+    targets += np.repeat(col, deg)
+    out.fill(0)
+    np.add.at(out.reshape(-1), targets, out.dtype.type(1))
+    return out
+
+
 class SearchBuffers:
     """The arrays one :func:`hop_distances` works in, reusable search after search.
 
@@ -236,6 +264,13 @@ def _narrow(a, shape, at=0):
     return a.reshape(-1).view(np.int16)[at * size : (at + 1) * size].reshape(shape)
 
 
+def _layer_dtype(n: int):
+    """int16 when it holds every node id and hop distance of an n-node graph,
+    -1 included, else int64: numpy sorts int16 stably by radix, and gathers
+    and compares it in a quarter of the memory."""
+    return np.int16 if n <= _NARROW_LIMIT else np.int64
+
+
 def hop_distances(A, frontier, buffers=None):
     """Breadth-first search on CSR adjacency ``A``, one product with ``A`` per hop.
 
@@ -245,8 +280,9 @@ def hop_distances(A, frontier, buffers=None):
     :class:`ContractError`.  Returns ``(dist, sigma)`` of its shape: the hop
     distance to the nearest source (-1 when unreached) and the float64
     shortest-path counts.  A search that reaches every node stops without
-    the product that would find nothing new, so it takes one product
-    (:func:`product_into`) per hop of its depth.
+    the product that would find nothing new, so it takes one product per
+    hop of its depth: :func:`product_into`, but for a block's first hop
+    :func:`_frontier_product`, which counts the 0/1 frontier's CSR rows.
 
     The products are taken in ``A``'s dtype, float64 or int16.  A hop's
     counts are at most the frontier's largest times the largest degree, so
@@ -282,6 +318,9 @@ def hop_distances(A, frontier, buffers=None):
     np.copyto(counts, new)
     at = 0  # the step buffer holding the frontier
     dist.fill(0)  # dist counts the hops each node stayed unreached
+    # a block's first hop counts the rows of its few sources, where a product
+    # would take every column; for a vector the one product call is cheaper
+    first = frontier.ndim == 2
     while remaining:
         if counts is not sigma and largest * degree >= _NARROW_LIMIT:
             # widen: the counts so far are exact in float64 too
@@ -290,7 +329,11 @@ def hop_distances(A, frontier, buffers=None):
             steps, counts, at = products, sigma, 1 - at
             A = A.astype(np.float64)
         # path counts arriving one hop out, beside the frontier they came from
-        contrib = product_into(A, steps[at], steps[1 - at])
+        if first:  # the frontier is still the 0/1 mask new
+            contrib = _frontier_product(A, new, steps[1 - at])
+            first = False
+        else:
+            contrib = product_into(A, steps[at], steps[1 - at])
         # exact: counts are >= 0, so a reached node's becomes 0
         np.multiply(contrib, unreached, out=contrib)
         np.greater(contrib, 0, out=new)
@@ -318,7 +361,7 @@ def layered_view(layer_of) -> LayeredView:
     the sources.
     """
     reached = np.flatnonzero(layer_of >= 0)
-    depth = layer_of[reached]
+    depth = layer_of[reached].astype(_layer_dtype(len(layer_of)), copy=False)
     # stable: each layer keeps ascending node order
     by_layer = reached[np.argsort(depth, kind="stable")]
     by_layer.setflags(write=False)  # and so every layer, a view of it
@@ -425,35 +468,57 @@ def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) ->
     return int(np.count_nonzero(lv.layer_of[common] == lt))
 
 
-#: Wedges tested per step while indexing triangles, and the most triangles
-#: kept from the counting pass.  It bounds the index build's working memory
-#: whatever the graph's wedge count (on ER, 1/p times its triangle count).
+#: Forward paths tested per step while indexing triangles, and the most
+#: triangles kept from the counting pass.  It bounds the index build's working
+#: memory whatever the graph's path count (on ER, 1/p times its triangle count).
 _CHUNK = 1 << 14
 
+#: Entries of the closure table :func:`triangle_index` reads: whole rows of
+#: n entries, ``_TABLE // n`` of them (one if a row is longer).  As int32 it
+#: is at most 1 MiB.
+_TABLE = 1 << 18
 
-def _closed_wedges(g: Graph, rows, fwd):
-    """Per chunk of about ``_CHUNK`` forward wedges, the entry ids of their triangles.
 
-    ``fwd`` lists the forward entries (a, b), a < b.  A forward wedge is one
-    of them with a later entry (a, c) of a's row; it closes when (b, c) is a
-    forward entry too, looked up in their sorted keys ``row * n + col``.
+def _closed_paths(g: Graph, rows, fwd, idx):
+    """Per chunk of about ``_CHUNK`` forward paths, the entry ids of their triangles.
+
+    ``fwd`` lists the forward entries (a, b), a < b, in CSR order.  A forward
+    path a -> b -> c is one of them followed by a forward entry (b, c) of b's
+    row; it closes when (a, c) is an entry too.  That is one gather from a
+    table of ``idx`` entry ids, -1 where there is no entry, holding the
+    forward entries of the rows ``[a0, a0 + _TABLE // n)`` at ``(a - a0) *
+    n + c``; a chunk ends where the table's rows do, so it may split a row.
     Yields ``(ab, ac, bc)`` in ascending (a, b, c) order; a single entry
-    with more wedges than ``_CHUNK`` is one chunk.
+    with more paths than ``_CHUNK`` is one chunk.
     """
-    n, cols = g.node_count, g._indices
-    keys = rows[fwd] * n + cols[fwd]  # ascending: each CSR row is sorted
-    after = g._indptr[rows[fwd] + 1] - fwd - 1  # wedges of each forward entry
-    ends = np.cumsum(after)
-    lo = 0
+    n, cols, indptr = g.node_count, g._indices.astype(idx), g._indptr
+    fwd_rows, b = rows[fwd].astype(idx), cols[fwd]
+    fdeg = np.bincount(fwd_rows, minlength=n).astype(idx)
+    first = indptr[1:].astype(idx) - fdeg  # each row's first forward entry
+    after = fdeg[b]  # paths out of each forward entry
+    ends = np.cumsum(after, dtype=np.int64)
+    span = max(1, _TABLE // max(n, 1))
+    table = np.full(min(span, n) * n, -1, dtype=idx)
+    fwd = fwd.astype(idx)
+    lo, stop, held = 0, 0, np.empty(0, dtype=idx)
     while lo < len(fwd):
+        if lo == stop:  # past the table's rows: hold the next ones
+            table[held] = -1
+            a0 = fwd_rows[lo]
+            stop = int(np.searchsorted(fwd_rows, a0 + span))
+            held = (fwd_rows[lo:stop] - a0) * n + b[lo:stop]
+            table[held] = fwd[lo:stop]
         hi = max(int(np.searchsorted(ends, ends[lo] - after[lo] + _CHUNK, "right")), lo + 1)
+        hi = min(hi, stop)
         w = after[lo:hi]
-        ab = np.repeat(fwd[lo:hi], w)
-        ac = np.arange(len(ab)) + np.repeat(fwd[lo:hi] + 1 - (np.cumsum(w) - w), w)
-        key = cols[ab] * n + cols[ac]
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        closed = keys[at] == key
-        yield ab[closed], ac[closed], fwd[at[closed]]
+        starts = np.cumsum(w, dtype=idx) - w
+        bc = np.arange(starts[-1] + w[-1], dtype=idx)
+        bc += np.repeat(first[b[lo:hi]] - starts, w)
+        ac = table.take(np.repeat((fwd_rows[lo:hi] - a0) * n, w) + cols.take(bc))
+        closed = np.flatnonzero(ac >= 0)
+        # each closed path's forward entry (a, b), by where it starts
+        ab = fwd[lo + np.searchsorted(starts, closed, "right") - 1]
+        yield ab, ac[closed], bc[closed]
         lo = hi
 
 
@@ -466,20 +531,21 @@ def triangle_index(g: Graph):
     holds the entries (a, b), (a, c) and (b, c) of the k-th triangle
     a < b < c, in ascending (a, b, c) order.  It keeps 8 bytes per CSR entry
     and 12 per triangle.  The triangles are counted in one pass over the
-    wedges; beyond ``_CHUNK`` of them they are written in a second pass, so
-    the build holds one chunk of wedges beside the index, never a second
-    copy of it.
+    forward paths a -> b -> c (the compact-forward listing of Schank and
+    Wagner 2005 and Latapy 2008); beyond ``_CHUNK`` of them they are written
+    in a second pass, so the build holds one chunk of paths and the closure
+    table beside the index, never a second copy of it.
     """
     if g._triangles is None:
         n, cols = g.node_count, g._indices
         idx = np.int32 if len(cols) < 2**31 else np.int64
-        rows = np.repeat(np.arange(n), g.degrees)
+        rows = np.repeat(np.arange(n, dtype=idx), g.degrees)
         # entries by (col, row): by symmetry, the k-th is the reverse of entry
-        # k; the keys are unique, so any sort gives this one order
-        mirror = np.argsort(cols * n + rows)
+        # k; rows ascend in CSR order, so a stable sort by column gives it
+        mirror = np.argsort(cols.astype(_layer_dtype(n)), kind="stable").astype(idx)
         fwd = np.flatnonzero(rows < cols)
         count, head = 0, [np.empty((3, 0), dtype=idx)]
-        for found in _closed_wedges(g, rows, fwd):
+        for found in _closed_paths(g, rows, fwd, idx):
             count += len(found[0])
             if count <= _CHUNK:
                 head.append(np.array(found, dtype=idx))
@@ -488,10 +554,9 @@ def triangle_index(g: Graph):
         else:
             tri = np.empty((3, count), dtype=idx)
             at = 0
-            for found in _closed_wedges(g, rows, fwd):
+            for found in _closed_paths(g, rows, fwd, idx):
                 tri[:, at : at + len(found[0])] = found
                 at += len(found[0])
-        rows, mirror = rows.astype(idx), mirror.astype(idx)
         for arr in (rows, mirror, tri):
             arr.setflags(write=False)
         g._triangles = rows, mirror, tri
@@ -511,9 +576,12 @@ def layer_edges(g: Graph, lv: LayeredView):
     """
     rows, mirror, (ab, ac, bc) = triangle_index(g)
     cols = g._indices
+    # int16 up to 2**15 nodes: a layer difference wraps only at
+    # (n - 1) - (-1) = 2**15, none of the -1, 0 and 1 tested below
+    layer_of = lv.layer_of.astype(_layer_dtype(g.node_count), copy=False)
     # take: fancy indexing by the index's int32 arrays is about twice as slow
-    row_layer = lv.layer_of.take(rows)
-    col_layer = lv.layer_of.take(cols)
+    row_layer = layer_of.take(rows)
+    col_layer = layer_of.take(cols)
     cross = (row_layer >= 1) & (row_layer - col_layer == 1)
     la = row_layer.take(ab)
     d1 = la - col_layer.take(ab)

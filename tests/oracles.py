@@ -527,6 +527,44 @@ def product_layer_edges(g, lv):
     return targets[order], sources[order], counts[order]
 
 
+# -- the triangle index the forward-path listing replaced ----------------------
+
+
+def _closed_wedges(g, rows, fwd, chunk):
+    """Per chunk of about ``chunk`` forward wedges (a, b), (a, c), a < b < c,
+    the entry ids of the closed ones, closure found by binary search of the
+    forward entries' keys ``row * n + col``."""
+    n, cols = g.node_count, g._indices
+    keys = rows[fwd] * n + cols[fwd]
+    after = g._indptr[rows[fwd] + 1] - fwd - 1
+    ends = np.cumsum(after)
+    lo = 0
+    while lo < len(fwd):
+        hi = max(int(np.searchsorted(ends, ends[lo] - after[lo] + chunk, "right")), lo + 1)
+        w = after[lo:hi]
+        ab = np.repeat(fwd[lo:hi], w)
+        ac = np.arange(len(ab)) + np.repeat(fwd[lo:hi] + 1 - (np.cumsum(w) - w), w)
+        key = cols[ab] * n + cols[ac]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        closed = keys[at] == key
+        yield ab[closed], ac[closed], fwd[at[closed]]
+        lo = hi
+
+
+def wedge_triangle_index(g, chunk=1 << 14):
+    """``(rows, mirror, tri)`` as ``graph.triangle_index`` built them from
+    forward wedges, each closed by a binary search: the package's earlier
+    build, kept as the forward-path build's bitwise reference."""
+    n, cols = g.node_count, g._indices
+    idx = np.int32 if len(cols) < 2**31 else np.int64
+    rows = np.repeat(np.arange(n), g.degrees)
+    mirror = np.argsort(cols * n + rows)
+    fwd = np.flatnonzero(rows < cols)
+    found = list(_closed_wedges(g, rows, fwd, chunk))
+    tri = np.concatenate([np.empty((3, 0), dtype=idx)] + [np.array(f, dtype=idx) for f in found], axis=1)
+    return rows.astype(idx), mirror.astype(idx), tri
+
+
 # -- the graph construction the edge-key deduplication replaced ----------------
 
 

@@ -233,8 +233,8 @@ class TestGaussianPartition:
         # identical pair probabilities consume identical draws
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
-        uniform = _sample_pair_edges(rng_a, 50, lambda i, j: 0.1)
-        community = _sample_pair_edges(rng_b, 50, lambda i, j: np.full(len(i), 0.1))
+        uniform = _sample_pair_edges(rng_a, 50, lambda i, j: 0.1, 0.1)
+        community = _sample_pair_edges(rng_b, 50, lambda i, j: np.full(len(i), 0.1), 0.1)
         assert np.array_equal(uniform, community)
 
     def test_single_community_edge_count_distribution(self):

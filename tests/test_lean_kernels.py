@@ -6,7 +6,9 @@ replaced (kept in ``oracles.py``)."""
 import numpy as np
 import pytest
 
-from layercast import CombatParams, build_graph, layer_from_sources, preset, run_false_process
+from layercast import (
+    CombatParams, ContractError, build_graph, layer_from_sources, preset, run_false_process,
+)
 from layercast import generators
 from layercast.centrality import _BLOCK, CentralityKind, _path_scores
 from layercast.graph import hop_distances
@@ -112,7 +114,7 @@ def test_minimum_seed_curve_matches_per_k_loop(strategy):
 class TestPairSampling:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 200, 1000])
     def test_er_draws_match_row_by_row(self, n):
-        got = generators._sample_pair_edges(np.random.default_rng(n), n, lambda i, j: 0.04)
+        got = generators._sample_pair_edges(np.random.default_rng(n), n, lambda i, j: 0.04, 0.04)
         want = row_pair_edges(np.random.default_rng(n), n, lambda i: 0.04)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -124,12 +126,44 @@ class TestPairSampling:
         n = 90
         comm = np.repeat(np.arange(n), 13)[:n] % 5
         got = generators._sample_pair_edges(
-            np.random.default_rng(4), n, lambda i, j: np.where(comm[i] == comm[j], 0.3, 0.02)
+            np.random.default_rng(4), n, lambda i, j: np.where(comm[i] == comm[j], 0.3, 0.02), 0.3
         )
         want = row_pair_edges(
             np.random.default_rng(4), n, lambda i: np.where(comm[i + 1 :] == comm[i], 0.3, 0.02)
         )
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_community_draws_with_p_in_below_p_out(self):
+        n = 150
+        comm = np.arange(n) // 12
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        got = generators._sample_pair_edges(
+            rng_a, n, lambda i, j: np.where(comm[i] == comm[j], 0.01, 0.2), 0.2
+        )
+        want = row_pair_edges(rng_b, n, lambda i: np.where(comm[i + 1 :] == comm[i], 0.01, 0.2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng_a.random() == rng_b.random()  # the same draws consumed
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 57, 400])
+    def test_draws_at_probability_0_and_1(self, n, p):
+        rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+        got = generators._sample_pair_edges(rng_a, n, lambda i, j: p, p)
+        want = row_pair_edges(rng_b, n, lambda i: p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert len(got) == p * n * (n - 1) // 2
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize(
+        "pair_prob",
+        [lambda i, j: 0.3, lambda i, j: np.where(j == i + 1, 0.5, 0.1)],
+        ids=["scalar", "some-pairs"],
+    )
+    def test_probability_above_the_bound_rejected(self, pair_prob):
+        # above pmax, a pair's draws in [pmax, p) would be skipped as misses
+        with pytest.raises(ContractError):
+            generators._sample_pair_edges(np.random.default_rng(0), 60, pair_prob, 0.2)
 
 
 def test_degree_floor_solved_once_per_parameters(monkeypatch):

@@ -194,15 +194,20 @@ class TestNarrowSearch:
 
 @pytest.fixture
 def products(monkeypatch):
-    """The output buffer of every product the searches take with the adjacency."""
+    """The output buffer of every product the searches take with the
+    adjacency, the first hop's from the 0/1 frontier included."""
     outs = []
 
-    def counting(A, x, out):
-        outs.append(out)
-        return product_into(A, x, out)
+    def counting(product):
+        def counted(A, x, out):
+            outs.append(out)
+            return product(A, x, out)
 
-    monkeypatch.setattr(graph_module, "product_into", counting)
-    monkeypatch.setattr(centrality, "product_into", counting)
+        return counted
+
+    monkeypatch.setattr(graph_module, "_frontier_product", counting(graph_module._frontier_product))
+    monkeypatch.setattr(graph_module, "product_into", counting(product_into))
+    monkeypatch.setattr(centrality, "product_into", counting(product_into))
     return outs
 
 
@@ -236,6 +241,30 @@ class TestProductCount:
         for dtype in DTYPES:
             dist, _ = hop_distances(g.to_csr(dtype), np.ones(3))
             assert dist.tolist() == [0, 0, 0] and len(products) == 0
+
+
+class TestFrontierProduct:
+    """The first hop's count over the frontier's CSR rows is ``product_into``'s
+    bytes, in float64 and int16, from a bool or a numeric frontier."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", ["vector", "one-hot", "several", "isolated", "zero", "zero-vector"])
+    def test_same_bytes_as_product(self, dtype, case):
+        n = 60
+        A = build_graph(n, random_graph(50, 0.15, 5)).to_csr(dtype)  # 50 .. 59 isolated
+        x = {
+            "vector": np.isin(np.arange(n), [3, 17, 40]),
+            "one-hot": np.eye(n, 16, -20, dtype=bool),
+            "several": np.random.default_rng(2).random((n, 16)) < 0.2,
+            "isolated": np.eye(n, 8, -52, dtype=bool),
+            "zero": np.zeros((n, 8), dtype=bool),
+            "zero-vector": np.zeros(n, dtype=bool),
+        }[case]
+        want = product_into(A, x.astype(dtype), np.empty(x.shape, dtype=dtype))
+        for given in (x, x.astype(dtype)):
+            out = np.full(x.shape, 7, dtype=dtype)  # garbage before the call
+            assert graph_module._frontier_product(A, given, out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 class TestProductInto:

@@ -1,7 +1,9 @@
 """The per-graph triangle index behind ``graph.layer_edges``: bitwise equal to
-the sparse-product count it replaced, built once and read-only, bounded in
-build memory, and leaving no sparse matrix to build per diffusion run."""
+the sparse-product count and the wedge build it replaced, built once and
+read-only, bounded in build memory, and leaving no sparse matrix to build per
+diffusion run."""
 
+import dataclasses
 import tracemalloc
 from itertools import combinations
 
@@ -14,17 +16,19 @@ from layercast import (
     DiffusionParams,
     ErParams,
     build_graph,
+    dense_er_single_preset,
     gen_er,
     layer_from_sources,
+    layered_view,
     preset,
     run_intervention,
     run_single_diffusion,
 )
 from layercast import graph as graph_module
 from layercast.graph import layer_edges, triangle_index
-from layercast.harness import generate_graph
+from layercast.harness import build_ensemble, generate_graph
 
-from oracles import adjacency_dict, product_layer_edges
+from oracles import adjacency_dict, frontier_layering, product_layer_edges, wedge_triangle_index
 
 
 def er_edges(n, p, seed, offset=0):
@@ -154,6 +158,85 @@ class TestCachesReadOnly:
         for arr in (rows, mirror, tri):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+ORACLE_CASES = {
+    **CASES,
+    "n-0": lambda: build_graph(0, []),
+    "n-2": lambda: build_graph(2, [(0, 1)]),
+    "complete-40": lambda: build_graph(40, list(combinations(range(40), 2))),
+    "star": lambda: build_graph(25, [(0, v) for v in range(1, 25)]),
+    "two-components": lambda: build_graph(
+        70, np.concatenate([er_edges(40, 0.3, 8), er_edges(30, 0.5, 9, offset=40)])
+    ),
+}
+
+
+def assert_same_index(g):
+    for a, b in zip(triangle_index(g), wedge_triangle_index(g)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstWedgeBuild:
+    """The forward-path build gives the bytes of the wedge build it replaced
+    (``oracles.wedge_triangle_index``), whatever its table and chunk sizes."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_same_bytes(self, name):
+        assert_same_index(ORACLE_CASES[name]())
+
+    @pytest.mark.parametrize("rows, chunk", [(1, 1), (1, 5), (3, 5), (3, 1 << 14)])
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_small_table_and_chunks(self, monkeypatch, name, rows, chunk):
+        # a table of one or three rows, and chunks of 1 or 5 paths, which end
+        # inside a row and take the two-pass build past 5 triangles
+        g = ORACLE_CASES[name]()
+        monkeypatch.setattr(graph_module, "_TABLE", rows * max(g.node_count, 1))
+        monkeypatch.setattr(graph_module, "_CHUNK", chunk)
+        assert_same_index(g)
+
+
+def triangle_strip(n):
+    """Nodes 0 .. n-1, each joined to the next two: a triangle at every step."""
+    v = np.arange(n)
+    return build_graph(n, np.concatenate([np.stack([v[:-1], v[1:]], 1), np.stack([v[:-2], v[2:]], 1)]))
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+class TestLayerDtypeBranches:
+    """Layers are gathered and sorted as int16 up to 2**15 nodes, as int64
+    beyond; both give the bytes of the references."""
+
+    def test_branch_taken(self, n):
+        assert graph_module._layer_dtype(n) == (np.int16 if n <= 2**15 else np.int64)
+
+    def check(self, g, sources):
+        lv = layer_from_sources(g, sources)
+        ref = frontier_layering(g, sources)
+        assert lv.layer_of.tobytes() == ref.layer_of.tobytes()
+        assert [a.tobytes() for a in lv.layers] == [a.tobytes() for a in ref.layers]
+        assert_same_as_product(g, lv)
+        return lv
+
+    def test_path_from_one_end(self, n):
+        # the deepest layering there is: node v in layer v, up to n - 1,
+        # int16's largest value at 2**15 (taken as given: a search is n hops)
+        g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        lv = layered_view(np.arange(n))
+        assert [a.tolist() for a in lv.layers] == [[v] for v in range(n)]
+        assert_same_as_product(g, lv)
+
+    def test_triangle_strip(self, n):
+        g = triangle_strip(n)
+        assert_same_index(g)
+        self.check(g, np.arange(0, n, 4096))
+
+
+@pytest.mark.paper
+def test_paper_dense_er_index_matches_wedge_build():
+    config = dataclasses.replace(dense_er_single_preset("paper"), ensemble_size=8)
+    for g, _ in build_ensemble(config):
+        assert_same_index(g)
 
 
 def test_build_memory_is_index_plus_one_chunk():
