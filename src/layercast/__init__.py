@@ -48,7 +48,6 @@ from .graph import (
     effective_edge_count,
     format_edge_list,
     layer_from_sources,
-    layered_view,
     load_edge_list,
     parse_edge_list,
     prefix_layerings,

@@ -40,6 +40,13 @@ _STRATEGY_CHOICES = [k.value for k in CentralityKind]
 _MEASURE_CHOICES = [k.value for k in CentralityKind if k is not CentralityKind.RANDOM]
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds from nonnegative integers only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_node_list(text: str) -> np.ndarray:
     try:
         nodes = [int(t) for t in text.split(",") if t.strip() != ""]
@@ -224,7 +231,7 @@ def build_parser() -> _Parser:
         "--p", "--edge-exist-prob", dest="edge_exist_prob", metavar="P", type=float, required=True,
         help="pairwise edge probability (edge_exist_prob)",
     )
-    p_er.add_argument("--seed", type=int, required=True, help="RNG seed")
+    p_er.add_argument("--seed", type=_seed, required=True, help="RNG seed")
     p_er.add_argument("--out", help="edge-list output path (default: stdout)")
     p_er.set_defaults(handler=_cmd_generate, params=ErParams)
 
@@ -240,7 +247,7 @@ def build_parser() -> _Parser:
     )
     p_ga.add_argument("--p-in", type=float, required=True, help="intra-community edge probability")
     p_ga.add_argument("--p-out", type=float, required=True, help="inter-community edge probability")
-    p_ga.add_argument("--seed", type=int, required=True)
+    p_ga.add_argument("--seed", type=_seed, required=True)
     p_ga.add_argument("--out")
     p_ga.add_argument("--community-out", help="write 'node community_id' lines here")
     p_ga.set_defaults(handler=_cmd_generate, params=GaussianPartitionParams)
@@ -252,7 +259,7 @@ def build_parser() -> _Parser:
     p_lfr.add_argument("--mu", type=float, required=True, help="mixing fraction")
     p_lfr.add_argument("--average-degree", type=float, required=True)
     p_lfr.add_argument("--min-community", type=int, required=True)
-    p_lfr.add_argument("--seed", type=int, required=True)
+    p_lfr.add_argument("--seed", type=_seed, required=True)
     p_lfr.add_argument("--out")
     p_lfr.add_argument("--community-out")
     p_lfr.set_defaults(handler=_cmd_generate, params=LfrParams)
@@ -277,7 +284,7 @@ def build_parser() -> _Parser:
     p_diff.add_argument("--ic", help="explicit creator nodes, comma-separated")
     p_diff.add_argument("--strategy", choices=_STRATEGY_CHOICES, help="creator-selection strategy")
     p_diff.add_argument("--count", type=int, help="number of creators for --strategy")
-    p_diff.add_argument("--seed", type=int, help="RNG seed (required for random strategy)")
+    p_diff.add_argument("--seed", type=_seed, help="RNG seed (required for random strategy)")
     p_diff.add_argument("--out", help="per-node CSV path (default: stdout)")
     p_diff.add_argument("--metrics-out", help="metrics JSON path")
     p_diff.set_defaults(handler=_cmd_diffuse, params=DiffusionParams)
@@ -311,7 +318,7 @@ def build_parser() -> _Parser:
     p_int.add_argument("--false-count", type=int)
     p_int.add_argument("--true-strategy", choices=_STRATEGY_CHOICES)
     p_int.add_argument("--true-count", type=int)
-    p_int.add_argument("--seed", type=int, help="RNG seed (required for random strategies)")
+    p_int.add_argument("--seed", type=_seed, help="RNG seed (required for random strategies)")
     p_int.add_argument("--out", help="per-node CSV path (default: stdout)")
     p_int.add_argument("--metrics-out", help="metrics JSON path")
     p_int.set_defaults(handler=_cmd_intervene, params=CombatParams)

@@ -79,26 +79,25 @@ def transmission_factor(transmission_prob: float, effective_edges: int) -> float
     return total
 
 
-def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
+def _spread(g: Graph, lv: LayeredView, P: float, halt_from=None):
     """Accumulate belief layer by layer from ``lv``'s sources.
 
     Every node of layer L is updated once, from its layer L - 1 neighbors,
-    through the complement product.  ``stop(L)``, when given, returns a bool
-    mask of nodes that neither receive nor transmit while layer L updates;
-    a halted layer-L node keeps belief 0 and is flagged in ``blocked``.
-    Returns ``(p, p_bar, blocked)``.
+    through the complement product.  ``halt_from``, when given, holds each
+    node's first layer from which it neither receives nor transmits: a
+    layer-L node with ``halt_from <= L`` keeps belief 0 and is flagged in
+    ``blocked``.  Returns ``(p, p_bar, blocked)``.
 
     Each layer is one vectorised step.  A node's terms ``1 - p[v] * F`` are
     multiplied left to right in ascending source order, the order of a
-    node-by-node loop, so the result is bitwise that loop's.  A skipped
-    source (belief 0 or halted) contributes exactly 1.0.
+    node-by-node loop, so the result is bitwise that loop's.  A source of
+    belief 0 contributes exactly 1.0, and so does an edge halted at either
+    end, whose F is set to 0.
     """
-    n = g.node_count
-    p_bar = np.ones(n)
-    p_bar[lv.sources] = 0.0
-    p = np.zeros(n)
-    p[lv.sources] = 1.0
-    blocked = np.zeros(n, dtype=bool)
+    layer_of = lv.layer_of
+    p = (layer_of == 0).astype(np.float64)
+    p_bar = 1.0 - p
+    blocked = np.zeros(g.node_count, dtype=bool)
     if lv.depth == 0:
         return p, p_bar, blocked
 
@@ -107,25 +106,22 @@ def _spread(g: Graph, lv: LayeredView, P: float, stop=None):
     for k in np.flatnonzero(np.bincount(counts)):
         table[k] = transmission_factor(P, int(k))
     factor = table[counts]
-    # one segment per updated node, in update order; every layer-L node has a
-    # layer L - 1 neighbor, so no segment is empty
+    if halt_from is not None:
+        at = layer_of[targets]
+        halted = halt_from[targets] <= at
+        blocked[targets[halted]] = True
+        factor[halted | (halt_from[sources] <= at)] = 0.0
+    # one segment per updated node: every layer-L node is a target, in
+    # (layer, node) order, beside its layer L - 1 neighbors
     seg = np.concatenate(([0], np.flatnonzero(targets[1:] != targets[:-1]) + 1, [len(targets)]))
-    first = 0
-    for L in range(1, lv.depth + 1):
-        u = lv.layers[L]
-        starts = seg[first : first + len(u) + 1]
-        first += len(u)
+    nodes = targets[seg[:-1]]
+    ends = np.cumsum(np.bincount(layer_of[nodes])).tolist()  # ends[L]: the nodes of layers <= L
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        starts = seg[lo : hi + 1]
         e0, e1 = starts[0], starts[-1]
-        src = sources[e0:e1]
-        terms = 1.0 - p[src] * factor[e0:e1]
-        if stop is not None:
-            halted = stop(L)
-            terms[halted[src]] = 1.0
+        terms = 1.0 - p[sources[e0:e1]] * factor[e0:e1]
         acc = np.multiply.reduceat(terms, starts[:-1] - e0)
-        if stop is not None:
-            h = halted[u]
-            blocked[u[h]] = True
-            u, acc = u[~h], acc[~h]
+        u = nodes[lo:hi]
         p_bar[u] = acc
         p[u] = 1.0 - acc
     return p, p_bar, blocked

@@ -25,6 +25,17 @@ from .graph import Graph
 _BUDGET_FACTOR = 100
 _MAX_STRUCTURE_ATTEMPTS = 200
 
+#: Largest node count a generator accepts: node ids fit scipy's 32-bit sparse
+#: index arrays, and a larger n would ask for 16 GiB per-node arrays at once.
+MAX_NODES = 2**31 - 1
+
+
+def _check_counts(params) -> None:
+    """Check the int fields of a generator's params, and that 1 <= n <= MAX_NODES."""
+    check_int_fields(params)
+    if not 1 <= params.n <= MAX_NODES:
+        raise InputError(f"n must be in [1, {MAX_NODES}], got {params.n}")
+
 
 @dataclass(frozen=True)
 class ErParams:
@@ -34,9 +45,7 @@ class ErParams:
     edge_exist_prob: float
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+        _check_counts(self)
         check_unit_interval(self, "edge_exist_prob")
 
 
@@ -57,13 +66,12 @@ class GaussianPartitionParams:
     p_out: float
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+        _check_counts(self)
         if not 1 <= as_real("mean_size", self.mean_size) < math.inf:  # also rejects NaN
             raise InputError(f"mean_size must be finite and >= 1, got {self.mean_size}")
-        if not as_real("shape", self.shape) > 0:  # shape = inf: equal sizes
-            raise InputError(f"shape must be > 0, got {self.shape}")
+        # shape = inf: equal sizes; a tiny shape must leave the variance finite
+        if not (as_real("shape", self.shape) > 0 and self.mean_size / self.shape < math.inf):
+            raise InputError(f"shape must be > 0 and leave mean_size / shape finite, got {self.shape}")
         check_unit_interval(self, "p_in", "p_out")
 
 
@@ -79,9 +87,7 @@ class LfrParams:
     min_community: int
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+        _check_counts(self)
         for name in ("tau1", "tau2"):
             if not 1 < as_real(name, getattr(self, name)) < math.inf:  # also rejects NaN
                 raise InputError(f"{name} must be finite and > 1, got {getattr(self, name)}")
@@ -144,10 +150,6 @@ def gen_er(params: ErParams, rng_seed) -> Graph:
     return Graph(params.n, edges)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
     """Gaussian random partition graph.
 
@@ -164,7 +166,7 @@ def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
     sizes = []
     remaining = n
     while remaining > 0:
-        size = max(1, _round_half_up(rng.normal(params.mean_size, sd)))
+        size = max(1, math.floor(rng.normal(params.mean_size, sd) + 0.5))  # rounded half-up
         size = min(size, remaining)
         sizes.append(size)
         remaining -= size
@@ -382,6 +384,8 @@ def _sample_community_sizes(rng, n, tau2, min_community, max_community):
     [min_community, max_community]; the last is cut to make the sum n, and
     when that leaves it below min_community it joins the one before.  A
     lone size is cut to n >= min_community, so there always is one before.
+    So every size but the last lies in [min_community, max_community], and
+    the last may reach ``max_community + min_community - 1``.
     """
     sizes = []
     total = 0
@@ -403,7 +407,8 @@ def gen_lfr(params: LfrParams, rng_seed):
     Degrees follow a truncated power law with exponent ``tau1`` whose lower
     cutoff is solved so the rounded mean hits ``average_degree`` (upper cutoff
     ``sqrt(n) * average_degree``).  Community sizes follow a power law with
-    exponent ``tau2`` on ``[min_community, max(degrees)]``.  Each node splits
+    exponent ``tau2`` on ``[min_community, max(degrees)]``, but for the last
+    (see :func:`_sample_community_sizes`).  Each node splits
     its stubs into ``(1 - mu) * degree`` internal (stochastically rounded so
     the expected mixing fraction equals ``mu``) and the rest external; both
     stub pools are wired by configuration-model matching with swap repair.
@@ -418,7 +423,8 @@ def gen_lfr(params: LfrParams, rng_seed):
             f"infeasible: min_community ({params.min_community}) exceeds node count ({n})"
         )
     budget = _BUDGET_FACTOR * n
-    max_degree = min(n - 1, max(1, round(math.sqrt(n) * params.average_degree)))
+    # capped at n before rounding: a huge average_degree makes the product inf
+    max_degree = min(n - 1, max(1, round(min(math.sqrt(n) * params.average_degree, n))))
     if params.average_degree > max_degree:
         raise GenerationError(
             f"infeasible: average_degree ({params.average_degree}) exceeds the "

@@ -132,19 +132,24 @@ def build_graph(node_count: int, edge_list) -> Graph:
 class LayeredView:
     """BFS layering of a graph from a set of source nodes.
 
-    ``layer_of[v]`` is the hop distance from ``v`` to the nearest source, or
-    ``-1`` if unreachable.  ``layers[L]`` holds the sorted node indices at
-    distance ``L``; ``layers[0]`` is the source set itself.
+    ``layer_of[v]`` is the int64 hop distance from ``v`` to the nearest
+    source, or ``-1`` if unreachable; the view makes it read-only.
     """
 
-    sources: np.ndarray
     layer_of: np.ndarray
-    layers: tuple
+
+    def __post_init__(self):
+        self.layer_of.setflags(write=False)
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The source nodes, ascending."""
+        return np.flatnonzero(self.layer_of == 0)
 
     @property
     def depth(self) -> int:
         """Largest layer index among reachable nodes."""
-        return len(self.layers) - 1
+        return int(self.layer_of.max(initial=-1))
 
     def layer(self, v: int):
         """Layer index of ``v``, or None if unreachable."""
@@ -354,23 +359,6 @@ def hop_distances(A, frontier, buffers=None):
     return dist, sigma
 
 
-def layered_view(layer_of) -> LayeredView:
-    """The :class:`LayeredView` of an int64 hop-distance vector (-1 unreached).
-
-    Takes ``layer_of`` over and makes it read-only; its distance-0 nodes are
-    the sources.
-    """
-    reached = np.flatnonzero(layer_of >= 0)
-    depth = layer_of[reached].astype(_layer_dtype(len(layer_of)), copy=False)
-    # stable: each layer keeps ascending node order
-    by_layer = reached[np.argsort(depth, kind="stable")]
-    by_layer.setflags(write=False)  # and so every layer, a view of it
-    ends = np.cumsum(np.bincount(depth)).tolist()
-    layers = tuple(by_layer[start:end] for start, end in zip([0, *ends], ends))
-    layer_of.setflags(write=False)
-    return LayeredView(sources=layers[0], layer_of=layer_of, layers=layers)
-
-
 def _checked_nodes(g: Graph, nodes, what: str) -> np.ndarray:
     """The distinct node ids of ``nodes``, ascending, as int64.
 
@@ -406,8 +394,7 @@ def layer_from_sources(g: Graph, sources) -> LayeredView:
     src = _checked_nodes(g, sources, "source set")
     frontier = np.zeros(g.node_count)
     frontier[src] = 1.0
-    layer_of, _ = hop_distances(g.to_csr(), frontier)
-    return layered_view(layer_of)
+    return LayeredView(hop_distances(g.to_csr(), frontier)[0])
 
 
 #: Ranked nodes :func:`prefix_layerings` searches per :func:`hop_distances`.
@@ -415,16 +402,14 @@ _PREFIX_WIDTH = 16
 
 
 def prefix_layerings(g: Graph, order):
-    """Yield the hop distances from ``order[:k]`` for k = 1, 2, ..., len(order).
+    """Yield ``layer_from_sources(g, order[:k])`` for k = 1, 2, ..., len(order).
 
-    Each is a fresh int64 vector (-1 unreached), and ``layered_view`` of it
-    is ``layer_from_sources(g, order[:k])``; a caller builds that view only
-    for the k it runs.  A multi-source hop distance is the minimum of the
-    sources' own, so the vector at k is the running minimum of the first k
-    nodes' distances.  The nodes are searched ``_PREFIX_WIDTH`` one-hot
-    columns at a time, one :func:`hop_distances` per block on the int16
-    adjacency, as the vectors are asked for; between blocks only the
-    block's (n, width) int64 distances are kept.
+    A multi-source hop distance is the minimum of the sources' own, so the
+    view at k is the running minimum of the first k nodes' distances.  The
+    nodes are searched ``_PREFIX_WIDTH`` one-hot columns at a time, one
+    :func:`hop_distances` per block on the int16 adjacency, as the views are
+    asked for; between blocks only the block's (n, width) int64 distances
+    are kept.
     """
     order = np.asarray(order)
     _checked_nodes(g, order, "node order")
@@ -443,7 +428,7 @@ def prefix_layerings(g: Graph, order):
             np.minimum(u[:, 0], running, out=u[:, 0])
         np.minimum.accumulate(u, axis=1, out=u)
         for j in range(len(block)):
-            yield dist[:, j].copy()
+            yield LayeredView(dist[:, j].copy())
         running = u[:, -1].copy()
         del dist, u
 

@@ -103,6 +103,8 @@ class SweepSpec:
         # NumPy scalars become Python numbers, so the values hash and print alike
         values = tuple(v.item() if isinstance(v, np.generic) else v for v in self.values)
         object.__setattr__(self, "values", values)
+        if not isinstance(self.parameter, str):
+            raise InputError(f"sweep parameter must be a field name, got {self.parameter!r}")
         if len(self.values) == 0:
             raise InputError("sweep grid must be non-empty")
 

@@ -23,7 +23,7 @@ from . import forking
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread, label_counts
 from .errors import ContractError, InputError, as_integer, as_real, check_unit_interval, failing_at
-from .graph import Graph, LayeredView, layer_from_sources, layered_view, prefix_layerings
+from .graph import Graph, LayeredView, layer_from_sources, prefix_layerings
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,18 @@ def _check_false_process(g: Graph, false_process: FalseProcess, params: CombatPa
     _check_covers(g, "false process", false_process.layers)
 
 
+def _halt_from(false_process: FalseProcess, decisive_threshold: float) -> np.ndarray:
+    """The true layer from which each node is halted, ``node_count`` for never:
+    its false layer once its false belief reaches ``decisive_threshold``, but
+    layer 0 for every node at a threshold of 0, which a node's false belief
+    of 0 reaches before the false process gets to it."""
+    f_layer = false_process.layers.layer_of
+    if decisive_threshold == 0:
+        return np.zeros_like(f_layer)
+    # p_if >= decisive_threshold > 0 only at nodes the false process reached
+    return np.where(false_process.p_if >= decisive_threshold, f_layer, len(f_layer))
+
+
 def run_intervention(g: Graph, false_creators, true_creators, params: CombatParams) -> CombatState:
     """Run the competing diffusion of false and true information.
 
@@ -130,12 +142,12 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
     The false process never reads the true one, so it runs alone first.  When
     true layer L updates, false layers 0..L are done and every deeper or
     unreached node still holds false belief 0; the true process therefore
-    halts, while layer L updates, exactly the nodes in
-    ``np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td``.
+    halts, while layer L updates, exactly the nodes with ``halt_from <= L``
+    (:func:`_halt_from`).
 
     ``false_creators`` is node ids or their :func:`run_false_process` on this
     graph, ``true_creators`` node ids or their :class:`LayeredView` on this
-    graph (such as the ``layered_view`` of one of :func:`prefix_layerings`);
+    graph (such as one of :func:`prefix_layerings`);
     a given object is used as it is, not spread or searched again.  It is
     checked only for its size and, a false process, for its false
     transmission probability: one from a graph of another node count, or
@@ -151,19 +163,13 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
         _check_covers(g, "true layering", true_layers)
     else:
         true_layers = layer_from_sources(g, true_creators)
-    false_lv, p_if = false_process.layers, false_process.p_if
-
-    f_layer = false_lv.layer_of
-    td = params.decisive_threshold
-
-    def stop(L):
-        return np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td
-
-    p_it, _, blocked = _spread(g, true_layers, params.true_transmission_prob, stop)
+    p_if = false_process.p_if
+    halt_from = _halt_from(false_process, params.decisive_threshold)
+    p_it, _, blocked = _spread(g, true_layers, params.true_transmission_prob, halt_from)
     return CombatState(
         p_if=p_if,
         p_it=p_it,
-        false_layers=false_lv,
+        false_layers=false_process.layers,
         true_layers=true_layers,
         blocked=blocked,
         labels=determine_combat_label(p_if, p_it, params.comparative_threshold),
@@ -203,20 +209,18 @@ def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, sk
 
     ``orders`` holds each graph's ranking, or is None for the random
     strategy.  ``sums`` must be called for ascending k: each graph's
-    :func:`prefix_layerings` distances are read up to the k asked for, and a
-    view is built only for a run made.  With ``skip``, graph i's run is
-    skipped once the runs before it plus U(k) of it and every later graph sum
-    to at most 0 (see :func:`minimum_true_seeds`).
+    :func:`prefix_layerings` views are read up to the k asked for.  With
+    ``skip``, graph i's run is skipped once the runs before it plus U(k) of
+    it and every later graph sum to at most 0 (see :func:`minimum_true_seeds`).
     """
     surely_infected = [_surely_infected(fp, params) for fp in false_processes]
     prefixes = None if orders is None else [prefix_layerings(g, o) for g, o in zip(graphs, orders)]
     at = [0] * len(graphs)  # the k each graph's prefixes yielded last
 
-    def distances(i, k):
-        # the vectors of the k skipped since are dropped unread
-        dist = next(itertools.islice(prefixes[i], k - at[i] - 1, None))
-        at[i] = k
-        return dist
+    def view(i, k):
+        # the views of the k skipped since are dropped unread
+        skipped, at[i] = k - at[i] - 1, k
+        return next(itertools.islice(prefixes[i], skipped, None))
 
     def sums(k):
         bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely_infected)]
@@ -231,7 +235,7 @@ def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, sk
                     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                     ic_t = rng.choice(g.node_count, size=k, replace=False)
                 else:
-                    ic_t = layered_view(distances(i, k))
+                    ic_t = view(i, k)
                 tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
             prot += tally[Label.PROTECTED]
             inf += tally[Label.INFECTED]

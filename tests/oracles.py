@@ -146,6 +146,11 @@ def common_in_layer(g, layer_of, target, source, target_layer):
     return sum(1 for i in common if layer_of[i] == target_layer)
 
 
+def layer_nodes(lv, L):
+    """The nodes of ``lv``'s layer L, in ascending order."""
+    return np.flatnonzero(lv.layer_of == L)
+
+
 def scalar_spread(g, lv, P, stop=None):
     """The layer kernel as a node-by-node, edge-by-edge loop, in float64.
 
@@ -166,7 +171,7 @@ def scalar_spread(g, lv, P, stop=None):
     for L in range(1, lv.depth + 1):
         prev = L - 1
         halted = None if stop is None else stop(L)
-        for u in lv.layers[L]:
+        for u in layer_nodes(lv, L):
             if halted is not None and halted[u]:
                 blocked[u] = True
                 continue
@@ -224,7 +229,7 @@ def interleaved_intervention(g, false_creators, true_creators, params):
     for step in range(1, last_step + 1):
         true_layer = step - 1
         if 1 <= true_layer <= true_lv.depth:
-            for u in true_lv.layers[true_layer]:
+            for u in layer_nodes(true_lv, true_layer):
                 if p_if[u] >= td:
                     blocked[u] = True
                     continue
@@ -240,7 +245,7 @@ def interleaved_intervention(g, false_creators, true_creators, params):
                 p_it[u] = 1.0 - acc
 
         if step <= false_lv.depth:
-            for u in false_lv.layers[step]:
+            for u in layer_nodes(false_lv, step):
                 acc = p_if_bar[u]
                 for v in g.neighbors(u):
                     if f_layer[v] != step - 1 or p_if[v] == 0.0:
@@ -387,7 +392,7 @@ def frontier_layering(g, sources):
 
     layer_of = np.full(g.node_count, -1, dtype=np.int64)
     layer_of[src] = 0
-    layers = [src]
+    depth = 0
     frontier = src
     ind, ptr = g._indices, g._indptr
     while frontier.size:
@@ -396,13 +401,10 @@ def frontier_layering(g, sources):
         nxt = nxt[layer_of[nxt] < 0]
         if nxt.size == 0:
             break
-        layer_of[nxt] = len(layers)
-        layers.append(nxt)
+        depth += 1
+        layer_of[nxt] = depth
         frontier = nxt
-    layer_of.setflags(write=False)
-    for arr in layers:
-        arr.setflags(write=False)
-    return LayeredView(sources=src, layer_of=layer_of, layers=tuple(layers))
+    return LayeredView(layer_of)
 
 
 def dense_closeness(g):

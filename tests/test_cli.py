@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_traced(capsys, *argv):
+    """:func:`run_cli` plus the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
 
 
 class TestGenerate:
@@ -123,6 +135,25 @@ class TestGenerate:
         code, out, err = run_cli(capsys, "generate", *argv, "--seed", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: input:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("er", "--p", "0.01"),
+            ("gaussian", "--mean-size", "10", "--shape", "1", "--p-in", "0.1", "--p-out", "0.01"),
+            ("lfr", "--tau1", "3", "--tau2", "1.5", "--mu", "0.1", "--average-degree", "4",
+             "--min-community", "25"),
+        ],
+        ids=["er", "gaussian", "lfr"],
+    )
+    def test_node_count_past_the_bound_is_one_line_input_error(self, capsys, argv):
+        code, out, err, peak = run_cli_traced(
+            capsys, "generate", *argv[:1], "--n", "2147483648", *argv[1:], "--seed", "1"
+        )
+        assert (code, out, err) == (
+            1, "", "error: input: n must be in [1, 2147483647], got 2147483648\n"
+        )
+        assert peak < 2**20  # rejected before any per-node array
 
     def test_lfr_exponent_too_steep_is_one_line_generation_error(self, capsys):
         # tau2 = 400: 25**-399 underflows to 0 in float64
@@ -453,6 +484,35 @@ class TestExperiment:
         )
         assert code == 1
         assert err.startswith("error: input:")
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"type": "er", "n": 2**31, "edge_exist_prob": 0.01},
+            {"type": "gaussian_partition", "n": 2**31, "mean_size": 10.0, "shape": 1.0,
+             "p_in": 0.1, "p_out": 0.01},
+            {"type": "lfr", "n": 2**31, "tau1": 3.0, "tau2": 1.5, "mu": 0.1,
+             "average_degree": 5.0, "min_community": 20},
+        ],
+        ids=["er", "gaussian_partition", "lfr"],
+    )
+    def test_node_count_past_the_bound_is_one_line_input_error(self, capsys, tmp_path, generator):
+        cfg = ExperimentConfig(
+            generator=ErParams(n=40, edge_exist_prob=0.12), ensemble_size=2, mode="single",
+            strategies=(CentralityKind.DEGREE,), model=DiffusionParams(0.5, 0.5),
+            info_starter=2, master_rng_seed=21,
+        )
+        data = {**config_to_dict(cfg), "generator": generator}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code, out, err, peak = run_cli_traced(
+            capsys, "experiment", "run", "--config", str(path), "--out", str(out_dir)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+        assert "n must be in [1, 2147483647], got 2147483648" in err
+        assert peak < 2**20 and not out_dir.exists()
 
     @pytest.mark.parametrize(
         "name, digest",

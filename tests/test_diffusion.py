@@ -17,6 +17,7 @@ from layercast import (
 )
 
 from layercast.diffusion import _spread
+from layercast.intervention import FalseProcess, _halt_from
 from oracles import rational_single_diffusion, scalar_spread
 
 
@@ -169,16 +170,26 @@ class TestProperties:
 
 
 def _halting_by_false_belief(g, false_creators, pf, td):
-    """A ``stop(L)`` mask built the way ``run_intervention`` builds it."""
+    """``(halt_from, stop)``: the halting layers ``run_intervention`` hands the
+    kernel, and the per-layer ``stop(L)`` mask they replaced, which the
+    scalar loop reads; the two agree on every layer."""
     flv = layer_from_sources(g, false_creators)
     p_if, _, _ = scalar_spread(g, flv, pf)
     f_layer = flv.layer_of
-    return lambda L: np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td
+    halt_from = _halt_from(FalseProcess(layers=flv, p_if=p_if, transmission_prob=pf), td)
+
+    def stop(L):
+        return np.where((f_layer >= 0) & (f_layer <= L), p_if, 0.0) >= td
+
+    for L in range(g.node_count):
+        assert np.array_equal(halt_from <= L, stop(L))
+    return halt_from, stop
 
 
-def _assert_kernel_bitwise(g, sources, P, stop=None):
+def _assert_kernel_bitwise(g, sources, P, halting=(None, None)):
     lv = layer_from_sources(g, sources)
-    got = _spread(g, lv, P, stop)
+    halt_from, stop = halting
+    got = _spread(g, lv, P, halt_from)
     want = scalar_spread(g, lv, P, stop)
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype
@@ -195,12 +206,12 @@ class TestKernelBitwise:
         n = int(rng.integers(2, 90))
         g, _ = random_graph_factory(seed=900 + seed, n=n, p=float(rng.choice([0.02, 0.06, 0.15, 0.4])))
         sources = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
-        stop = None
+        stops = (None, None)
         if halting:
             false_creators = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
             td = float(rng.choice([0.0, 0.3, 0.5, 1.01]))
-            stop = _halting_by_false_belief(g, false_creators, float(rng.random()), td)
-        _assert_kernel_bitwise(g, sources, float(rng.random()), stop)
+            stops = _halting_by_false_belief(g, false_creators, float(rng.random()), td)
+        _assert_kernel_bitwise(g, sources, float(rng.random()), stops)
 
     @pytest.mark.parametrize("P", [0.0, 1.0])
     @pytest.mark.parametrize("td", [0.0, 1.5])
@@ -223,5 +234,5 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("halting", [False, True])
     def test_edge_cases(self, n, edges, sources, halting):
         g = build_graph(n, edges)
-        stop = _halting_by_false_belief(g, [n - 1], 0.7, 0.5) if halting else None
-        _assert_kernel_bitwise(g, sources, 0.6, stop)
+        stops = _halting_by_false_belief(g, [n - 1], 0.7, 0.5) if halting else (None, None)
+        _assert_kernel_bitwise(g, sources, 0.6, stops)

@@ -56,6 +56,20 @@ class TestParams:
 
 _GAUSSIAN_FIELDS = {"n": 10, "mean_size": 5.0, "shape": 1.0, "p_in": 0.1, "p_out": 0.1}
 _LFR_FIELDS = {"n": 10, "tau1": 3.0, "tau2": 1.5, "mu": 0.1, "average_degree": 3.0, "min_community": 2}
+_ER_FIELDS = {"n": 10, "edge_exist_prob": 0.1}
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [(ErParams, _ER_FIELDS), (GaussianPartitionParams, _GAUSSIAN_FIELDS), (LfrParams, _LFR_FIELDS)],
+    ids=["er", "gaussian", "lfr"],
+)
+def test_node_count_bound(cls, fields):
+    assert generators.MAX_NODES == 2**31 - 1
+    assert cls(**{**fields, "n": generators.MAX_NODES}).n == generators.MAX_NODES
+    for n in (generators.MAX_NODES + 1, 2**63, 0):
+        with pytest.raises(InputError, match=rf"^n must be in \[1, 2147483647\], got {n}$"):
+            cls(**{**fields, "n": n})
 
 
 @pytest.mark.parametrize(
@@ -335,8 +349,17 @@ def check_community_sizes(sizes, n, min_community, max_community):
 
 
 class TestCommunitySizes:
+    @pytest.mark.parametrize("size", [2, 5, 25])
+    def test_last_size_reaches_max_plus_min_minus_one(self, size):
+        # min = max: every draw is that size, and a remainder of size - 1
+        # joins the last community
+        n = 3 * size + size - 1
+        sizes = _sample_community_sizes(np.random.default_rng(0), n, 1.5, size, size)
+        assert sizes == [size, size, 2 * size - 1]
+
     def test_sweep_of_valid_arguments(self):
         rng = np.random.default_rng(2)
+        above = 0
         for seed in range(600):
             n = int(rng.integers(1, 400))
             min_community = int(rng.integers(1, n + 1))
@@ -346,6 +369,8 @@ class TestCommunitySizes:
                 np.random.default_rng(seed), n, tau2, min_community, max_community
             )
             check_community_sizes(sizes, n, min_community, max_community)
+            above += sizes[-1] > max_community
+        assert above > 0  # the last size's own bound is reached, not only stated
 
     def test_sweep_of_lfr_params(self, monkeypatch):
         # the arguments gen_lfr passes, over valid LfrParams

@@ -89,12 +89,14 @@ class TestBuildGraph:
 class TestLayering:
     def test_chain_single_source(self, chain4):
         lv = layer_from_sources(chain4, [0])
-        assert [a.tolist() for a in lv.layers] == [[0], [1], [2], [3]]
+        assert lv.layer_of.tolist() == [0, 1, 2, 3]
+        assert lv.sources.tolist() == [0]
         assert lv.depth == 3
 
     def test_chain_both_ends(self, chain4):
         lv = layer_from_sources(chain4, [0, 3])
-        assert [a.tolist() for a in lv.layers] == [[0, 3], [1, 2]]
+        assert lv.layer_of.tolist() == [0, 1, 1, 0]
+        assert lv.sources.tolist() == [0, 3]
         assert lv.depth == 1
 
     def test_star_from_leaf(self, star5):
@@ -146,7 +148,7 @@ class TestLayering:
         lv = layer_from_sources(g, [0])
         assert lv.layer(2) is None
         assert lv.layer(3) is None
-        assert all(2 not in layer and 3 not in layer for layer in lv.layers)
+        assert lv.layer_of.tolist() == [0, 1, -1, -1]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bfs_layer_property(self, random_graph_factory, seed):
@@ -157,9 +159,9 @@ class TestLayering:
             lu, lv_ = lv.layer(u), lv.layer(v)
             if lu is not None and lv_ is not None:
                 assert abs(lu - lv_) <= 1
-        # layers partition exactly the reachable set
+        # the reached nodes are exactly the reachable set, at its distances
         dist = bfs_layers(adjacency_dict(g.node_count, edges), [0, 1])
-        assert sum(len(a) for a in lv.layers) == len(dist)
+        assert {v: L for v, L in enumerate(lv.layer_of.tolist()) if L >= 0} == dist
 
 
 class TestEffectiveEdges:

@@ -22,7 +22,6 @@ from layercast import (
     determine_combat_label,
     intervention_metrics,
     layer_from_sources,
-    layered_view,
     minimum_true_seeds,
     prefix_layerings,
     run_false_process,
@@ -252,8 +251,7 @@ class TestInvariants:
             rng = np.random.default_rng(seed)
             ic_f = rng.choice(45, 3, replace=False)
             order = rng.permutation(45)[: _PREFIX_WIDTH + 5]
-            for k, dist in enumerate(prefix_layerings(g, order), 1):
-                view = layered_view(dist)
+            for k, view in enumerate(prefix_layerings(g, order), 1):
                 fresh = run_intervention(g, ic_f, order[:k], params)
                 given = run_intervention(g, ic_f, view, params)
                 assert given.true_layers is view
@@ -521,7 +519,7 @@ class TestSkipBound:
         for i, g in enumerate(graphs):
             fp = _false_process(config, g, 0, i)
             order = top_k_by_score(compute_centrality(g, CentralityKind.DEGREE).scores, 80)
-            assert_bound_holds(g, fp, config.model, map(layered_view, prefix_layerings(g, order)))
+            assert_bound_holds(g, fp, config.model, prefix_layerings(g, order))
 
     @pytest.mark.parametrize("case", ADVERSARIAL)
     def test_holds_on_adversarial_ensembles(self, case):
@@ -533,7 +531,7 @@ class TestSkipBound:
             # the false creators among the true ones, then random sets
             overlapping = [np.union1d(fp.layers.sources, [int(ranked[-1])])]
             drawn = [rng.choice(n, k, replace=False) for k in range(1, n + 1)]
-            views = list(map(layered_view, prefix_layerings(g, ranked)))
+            views = list(prefix_layerings(g, ranked))
             assert_bound_holds(g, fp, params, views + overlapping + drawn)
 
     @pytest.mark.parametrize("strategy", ["degree", "closeness", "random"])
@@ -575,20 +573,6 @@ class TestSkipBound:
         assert per_k_minimum_true_seeds(*args, curve_out=want_curve) == 55
         assert curve == want_curve
         assert len(bounded_search_runs(*args)[0]) == made
-
-    def test_desk_search_builds_views_for_its_runs_only(self, monkeypatch):
-        # 1 010 runs at seed 1729; the 640 skipped ones build no view
-        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
-        views = []
-
-        def counting(layer_of):
-            views.append(len(layer_of))
-            return layered_view(layer_of)
-
-        monkeypatch.setattr(intervention, "layered_view", counting)
-        graphs, false_processes, params = desk_ensemble(1729)
-        assert minimum_true_seeds(graphs, "degree", false_processes, params, 80) == 55
-        assert len(views) == 1010
 
 
 def chain4_search():

@@ -18,7 +18,6 @@ from layercast import (
     closeness_centrality,
     gen_er,
     layer_from_sources,
-    layered_view,
     prefix_layerings,
 )
 from layercast import PRESETS, CentralityKind, centrality, forking, harness, preset
@@ -406,16 +405,15 @@ PREFIX_CASES = {
 
 
 def assert_same_view(got, want):
-    for a, b in [(got.layer_of, want.layer_of), (got.sources, want.sources),
-                 *zip(got.layers, want.layers)]:
+    for a, b in [(got.layer_of, want.layer_of), (got.sources, want.sources)]:
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
         assert a.tobytes() == b.tobytes()
-    assert len(got.layers) == len(want.layers)
+    assert got.depth == want.depth
 
 
 class TestPrefixLayerings:
-    """Each prefix of a node order gets the distances of one fresh multi-source
-    search, and their view is that search's."""
+    """Each prefix of a node order gets the view of one fresh multi-source
+    search."""
 
     @pytest.mark.parametrize("case", list(PREFIX_CASES))
     def test_each_prefix_equals_a_fresh_layering(self, case):
@@ -424,20 +422,20 @@ class TestPrefixLayerings:
         rng = np.random.default_rng(len(case))
         # every node, then a prefix that is no multiple of the block width
         for order in (rng.permutation(n), rng.permutation(n)[: 2 * _PREFIX_WIDTH + 3]):
-            dists = list(prefix_layerings(g, order))
-            assert len(dists) == len(order)
+            views = list(prefix_layerings(g, order))
+            assert len(views) == len(order)
             # each vector is its own, so a view may take it over
-            assert len({d.ctypes.data for d in dists}) == len(dists)
-            for k, dist in enumerate(dists, 1):
-                assert dist.dtype == np.int64 and dist.flags.c_contiguous
-                assert_same_view(layered_view(dist), layer_from_sources(g, order[:k]))
+            assert len({lv.layer_of.ctypes.data for lv in views}) == len(views)
+            for k, lv in enumerate(views, 1):
+                assert lv.layer_of.flags.c_contiguous
+                assert_same_view(lv, layer_from_sources(g, order[:k]))
 
     def test_isolated_and_second_component_stay_unreached(self):
         g = build_graph(7, [(0, 1), (1, 2), (4, 5)])
-        dists = list(prefix_layerings(g, [2, 5, 6]))
-        assert dists[0].tolist() == [2, 1, 0, -1, -1, -1, -1]
-        assert dists[1].tolist() == [2, 1, 0, -1, 1, 0, -1]
-        assert dists[2].tolist() == [2, 1, 0, -1, 1, 0, 0]
+        views = list(prefix_layerings(g, [2, 5, 6]))
+        assert views[0].layer_of.tolist() == [2, 1, 0, -1, -1, -1, -1]
+        assert views[1].layer_of.tolist() == [2, 1, 0, -1, 1, 0, -1]
+        assert views[2].layer_of.tolist() == [2, 1, 0, -1, 1, 0, 0]
 
     def test_one_search_per_block_as_views_are_taken(self, monkeypatch):
         calls = []
@@ -472,11 +470,7 @@ class TestBitwiseAgainstReplacedLoops:
         for sources in source_sets:
             got = layer_from_sources(graph, sources)
             want = frontier_layering(graph, sources)
-            assert got.sources.tobytes() == want.sources.tobytes()
-            assert got.layer_of.tobytes() == want.layer_of.tobytes()
-            assert len(got.layers) == len(want.layers)
-            for a, b in zip(got.layers, want.layers):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert_same_view(got, want)
 
     def test_closeness(self, graph):
         got = closeness_centrality(graph).scores

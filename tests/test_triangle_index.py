@@ -18,8 +18,8 @@ from layercast import (
     build_graph,
     dense_er_single_preset,
     gen_er,
+    LayeredView,
     layer_from_sources,
-    layered_view,
     preset,
     run_intervention,
     run_single_diffusion,
@@ -214,7 +214,7 @@ class TestLayerDtypeBranches:
         lv = layer_from_sources(g, sources)
         ref = frontier_layering(g, sources)
         assert lv.layer_of.tobytes() == ref.layer_of.tobytes()
-        assert [a.tobytes() for a in lv.layers] == [a.tobytes() for a in ref.layers]
+        assert lv.sources.tobytes() == ref.sources.tobytes() and lv.depth == ref.depth
         assert_same_as_product(g, lv)
         return lv
 
@@ -222,8 +222,8 @@ class TestLayerDtypeBranches:
         # the deepest layering there is: node v in layer v, up to n - 1,
         # int16's largest value at 2**15 (taken as given: a search is n hops)
         g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
-        lv = layered_view(np.arange(n))
-        assert [a.tolist() for a in lv.layers] == [[v] for v in range(n)]
+        lv = LayeredView(np.arange(n))
+        assert lv.sources.tolist() == [0] and lv.depth == n - 1
         assert_same_as_product(g, lv)
 
     def test_triangle_strip(self, n):
