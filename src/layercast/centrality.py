@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError, NumericError, as_integer
+from .errors import ContractError, InputError, NumericError, as_integer, as_seed
 from .graph import Graph, SearchBuffers, hop_distances, product_into
 
 
@@ -268,6 +268,6 @@ def select_seeds(g: Graph, kind: CentralityKind, k: int, rng_seed=None) -> np.nd
     if kind is CentralityKind.RANDOM:
         if rng_seed is None:
             raise InputError("the random strategy requires an explicit rng_seed")
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(as_seed("rng_seed", rng_seed))
         return rng.choice(g.node_count, size=k, replace=False).astype(np.int64)
     return top_k_by_score(compute_centrality(g, kind).scores, k)

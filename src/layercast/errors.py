@@ -6,6 +6,8 @@ import dataclasses
 import numbers
 from pathlib import Path
 
+import numpy as np
+
 
 class LayercastError(Exception):
     """Base class for all package errors."""
@@ -41,6 +43,20 @@ def as_integer(name: str, value) -> int:
     # bool is an Integral, but a JSON true is no count
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_seed(name: str, value):
+    """``value`` as a ``numpy.random.default_rng`` seed: a nonnegative integer (as
+    a Python int), a ``SeedSequence`` or a ``Generator``; else an
+    :class:`InputError` naming ``name``.  ``None`` is refused: it would draw
+    fresh entropy, so the result would not be a function of the seed."""
+    if isinstance(value, (np.random.SeedSequence, np.random.Generator)):
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise InputError(
+            f"{name} must be a nonnegative integer, a SeedSequence or a Generator, got {value!r}"
+        )
     return int(value)
 
 

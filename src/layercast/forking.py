@@ -1,8 +1,10 @@
-"""The one rule for where the package forks: the ranking pool of a battery
-(``harness._ranking_pool``) and the minimum-seed search's worker
-(``intervention.minimum_true_seeds``) both ask :func:`fork_context`."""
+"""The one place the package forks, :func:`ahead`, and its one rule,
+:func:`fork_context`: a battery's ranking (``harness``) and the minimum-seed
+search's even k (``intervention.minimum_true_seeds``) both run there."""
 
+import contextlib
 import os
+import signal
 import threading
 
 
@@ -30,3 +32,84 @@ def fork_context(processes: int):
     if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
         return None
     return multiprocessing.get_context("fork")
+
+
+def _work(fn, tasks, taken, own, ends) -> None:
+    """A worker: while tasks are left, take the next, j, and send ``(j,
+    fn(tasks[j]))`` on ``own``; if ``fn`` raised, send ``(j, None)`` and stop."""
+    for end in ends:
+        if end is not own:
+            end.close()  # so a caller that dies leaves ``own`` broken, not held open
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
+    try:
+        while True:
+            with taken.get_lock():
+                j = taken.value
+                taken.value = j + 1
+            if j >= len(tasks):
+                return
+            try:
+                result = fn(tasks[j])
+            except Exception:
+                result = None  # the caller does task j itself
+            own.send((j, result))
+            if result is None:
+                return
+    except OSError:  # the caller is gone
+        return
+
+
+def _in_order(reads, count: int):
+    """The results of tasks 0..count-1 in order, None for one no worker sent
+    before every worker was gone."""
+    from multiprocessing.connection import wait
+
+    got = {}
+    for j in range(count):
+        while j not in got and reads:
+            for r in wait(reads):
+                try:
+                    i, result = r.recv()
+                except (EOFError, OSError):  # the worker is gone
+                    reads.remove(r)
+                else:
+                    got[i] = result
+        yield got.pop(j, None)
+
+
+@contextlib.contextmanager
+def ahead(fn, tasks, workers: int):
+    """An iterator over ``fn(task)`` for each of ``tasks``, in task order,
+    computed ahead on ``workers`` forked processes where :func:`fork_context`
+    allows ``workers + 1`` processes (the workers and this one).
+
+    Each free worker takes the next task, so a slow task holds up no other.
+    An item is None where this process must do that task itself: nothing was
+    forked, ``fn`` raised there (that worker then stops), or every worker is
+    gone without sending it; so ``fn`` must not return None.  On exit every
+    worker is killed, even mid-task (it holds nothing to release), and joined.
+    """
+    tasks = list(tasks)
+    context = fork_context(workers + 1)
+    if context is None:
+        yield iter([None] * len(tasks))
+        return
+    taken = context.Value("q", 0)
+    pipes = [context.Pipe(duplex=False) for _ in range(workers)]  # (read, write) ends
+    ends = [end for pipe in pipes for end in pipe]
+    started = []
+    try:
+        for _, write in pipes:
+            worker = context.Process(target=_work, args=(fn, tasks, taken, write, ends), daemon=True)
+            worker.start()
+            started.append(worker)
+        for _, write in pipes:
+            write.close()  # so a gone worker leaves its read end at EOF
+        yield _in_order([read for read, _ in pipes], len(tasks))
+    finally:
+        for worker in started:
+            worker.kill()
+            worker.join()
+            worker.close()
+        for end in ends:
+            end.close()

@@ -1,9 +1,10 @@
 """Random-network generators: Erdős–Rényi, Gaussian random partition, LFR benchmark.
 
 All generators are pure functions of ``(params, rng_seed)``: the same inputs
-always produce a byte-identical edge list.  Seeds may be plain integers or
-``numpy.random.SeedSequence`` instances (the experiment harness derives the
-latter from a master seed).
+always produce a byte-identical edge list.  Seeds may be nonnegative
+integers, ``numpy.random.SeedSequence`` instances (the experiment harness
+derives these from a master seed) or ``numpy.random.Generator`` instances;
+anything else, ``None`` included, is an ``InputError`` (``errors.as_seed``).
 """
 
 from __future__ import annotations
@@ -16,18 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractError, GenerationError, InputError, as_real, check_int_fields, check_unit_interval,
+    ContractError, GenerationError, InputError, as_real, as_seed, check_int_fields,
+    check_unit_interval,
 )
-from .graph import Graph
+from .graph import MAX_NODES, Graph
 
 # Shared retry/rewiring budget factor: a generator may spend at most
 # 100 * n low-level attempts before giving up with a GenerationError.
 _BUDGET_FACTOR = 100
 _MAX_STRUCTURE_ATTEMPTS = 200
-
-#: Largest node count a generator accepts: node ids fit scipy's 32-bit sparse
-#: index arrays, and a larger n would ask for 16 GiB per-node arrays at once.
-MAX_NODES = 2**31 - 1
 
 
 def _check_counts(params) -> None:
@@ -144,7 +142,7 @@ def _sample_pair_edges(rng: np.random.Generator, n: int, pair_prob, pmax: float)
 
 def gen_er(params: ErParams, rng_seed) -> Graph:
     """Erdős–Rényi G(n, p) graph, deterministic given the seed."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_seed("rng_seed", rng_seed))
     p = params.edge_exist_prob
     edges = _sample_pair_edges(rng, params.n, lambda i, j: p, p)
     return Graph(params.n, edges)
@@ -159,7 +157,7 @@ def gen_gaussian_partition(params: GaussianPartitionParams, rng_seed):
     ``(graph, communities)`` where ``communities[v]`` is the community id of
     node ``v``.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_seed("rng_seed", rng_seed))
     n = params.n
     sd = math.sqrt(params.mean_size / params.shape)
 
@@ -416,7 +414,7 @@ def gen_lfr(params: LfrParams, rng_seed):
     Returns ``(graph, communities)``.  Raises :class:`GenerationError` once
     the retry budget is exhausted, naming the constraint that failed.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_seed("rng_seed", rng_seed))
     n = params.n
     if params.min_community > n:
         raise GenerationError(

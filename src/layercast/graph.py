@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError, read_text
+from .errors import ContractError, InputError, as_integer, read_text
+
+#: Largest node count a graph may have: node ids fit scipy's 32-bit sparse
+#: index arrays, and a larger n would ask for 16 GiB per-node arrays at once.
+MAX_NODES = 2**31 - 1
 
 
 class Graph:
@@ -33,9 +37,11 @@ class Graph:
     )
 
     def __init__(self, node_count: int, edge_list) -> None:
-        if node_count < 0:
-            raise InputError(f"node_count must be nonnegative, got {node_count}")
-        self.node_count = int(node_count)
+        # checked before any per-node array is allocated
+        node_count = as_integer("node_count", node_count)
+        if not 0 <= node_count <= MAX_NODES:
+            raise InputError(f"node_count must be in [0, {MAX_NODES}], got {node_count}")
+        self.node_count = node_count
 
         if not isinstance(edge_list, np.ndarray):
             edge_list = list(edge_list)
@@ -230,6 +236,10 @@ class SearchBuffers:
     are free for the caller.
     """
 
+    # Kept for speed, not structure: the closeness and betweenness sweep of 8
+    # paper ER graphs (n = 1000, p = 0.04) on one CPU of a 2-vCPU Xeon took a
+    # median 0.44-0.46 s with these buffers reused and 0.50-0.55 s with its
+    # arrays allocated per block of sources (two runs of 15 repetitions).
     __slots__ = ("dist", "sigma", "masks", "products")
 
     def __init__(self, shape, dist_dtype=np.int64) -> None:

@@ -31,7 +31,7 @@ from . import forking
 from .centrality import CentralityKind, compute_centrality, keep_scores, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
 from .errors import (
-    DegenerateSampleError, InputError, LayercastError, as_integer, check_int_fields, failing_at,
+    DegenerateSampleError, InputError, as_integer, check_int_fields, failing_at,
     read_text,
 )
 from .generators import (
@@ -230,13 +230,13 @@ def _apply_sweep_value(config: ExperimentConfig, parameter: str, value):
 
 def _graph(point: ExperimentConfig, sweep_index: int, graph_index: int, ranked=None):
     """Ensemble member ``graph_index``: (graph, communities) from the graph stream,
-    holding the scores of ``ranked``, its future of :func:`_costly_scores`."""
+    holding the scores of ``ranked``, its :func:`_costly_scores` or None."""
     with failing_at(f"graph {graph_index}"):
         g, communities = generate_graph(
             point.generator, derive_seed(point.master_rng_seed, _STREAM_GRAPH, sweep_index, graph_index)
         )
         if ranked is not None:
-            keep_scores(g, *ranked.result())
+            keep_scores(g, *ranked)
         return g, communities
 
 
@@ -252,43 +252,32 @@ def _false_process(point: ExperimentConfig, g, sweep_index: int, graph_index: in
 _COSTLY = frozenset(CentralityKind) - {CentralityKind.DEGREE, CentralityKind.RANDOM}
 
 
-@contextlib.contextmanager
-def _ranking_pool(workers, strategies, graph_count: int):
-    """A fork pool of min(``workers``, ``graph_count``) processes to rank on, or None.
+def _ranking_workers(workers, strategies, graph_count: int) -> int:
+    """How many forked workers rank a battery's graphs: min(``workers``,
+    ``graph_count``), but none when that is 1 or no costly strategy is ranked.
 
-    The pool starts only when a costly strategy is ranked and
-    :func:`forking.fork_context` allows that many processes.  ``workers``
-    None means the usable CPUs.  On exit, tasks not yet started are
-    cancelled.
+    ``workers`` None means the usable CPUs.  ``scipy.sparse`` is loaded here,
+    before the fork, so the workers do not each load it again.
     """
     workers = forking.usable_cpus() if workers is None else as_integer("workers", workers)
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
-    processes = min(workers, graph_count)
-    context = forking.fork_context(processes) if _COSTLY.intersection(strategies) else None
-    pool = None
-    if context is not None:
-        from concurrent.futures import ProcessPoolExecutor
+    count = min(workers, graph_count)
+    if count < 2 or not _COSTLY.intersection(strategies):
+        return 0
+    import scipy.sparse  # noqa: F401
 
-        import scipy.sparse  # noqa: F401 (loaded once here, not in every worker)
-
-        pool = ProcessPoolExecutor(processes, mp_context=context)
-    try:
-        yield pool
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    return count
 
 
-def _costly_scores(point: ExperimentConfig, sweep_index: int, graph_index: int, strategies):
-    """A worker's task: ``({kind: scores}, (node count, edge count))`` of one member,
-    ranked by its costly ``strategies`` in order up to the first
-    :class:`LayercastError`, which the calling process then meets itself."""
+def _costly_scores(task):
+    """A worker's task ``(point, sweep index, graph index, strategies)``:
+    ``({kind: scores}, (node count, edge count))`` of that member, ranked by
+    its costly ``strategies``.  A :class:`LayercastError` is raised, and the
+    calling process then meets it itself."""
+    point, sweep_index, graph_index, strategies = task
     g, _ = _graph(point, sweep_index, graph_index)
-    scores = {}
-    with contextlib.suppress(LayercastError):
-        for kind in [s for s in strategies if s in _COSTLY]:
-            scores[kind] = compute_centrality(g, kind).scores
+    scores = {kind: compute_centrality(g, kind).scores for kind in strategies if kind in _COSTLY}
     return scores, (g.node_count, g.edge_count)
 
 
@@ -332,31 +321,38 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 
     Graphs (and, in intervention mode, the random false creators) are shared
     across strategies within each ensemble member, so the per-strategy metric
-    columns form paired samples.  Where :func:`_ranking_pool` opens a pool of
-    ``workers`` processes, they rank each graph by the costly strategies, and
-    this process takes those scores: the output is the same for any count.
+    columns form paired samples.  Where :func:`forking.ahead` forks the
+    :func:`_ranking_workers`, they rank each graph by the costly strategies
+    ahead of this process, which takes those scores in graph order: the
+    output is the same for any count.  A graph whose ranking failed on a
+    worker, or that no live worker sent, is ranked here.  A battery that
+    raises kills its workers, even mid-graph.
     """
     sweep = config.sweep
     if sweep is None:
-        points = [(None, config)]
+        points = [(None, 0, config)]
     else:
+        # a model-parameter sweep reuses one shared ensemble of graphs
+        on_generator = hasattr(config.generator, sweep.parameter)
         points = [
-            (value, _apply_sweep_value(config, sweep.parameter, value)) for value in sweep.values
+            (value, index if on_generator else 0, _apply_sweep_value(config, sweep.parameter, value))
+            for index, value in enumerate(sweep.values)
         ]
-    sweep_on_generator = sweep is not None and hasattr(config.generator, sweep.parameter)
+    tasks = [
+        (point, sweep_index, i, config.strategies)
+        for _, sweep_index, point in points
+        for i in range(point.ensemble_size)
+    ]
+    count = _ranking_workers(workers, config.strategies, config.ensemble_size)
 
     records = []
     p_values = []
-    with _ranking_pool(workers, config.strategies, config.ensemble_size) as pool:
-        for point_index, (sweep_value, point) in enumerate(points):
-            # a model-parameter sweep reuses one shared ensemble of graphs
-            sweep_index = point_index if sweep_on_generator else 0
+    with forking.ahead(_costly_scores, tasks, count) as ranked:
+        for sweep_value, sweep_index, point in points:
             indices = range(point.ensemble_size)
-            ranked = [pool and pool.submit(_costly_scores, point, sweep_index, i, point.strategies)
-                      for i in indices]
             # a failure names its sweep point, then its graph
             with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
-                per_graph = [_run_one_graph(point, sweep_index, i, ranked[i]) for i in indices]
+                per_graph = [_run_one_graph(point, sweep_index, i, next(ranked)) for i in indices]
             records += [
                 MetricRecord(strategy.value, i, sweep_value, per_graph[i][strategy.value])
                 for strategy in point.strategies
@@ -415,10 +411,11 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     if config.sweep is not None:
         raise InputError("minimum_seed_battery searches one point; the config has a sweep")
     strategies = [CentralityKind(s) for s in (strategies or config.strategies)]
-    with _ranking_pool(None, strategies, config.ensemble_size) as pool:
-        indices = range(config.ensemble_size)
-        ranked = [pool and pool.submit(_costly_scores, config, 0, i, strategies) for i in indices]
-        graphs = [_graph(config, 0, i, ranked[i])[0] for i in indices]
+    indices = range(config.ensemble_size)
+    tasks = [(config, 0, i, strategies) for i in indices]
+    count = _ranking_workers(None, strategies, config.ensemble_size)
+    with forking.ahead(_costly_scores, tasks, count) as ranked:
+        graphs = [_graph(config, 0, i, next(ranked))[0] for i in indices]
     false_processes = []
     for i, g in enumerate(graphs):
         with failing_at(f"graph {i}: false process"):

@@ -11,10 +11,8 @@ probabilities.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,9 @@ import numpy as np
 from . import forking
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
 from .diffusion import Label, _spread, label_counts
-from .errors import ContractError, InputError, as_integer, as_real, check_unit_interval, failing_at
+from .errors import (
+    ContractError, InputError, as_integer, as_real, as_seed, check_unit_interval, failing_at,
+)
 from .graph import Graph, LayeredView, layer_from_sources, prefix_layerings
 
 
@@ -246,73 +246,6 @@ def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, sk
     return sums
 
 
-def _even_k(conn, caller_end, sums, k_max: int) -> None:
-    """The forked worker: k = 2, 4, ..., k_max in order, each sent to the
-    caller as ``(k, protected sum, infected sum, qualified)``.
-
-    ``qualified`` is None when k's runs raised; the worker stops there, and
-    the caller runs k itself.  Each k past 4 waits for the caller's go, sent
-    as the caller starts k - 3: the worker runs at most one of its k past
-    the one the caller waits for, so a k slower on one side than the other
-    need not hold either up, and at most two of its k are wasted.
-    """
-    caller_end.close()  # so a caller that dies leaves this end at EOF
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
-    try:
-        for k in range(2, k_max + 1, 2):
-            if k > 4:
-                conn.recv()
-            try:
-                verdict = (k, *sums(k))
-            except Exception:
-                conn.send((k, 0, 0, None))
-                return
-            conn.send(verdict)
-    except (EOFError, OSError):
-        return
-
-
-@contextlib.contextmanager
-def _even_k_worker(sums, k_max: int):
-    """A forked :func:`_even_k` worker's pipe end, or None where
-    :func:`forking.fork_context` refuses two processes.
-
-    On exit the worker is killed, even mid-k (it holds nothing to release),
-    and joined.
-    """
-    context = forking.fork_context(min(forking.usable_cpus(), k_max))
-    if context is None:
-        yield None
-        return
-    conn, child_end = context.Pipe()
-    worker = context.Process(target=_even_k, args=(child_end, conn, sums, k_max), daemon=True)
-    worker.start()
-    child_end.close()
-    try:
-        yield conn
-    finally:
-        worker.kill()
-        worker.join()
-        worker.close()
-        conn.close()
-
-
-def _worker_verdict(conn, k: int, k_max: int):
-    """The worker's ``(protected sum, infected sum, qualified)`` at even k, or
-    None when its runs at k failed or it is gone.  A verdict that does not
-    end the search sends the go for k + 4."""
-    try:
-        _, prot, inf, qualified = conn.recv()
-    except (EOFError, OSError):
-        return None
-    if qualified is None:
-        return None
-    if not qualified and k + 4 <= k_max:
-        with contextlib.suppress(OSError):  # a gone worker shows at the next recv
-            conn.send(k + 4)
-    return prot, inf, qualified
-
-
 def minimum_true_seeds(
     graphs,
     strategy: CentralityKind,
@@ -331,7 +264,7 @@ def minimum_true_seeds(
     ``false_processes`` gives each graph its :func:`run_false_process`, spread
     once from its fixed false creators; each is checked against its graph and
     ``params`` before any combat run.  The random strategy draws its true
-    creators from seeds derived per (graph, k) and requires ``rng_seed``.  A
+    creators from seeds derived per (graph, k) from ``rng_seed``.  A
     ranked strategy's creators at k are its first k ranked nodes, so one
     :func:`prefix_layerings` per graph layers them for every k.
 
@@ -344,11 +277,14 @@ def minimum_true_seeds(
     mean_infected)`` for every k examined.
 
     Each k's verdict depends on its own runs only.  So where
-    :func:`forking.fork_context` allows two processes, one forked worker
-    examines the even k and this process the odd k, and this process takes
-    the verdicts in k order; the answer, the curve and the runs this process
-    makes do not depend on the timing.  An even k whose runs failed on the
-    worker, or that a gone worker did not report, is run here.
+    :func:`forking.fork_context` allows two processes, one worker forked by
+    :func:`forking.ahead` examines the even k, in order and never held back,
+    and this process the odd k; this process takes the verdicts in k order,
+    so the answer, the curve and the runs this process makes do not depend
+    on the timing.  An even k whose runs failed on the worker, or that a gone
+    worker did not report, is run here.  ``rng_seed`` is checked before any
+    run or fork: the random strategy requires a nonnegative integer, and any
+    other strategy ignores a valid seed.
 
     A :class:`LayercastError` is re-raised with its graph and the strategy in
     front (``graph <i>: <strategy>: `` from a false-process check or a
@@ -365,8 +301,11 @@ def minimum_true_seeds(
     k_max = as_integer("k_max", k_max)
     if not 1 <= k_max <= min(g.node_count for g in graphs):
         raise InputError(f"k_max must be in [1, min node count], got {k_max}")
-    if strategy is CentralityKind.RANDOM and rng_seed is None:
-        raise InputError("the random strategy requires an explicit rng_seed")
+    if rng_seed is not None:
+        rng_seed = as_seed("rng_seed", rng_seed)
+    if strategy is CentralityKind.RANDOM and not isinstance(rng_seed, int):
+        # its creators at k come from SeedSequence(rng_seed, spawn_key=(graph, k))
+        raise InputError(f"the random strategy requires an integer rng_seed, got {rng_seed!r}")
 
     # a skipped run would defer or hide the mismatch run_intervention reports
     for i, (g, fp) in enumerate(zip(graphs, false_processes)):
@@ -386,13 +325,11 @@ def minimum_true_seeds(
     sums = _search_sums(
         graphs, strategy, false_processes, params, orders, rng_seed, skip=curve_out is None
     )
-    with _even_k_worker(sums, k_max) as conn:
+    # one worker, not one per CPU: each worker repeats every prefix block search
+    worker = int(min(forking.usable_cpus(), k_max) > 1)
+    with forking.ahead(sums, range(2, k_max + 1, 2), worker) as even:
         for k in range(1, k_max + 1):
-            verdict = None
-            if conn is not None and k % 2 == 0:
-                verdict = _worker_verdict(conn, k, k_max)
-                if verdict is None:
-                    conn = None  # k and every later k run here
+            verdict = next(even) if k % 2 == 0 else None
             if verdict is None:
                 verdict = sums(k)
             prot, inf, qualified = verdict

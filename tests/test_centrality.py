@@ -135,6 +135,11 @@ class TestSelectSeeds:
         with pytest.raises(InputError):
             select_seeds(chain4, CentralityKind.RANDOM, 2)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_random_rejects_a_bad_seed(self, chain4, seed):
+        with pytest.raises(InputError, match=r"^rng_seed must be a nonnegative integer"):
+            select_seeds(chain4, CentralityKind.RANDOM, 2, rng_seed=seed)
+
     def test_random_deterministic_and_distinct(self, random_graph_factory):
         g, _ = random_graph_factory(seed=4, n=30, p=0.1)
         a = select_seeds(g, CentralityKind.RANDOM, 10, rng_seed=99)

@@ -223,6 +223,17 @@ class TestCentrality:
         assert err.count("\n") == 1
 
 
+    def test_node_count_past_the_bound_is_one_line_input_error(self, capsys, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("3000000000 0\n")
+        code, out, err, peak = run_cli_traced(
+            capsys, "centrality", "--graph", str(path), "--measure", "degree"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: input: node_count must be in [0, 2147483647], got 3000000000\n"
+        assert peak < 2**20  # rejected before any per-node array
+
+
 class TestDiffuse:
     def test_explicit_creators(self, capsys, chain_file):
         code, out, _ = run_cli(

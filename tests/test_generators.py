@@ -16,6 +16,7 @@ from layercast import (
     gen_lfr,
 )
 from layercast import generators
+from layercast.harness import generate_graph
 from layercast.generators import (
     _CHUNK,
     _SWAP_ATTEMPTS,
@@ -159,6 +160,30 @@ def test_numpy_integer_count_becomes_int(cls, fields, name):
     params = cls(**{**fields, name: np.int64(fields[name])})
     assert type(getattr(params, name)) is int
     assert params == cls(**fields)
+
+
+@pytest.mark.parametrize(
+    "generate, params",
+    [
+        (gen_er, ErParams(**_ER_FIELDS)),
+        (gen_gaussian_partition, GaussianPartitionParams(**_GAUSSIAN_FIELDS)),
+        (gen_lfr, LfrParams(**_LFR_FIELDS)),
+        (generate_graph, ErParams(**_ER_FIELDS)),
+    ],
+    ids=["er", "gaussian", "lfr", "generate_graph"],
+)
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "7"])
+def test_bad_seed_rejected(generate, params, seed):
+    # None would draw fresh entropy: the output would not be a function of the seed
+    with pytest.raises(InputError, match=r"^rng_seed must be a nonnegative integer"):
+        generate(params, seed)
+
+
+def test_every_seed_kind_gives_the_integer_seeds_graph():
+    params = ErParams(n=30, edge_exist_prob=0.2)
+    want = format_edge_list(gen_er(params, 7))
+    for seed in (np.uint8(7), np.random.SeedSequence(7), np.random.default_rng(7)):
+        assert format_edge_list(gen_er(params, seed)) == want
 
 
 class TestEr:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from layercast import (
     parse_edge_list,
     save_edge_list,
 )
+from layercast import generators
+from layercast import graph as graph_module
 
 from oracles import adjacency_dict, bfs_layers, effective_edges_brute, row_unique_graph_arrays
 
@@ -78,6 +82,24 @@ class TestBuildGraph:
         for got, ref in zip((g.edges, g._indptr, g._indices), want):
             assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
             assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", None, -1, 2**31, 3_000_000_000],
+                             ids=["float", "bool", "str", "none", "negative", "past-bound", "3e9"])
+    def test_node_count_must_be_an_integer_in_bounds(self, n):
+        # checked before any per-node array: 3e9 nodes would ask for 24 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"^node_count must be "):
+                build_graph(n, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_numpy_integer_node_count_becomes_int(self):
+        g = build_graph(np.int32(3), [(0, 2)])
+        assert type(g.node_count) is int and g.node_count == 3
+        assert graph_module.MAX_NODES == generators.MAX_NODES == 2**31 - 1
 
     def test_immutable_arrays(self, chain4):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -806,17 +805,21 @@ class TestMinimumSeedBattery:
 
     def test_costly_rankings_on_workers_only(self, monkeypatch):
         # the searches give the same k either way; ranking by degree or
-        # random alone opens no pool
-        pools = []
-        opened = harness._ranking_pool
+        # random alone forks no worker.  Each forking.ahead asks fork_context
+        # once, so calls holds each ahead's fn, then whether it forked
+        calls = []
+        ahead, fork_context = forking.ahead, forking.fork_context
 
-        @contextlib.contextmanager
-        def recording(*args):
-            with opened(*args) as pool:
-                pools.append(pool)
-                yield pool
+        def recording_ahead(fn, tasks, workers):
+            calls.append(fn)
+            return ahead(fn, tasks, workers)
 
-        monkeypatch.setattr(harness, "_ranking_pool", recording)
+        def recording_fork_context(processes):
+            calls.append(fork_context(processes))
+            return calls[-1]
+
+        monkeypatch.setattr(forking, "ahead", recording_ahead)
+        monkeypatch.setattr(forking, "fork_context", recording_fork_context)
         cfg = tiny_intervention_config(
             generator=ErParams(n=80, edge_exist_prob=0.1),
             ensemble_size=4,
@@ -828,6 +831,7 @@ class TestMinimumSeedBattery:
             out.append(minimum_seed_battery(cfg, k_max=60))
         assert out[0] == out[1] and out[0]["betweenness"] is not None
         minimum_seed_battery(cfg, k_max=60, strategies=["degree", "random"])
+        pools = [calls[i + 1] for i, fn in enumerate(calls) if fn is harness._costly_scores]
         assert pools[0] is None and pools[1] is not None and pools[2] is None
         assert multiprocessing.active_children() == []
 

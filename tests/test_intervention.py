@@ -320,6 +320,25 @@ class TestMinimumTrueSeeds:
         with pytest.raises(InputError):
             search_from_node_0(chain4, FIG45, CentralityKind.RANDOM, k_max=2)
 
+    @pytest.mark.parametrize("strategy", ["degree", "random"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_bad_seed_rejected_before_any_run_or_fork(self, monkeypatch, chain4, strategy, seed):
+        calls = []
+        monkeypatch.setattr(intervention, "run_intervention", lambda *args: calls.append(args))
+        monkeypatch.setattr(forking, "ahead", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match=r"^rng_seed must be a nonnegative integer"):
+            search_from_node_0(chain4, FIG45, strategy, k_max=4, rng_seed=seed)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "seed", [np.random.SeedSequence(3), np.random.default_rng(3)], ids=["SeedSequence", "Generator"]
+    )
+    def test_random_strategy_needs_an_integer_seed(self, chain4, seed):
+        # its creators at k are drawn from SeedSequence(rng_seed, spawn_key=(graph, k))
+        with pytest.raises(InputError, match="integer rng_seed"):
+            search_from_node_0(chain4, FIG45, CentralityKind.RANDOM, k_max=2, rng_seed=seed)
+        assert search_from_node_0(chain4, FIG45, k_max=4, rng_seed=seed) == 2
+
     @pytest.mark.parametrize("k_max", [2.5, 2.0, "2", None, True])
     def test_non_integer_k_max_rejected(self, chain4, k_max):
         with pytest.raises(InputError, match="k_max must be an integer"):

@@ -511,18 +511,20 @@ class TestSweepEqualsFloat64Sweep:
 
 
 class TestTwoWorkerSweep:
-    """A graph ranked on a worker process of the battery's pool
-    (``harness._ranking_pool``) gets the serial sweep's bytes and the
-    replaced loops' bytes, and the worker starts no thread of its own."""
+    """A graph ranked on a worker that a battery forks (``forking.ahead``,
+    as many as ``harness._ranking_workers`` gives) gets the serial sweep's
+    bytes and the replaced loops' bytes, and the worker starts no thread of
+    its own."""
 
     COSTLY = [CentralityKind.CLOSENESS]
 
     def test_same_bytes_as_serial_and_oracles(self, graph):
         serial = _path_scores(graph)
         fresh = build_graph(graph.node_count, graph.edges)
-        with harness._ranking_pool(2, self.COSTLY, 2) as pool:
-            closeness, betweenness = pool.submit(_path_scores, fresh).result()
-            assert pool.submit(threading.active_count).result() == 1
+        tasks = [lambda: _path_scores(fresh), threading.active_count]
+        with forking.ahead(lambda task: task(), tasks, 2) as results:
+            (closeness, betweenness), threads = results
+            assert threads == 1
         assert not fresh._scores  # the sweep ran on the worker's copy
         assert closeness.tobytes() == serial[0].tobytes()
         assert betweenness.tobytes() == serial[1].tobytes()
@@ -536,27 +538,26 @@ class TestTwoWorkerSweep:
             (2, self.COSTLY, 1),
             (2, [CentralityKind.DEGREE, CentralityKind.RANDOM], 8),
         ]:
-            with harness._ranking_pool(workers, strategies, graphs) as pool:
-                assert pool is None
+            assert harness._ranking_workers(workers, strategies, graphs) == 0
         # off the main thread another thread is live, and a fork would copy
         # the locks it holds
-        pools = []
+        results = []
 
-        def open_pool():
-            with harness._ranking_pool(2, self.COSTLY, 8) as pool:
-                pools.append(pool)
+        def fork_two_workers():
+            with forking.ahead(lambda task: task, range(8), 2) as ranked:
+                results.extend(ranked)
 
-        off_main = threading.Thread(target=open_pool)
+        off_main = threading.Thread(target=fork_two_workers)
         off_main.start()
         off_main.join(timeout=60)
-        assert not off_main.is_alive() and pools == [None]
+        assert not off_main.is_alive() and results == [None] * 8
         # the default worker count is the usable CPUs
         monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
-        with harness._ranking_pool(None, self.COSTLY, 8) as pool:
-            assert pool is None
+        assert harness._ranking_workers(None, self.COSTLY, 8) == 0
         monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-        with harness._ranking_pool(None, self.COSTLY, 8) as pool:
-            assert pool is not None
+        assert harness._ranking_workers(None, self.COSTLY, 8) == 2
+        with forking.ahead(lambda task: task, range(8), 2) as ranked:
+            assert list(ranked) == list(range(8))
         assert multiprocessing.active_children() == []
 
 
