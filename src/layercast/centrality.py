@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InputError, NumericError, as_integer, as_seed
-from .graph import Graph, SearchBuffers, hop_distances, product_into
+from .graph import Graph, SearchBuffers, _layer_dtype, hop_distances, product_into
 
 
 class CentralityKind(str, enum.Enum):
@@ -133,7 +133,7 @@ def _path_scores(g: Graph):
     Sources are searched in blocks of ``_BLOCK``, each one
     :func:`hop_distances` from a one-hot block on the graph's int16
     adjacency, so the path counts are int16 while they provably fit, and
-    the distances int16 below 2**15 nodes.  Its distances give each
+    the distances in ``graph._layer_dtype``.  Its distances give each
     source's distance sum and reach count, and Brandes' backward pass
     (Brandes 2001) over the same distances and path counts gives its
     dependencies, in float64 products, summed in source order.  Level 1 is
@@ -147,8 +147,7 @@ def _path_scores(g: Graph):
         n = g.node_count
         A = g.to_csr()
         counts = g.to_csr(np.int16)
-        # a distance is at most n - 1, so int16 holds it below 2**15 nodes
-        buffers = SearchBuffers((n, min(n, _BLOCK)), np.int16 if n <= 2**15 else np.int64)
+        buffers = SearchBuffers((n, min(n, _BLOCK)), _layer_dtype(n))
         delta = np.empty(buffers.dist.shape)
         dist_sum, reach_count, bc = np.zeros((3, n))
         for first in range(0, n, _BLOCK):

@@ -1,10 +1,10 @@
 """Command-line interface: generate, centrality, diffuse, intervene, stats, experiment.
 
 Exit codes form the stable contract: 0 success, 1 input error, 2
-runtime/generation/numeric error.  Every failure prints a single-line
-diagnostic ``error: <code>: <message>`` to stderr.  Stochastic subcommands
-take their entropy only from ``--seed``; repeated invocations with identical
-arguments produce identical output.
+runtime/generation/numeric error, 3 memory exhausted.  Every failure prints
+a single-line diagnostic ``error: <code>: <message>`` to stderr.  Stochastic
+subcommands take their entropy only from ``--seed``; repeated invocations
+with identical arguments produce identical output.
 """
 
 from __future__ import annotations
@@ -360,6 +360,7 @@ _EXIT_CODES = (
     (ContractError, "contract", 2),
     (LayercastError, "runtime", 2),
     (OSError, "io", 2),
+    (MemoryError, "memory", 3),
 )
 
 
@@ -374,9 +375,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except (LayercastError, OSError) as exc:
+    except (LayercastError, OSError, MemoryError) as exc:
         label, code = next((label, code) for kind, label, code in _EXIT_CODES if isinstance(exc, kind))
-        print(f"error: {label}: {exc}", file=sys.stderr)
+        # a bare MemoryError carries no message
+        print(f"error: {label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 if __name__ == "__main__":

@@ -407,40 +407,29 @@ def layer_from_sources(g: Graph, sources) -> LayeredView:
     return LayeredView(hop_distances(g.to_csr(), frontier)[0])
 
 
-#: Ranked nodes :func:`prefix_layerings` searches per :func:`hop_distances`.
-_PREFIX_WIDTH = 16
-
-
 def prefix_layerings(g: Graph, order):
-    """Yield ``layer_from_sources(g, order[:k])`` for k = 1, 2, ..., len(order).
+    """Every prefix's layering at once: a read-only (len(order), n) array whose
+    row k - 1 is ``layer_from_sources(g, order[:k]).layer_of``.
 
-    A multi-source hop distance is the minimum of the sources' own, so the
-    view at k is the running minimum of the first k nodes' distances.  The
-    nodes are searched ``_PREFIX_WIDTH`` one-hot columns at a time, one
-    :func:`hop_distances` per block on the int16 adjacency, as the views are
-    asked for; between blocks only the block's (n, width) int64 distances
-    are kept.
+    A multi-source hop distance is the minimum of the sources' own, so row
+    k - 1 is the running minimum of the first k nodes' distances: one
+    :func:`hop_distances`, one one-hot column per node on the int16
+    adjacency, with the distances in ``_layer_dtype(n)``.
     """
     order = np.asarray(order)
     _checked_nodes(g, order, "node order")
-    A = g.to_csr(np.int16)
-    running = None
-    for lo in range(0, len(order), _PREFIX_WIDTH):
-        block = order[lo : lo + _PREFIX_WIDTH]
-        frontier = np.zeros((g.node_count, len(block)))
-        frontier[block, np.arange(len(block))] = 1.0
-        dist = hop_distances(A, frontier)[0]  # the path counts are dropped here
-        del frontier
-        # as uint64 an unreached -1 is the largest value, so the minimum
-        # keeps a node unreached only while every source leaves it so
-        u = dist.view(np.uint64)
-        if running is not None:
-            np.minimum(u[:, 0], running, out=u[:, 0])
-        np.minimum.accumulate(u, axis=1, out=u)
-        for j in range(len(block)):
-            yield LayeredView(dist[:, j].copy())
-        running = u[:, -1].copy()
-        del dist, u
+    n = g.node_count
+    buffers = SearchBuffers((n, len(order)), _layer_dtype(n))
+    frontier = buffers.sigma  # read before the search writes it
+    frontier.fill(0.0)
+    frontier[order, np.arange(len(order))] = 1.0
+    layers = hop_distances(g.to_csr(np.int16), frontier, buffers)[0].T.copy()
+    # as unsigned an unreached -1 is the largest value, so the minimum
+    # keeps a node unreached only while every source leaves it so
+    u = layers.view(f"u{layers.itemsize}")
+    np.minimum.accumulate(u, axis=0, out=u)
+    layers.setflags(write=False)
+    return layers
 
 
 def effective_edge_count(g: Graph, lv: LayeredView, target: int, source: int) -> int:

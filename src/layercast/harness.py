@@ -281,13 +281,13 @@ def _costly_scores(task):
     return scores, (g.node_count, g.edge_count)
 
 
-def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, ranked):
-    """All strategy runs for one ensemble member (shared graph and false seeds).
+def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, g):
+    """All strategy runs of ``point`` on ensemble member ``graph_index``, the
+    graph ``g`` (shared graph and false seeds).
 
     A :class:`LayercastError` from ranking or spreading names the graph and
     the strategy (or the false process) it stopped at.
     """
-    g, _ = _graph(point, sweep_index, graph_index, ranked)
     # select_seeds reads the stream-2 seed only for the random strategy
     strategy_seed = derive_seed(point.master_rng_seed, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
     out = {}
@@ -327,57 +327,64 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     output is the same for any count.  A graph whose ranking failed on a
     worker, or that no live worker sent, is ranked here.  A battery that
     raises kills its workers, even mid-graph.
+
+    Each graph is generated and ranked once: every point of a model-parameter
+    sweep runs on it before the next graph is generated.
     """
     sweep = config.sweep
     if sweep is None:
-        points = [(None, 0, config)]
-    else:
-        # a model-parameter sweep reuses one shared ensemble of graphs
-        on_generator = hasattr(config.generator, sweep.parameter)
-        points = [
-            (value, index if on_generator else 0, _apply_sweep_value(config, sweep.parameter, value))
-            for index, value in enumerate(sweep.values)
-        ]
-    tasks = [
-        (point, sweep_index, i, config.strategies)
-        for _, sweep_index, point in points
-        for i in range(point.ensemble_size)
-    ]
+        groups = [[(None, config)]]
+    elif hasattr(config.generator, sweep.parameter):  # one ensemble per point
+        groups = [[(value, _apply_sweep_value(config, sweep.parameter, value))] for value in sweep.values]
+    else:  # a model-parameter sweep's points share one ensemble
+        groups = [[(value, _apply_sweep_value(config, sweep.parameter, value)) for value in sweep.values]]
+    # a group's index is its sweep index, and its first point generates the graphs
+    graph_indices = range(config.ensemble_size)
+    tasks = [(group[0][1], s, i, config.strategies) for s, group in enumerate(groups) for i in graph_indices]
     count = _ranking_workers(workers, config.strategies, config.ensemble_size)
+
+    per_point = []  # (sweep value, point, its per-graph results), in point order
+    with forking.ahead(_costly_scores, tasks, count) as ranked:
+        for sweep_index, group in enumerate(groups):
+            rows = [(value, point, []) for value, point in group]
+            for i in graph_indices:
+                g = None
+                for sweep_value, point, per_graph in rows:
+                    # a failure names its sweep point, then its graph
+                    with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
+                        if g is None:
+                            g, _ = _graph(point, sweep_index, i, next(ranked))
+                        per_graph.append(_run_one_graph(point, sweep_index, i, g))
+            per_point += rows
 
     records = []
     p_values = []
-    with forking.ahead(_costly_scores, tasks, count) as ranked:
-        for sweep_value, sweep_index, point in points:
-            indices = range(point.ensemble_size)
-            # a failure names its sweep point, then its graph
-            with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
-                per_graph = [_run_one_graph(point, sweep_index, i, next(ranked)) for i in indices]
-            records += [
-                MetricRecord(strategy.value, i, sweep_value, per_graph[i][strategy.value])
-                for strategy in point.strategies
-                for i in indices
-            ]
-            if CentralityKind.RANDOM not in point.strategies:
+    for sweep_value, point, per_graph in per_point:
+        records += [
+            MetricRecord(strategy.value, i, sweep_value, per_graph[i][strategy.value])
+            for strategy in point.strategies
+            for i in graph_indices
+        ]
+        if CentralityKind.RANDOM not in point.strategies:
+            continue
+        for strategy in point.strategies:
+            if strategy is CentralityKind.RANDOM:
                 continue
-            for strategy in point.strategies:
-                if strategy is CentralityKind.RANDOM:
-                    continue
-                for metric in _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS:
-                    try:
-                        res = compare_strategies(
-                            PairedSample(
-                                x=_column(per_graph, strategy, metric),
-                                y=_column(per_graph, CentralityKind.RANDOM, metric),
-                            ),
-                            METRIC_ALTERNATIVE[metric],
-                        )
-                        p, method = res.p_one_tailed, res.method
-                    except DegenerateSampleError:
-                        p, method = 1.0, "degenerate"
-                    p_values.append(
-                        PValueEntry(strategy.value, metric, sweep_value, p, method, method == "degenerate")
+            for metric in _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS:
+                try:
+                    res = compare_strategies(
+                        PairedSample(
+                            x=_column(per_graph, strategy, metric),
+                            y=_column(per_graph, CentralityKind.RANDOM, metric),
+                        ),
+                        METRIC_ALTERNATIVE[metric],
                     )
+                    p, method = res.p_one_tailed, res.method
+                except DegenerateSampleError:
+                    p, method = 1.0, "degenerate"
+                p_values.append(
+                    PValueEntry(strategy.value, metric, sweep_value, p, method, method == "degenerate")
+                )
 
     provenance = Provenance(
         config_hash=config_hash(config),

@@ -11,7 +11,6 @@ probabilities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,7 +146,7 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
 
     ``false_creators`` is node ids or their :func:`run_false_process` on this
     graph, ``true_creators`` node ids or their :class:`LayeredView` on this
-    graph (such as one of :func:`prefix_layerings`);
+    graph (such as a row of :func:`prefix_layerings`, wrapped);
     a given object is used as it is, not spread or searched again.  It is
     checked only for its size and, a false process, for its false
     transmission probability: one from a graph of another node count, or
@@ -208,19 +207,18 @@ def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, sk
     """One process's ``sums(k)``: ``(protected sum, infected sum, qualified)`` at k.
 
     ``orders`` holds each graph's ranking, or is None for the random
-    strategy.  ``sums`` must be called for ascending k: each graph's
-    :func:`prefix_layerings` views are read up to the k asked for.  With
-    ``skip``, graph i's run is skipped once the runs before it plus U(k) of
-    it and every later graph sum to at most 0 (see :func:`minimum_true_seeds`).
+    strategy; each ranking's :func:`prefix_layerings` are taken here, once,
+    so a process forked after this searches no prefix again.  With ``skip``,
+    graph i's run is skipped once the runs before it plus U(k) of it and
+    every later graph sum to at most 0 (see :func:`minimum_true_seeds`).
     """
     surely_infected = [_surely_infected(fp, params) for fp in false_processes]
-    prefixes = None if orders is None else [prefix_layerings(g, o) for g, o in zip(graphs, orders)]
-    at = [0] * len(graphs)  # the k each graph's prefixes yielded last
-
-    def view(i, k):
-        # the views of the k skipped since are dropped unread
-        skipped, at[i] = k - at[i] - 1, k
-        return next(itertools.islice(prefixes[i], skipped, None))
+    layerings = None
+    if orders is not None:
+        layerings = []
+        for i, (g, order) in enumerate(zip(graphs, orders)):
+            with failing_at(f"graph {i}: {strategy.value}"):
+                layerings.append(prefix_layerings(g, order))
 
     def sums(k):
         bounds = [g.node_count - 2 * max(0, s - k) for g, s in zip(graphs, surely_infected)]
@@ -231,11 +229,11 @@ def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, sk
             if skip and prot - inf + rest <= 0:
                 break  # and so for every later graph: the sum stays put
             with failing_at(f"k={k}: graph {i}: {strategy.value}"):
-                if prefixes is None:
+                if layerings is None:
                     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i, k)))
                     ic_t = rng.choice(g.node_count, size=k, replace=False)
                 else:
-                    ic_t = view(i, k)
+                    ic_t = LayeredView(layerings[i][k - 1].astype(np.int64))
                 tally = label_counts(run_intervention(g, fp, ic_t, params).labels)
             prot += tally[Label.PROTECTED]
             inf += tally[Label.INFECTED]
@@ -266,7 +264,8 @@ def minimum_true_seeds(
     ``params`` before any combat run.  The random strategy draws its true
     creators from seeds derived per (graph, k) from ``rng_seed``.  A
     ranked strategy's creators at k are its first k ranked nodes, so one
-    :func:`prefix_layerings` per graph layers them for every k.
+    :func:`prefix_layerings` per graph, taken before any run or fork,
+    layers them for every k.
 
     The counts are integers, so the means compare as the sums do.  At k, a
     graph of n nodes with S surely infected nodes (:func:`_surely_infected`)
@@ -325,7 +324,7 @@ def minimum_true_seeds(
     sums = _search_sums(
         graphs, strategy, false_processes, params, orders, rng_seed, skip=curve_out is None
     )
-    # one worker, not one per CPU: each worker repeats every prefix block search
+    # one worker beside this process, which takes the odd k; more were never measured
     worker = int(min(forking.usable_cpus(), k_max) > 1)
     with forking.ahead(sums, range(2, k_max + 1, 2), worker) as even:
         for k in range(1, k_max + 1):

@@ -85,7 +85,9 @@ def brute_layer_counts(g, lv):
 def test_layer_counts_read_both_kinds_of_view(tracer):
     g = layercast.gen_er(layercast.ErParams(40, 0.15), 5)
     order = [0, 7, 12, 30]
-    views = [layercast.layer_from_sources(g, [0, 7]), *layercast.prefix_layerings(g, order)]
+    rows = layercast.prefix_layerings(g, order)
+    prefixes = [layercast.LayeredView(row.astype(np.int64)) for row in rows]
+    views = [layercast.layer_from_sources(g, [0, 7]), *prefixes]
     for lv in views:
         counts = tracer.layer_counts(g, lv)
         assert counts == brute_layer_counts(g, lv)

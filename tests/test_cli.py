@@ -671,6 +671,74 @@ class TestErrorContract:
         )
 
 
+def child_env():
+    """The environment for a fresh interpreter that imports this checkout's ``layercast``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+#: The address space the memory tests give the CLI.
+ADDRESS_LIMIT = 2 << 30
+
+
+class TestMemoryExhaustion:
+    """An input too large for memory exits 3 with one line, not a traceback.
+
+    Each command runs in a child process whose address space is limited
+    before ``main`` starts, so an oversized array is refused at once rather
+    than reserved lazily and then touched; without the limit the command is
+    not run at all."""
+
+    def run_limited(self, cwd, *argv):
+        pytest.importorskip("resource")
+        code = (
+            "import resource, sys\n"
+            "from layercast.cli import main\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_LIMIT}, {ADDRESS_LIMIT}))\n"
+            f"sys.exit(main({list(argv)!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, env=child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def assert_memory_error(self, result):
+        code, out, err = result
+        assert (code, out) == (3, ""), err
+        assert err.startswith("error: memory: Unable to allocate ")
+        assert err.count("\n") == 1
+
+    def test_generate(self, tmp_path):
+        self.assert_memory_error(self.run_limited(
+            tmp_path, "generate", "er", "--n", "2147483647", "--p", "0.1", "--seed", "1"
+        ))
+
+    def test_edge_list_header(self, tmp_path):
+        (tmp_path / "big.txt").write_text("2000000000 0\n", encoding="ascii")
+        self.assert_memory_error(self.run_limited(
+            tmp_path, "centrality", "--graph", "big.txt", "--measure", "degree"
+        ))
+
+    def test_experiment_run(self, tmp_path):
+        data = config_to_dict(PRESETS["dense_er_single"])
+        data["generator"]["n"] = 2147483647
+        (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+        self.assert_memory_error(self.run_limited(
+            tmp_path, "experiment", "run", "--config", "cfg.json", "--out", "out"
+        ))
+
+    def test_bare_memory_error_is_named(self, capsys, monkeypatch, chain_file):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "compute_centrality", fail)
+        code, out, err = run_cli(capsys, "centrality", "--measure", "degree", "--graph", chain_file)
+        assert (code, out, err) == (3, "", "error: memory: MemoryError\n")
+
+
 STARTUP_CODE = pytest.mark.parametrize(
     "code",
     [
@@ -684,12 +752,9 @@ STARTUP_CODE = pytest.mark.parametrize(
 
 def loaded_after(code: str, module: str) -> bool:
     """Whether ``module`` is in ``sys.modules`` after running ``code`` in a fresh interpreter."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\nimport sys\nprint({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"

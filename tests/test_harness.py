@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,32 @@ class TestRunExperiment:
         run_experiment(cfg, workers=1)  # the searches counted are this process's
         # n = 60 is one block of sources per graph
         assert calls == [60] * cfg.ensemble_size
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_sweep_ranks_each_graph_once(self, monkeypatch, tmp_path, workers):
+        from layercast import centrality
+        from layercast.graph import hop_distances
+
+        log = tmp_path / "searches"
+
+        def counting(A, frontier, buffers=None):
+            # one line per search, from this process or a worker
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return hop_distances(A, frontier, buffers)
+
+        monkeypatch.setattr(centrality, "hop_distances", counting)
+        cfg = tiny_intervention_config(
+            strategies=(CentralityKind.CLOSENESS, CentralityKind.BETWEENNESS, CentralityKind.RANDOM),
+            sweep=SweepSpec("decisive_threshold", (0.2, 0.4, 0.6, 0.8)),
+        )
+        result = run_experiment(cfg, workers=workers)
+        assert len(result.records) == 4 * 3 * cfg.ensemble_size
+        # n = 60 is one block of sources per graph: one path sweep each
+        pids = log.read_text(encoding="ascii").split()
+        assert len(pids) == cfg.ensemble_size
+        assert (str(os.getpid()) in pids) == (workers == 1)
+        assert multiprocessing.active_children() == []
 
     def test_single_mode_metric_columns(self):
         res = run_experiment(tiny_single_config())

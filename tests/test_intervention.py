@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import multiprocessing
 import os
 import signal
@@ -31,7 +30,6 @@ from layercast import (
 )
 
 from layercast import graph as graph_module
-from layercast.graph import _PREFIX_WIDTH
 
 from layercast import forking, intervention
 from layercast.harness import _false_process, build_ensemble, preset
@@ -45,6 +43,12 @@ from oracles import (
     rational_intervention,
     surely_infected_nodes,
 )
+
+
+def prefix_views(g, order):
+    """Each prefix of ``order``'s layering as the search hands it to a run."""
+    return [graph_module.LayeredView(row.astype(np.int64)) for row in prefix_layerings(g, order)]
+
 
 FIG45 = CombatParams(
     false_transmission_prob=0.5,
@@ -250,8 +254,8 @@ class TestInvariants:
             g, _ = random_graph_factory(seed=780 + seed, n=45, p=0.09)
             rng = np.random.default_rng(seed)
             ic_f = rng.choice(45, 3, replace=False)
-            order = rng.permutation(45)[: _PREFIX_WIDTH + 5]
-            for k, view in enumerate(prefix_layerings(g, order), 1):
+            order = rng.permutation(45)[:21]
+            for k, view in enumerate(prefix_views(g, order), 1):
                 fresh = run_intervention(g, ic_f, order[:k], params)
                 given = run_intervention(g, ic_f, view, params)
                 assert given.true_layers is view
@@ -347,7 +351,7 @@ class TestMinimumTrueSeeds:
     @pytest.mark.parametrize(
         "strategy, params",
         [
-            # the searches stop at k 3 (one block) and k 21 (two blocks)
+            # the searches stop at k 3 and k 21
             (CentralityKind.DEGREE, CombatParams(0.5, 0.4, 0.4, 0.1)),
             (CentralityKind.DEGREE, CombatParams(0.5, 0.0, 0.5, 0.1)),
             (CentralityKind.CLOSENESS, CombatParams(0.5, 0.0, 0.5, 0.1)),
@@ -355,8 +359,9 @@ class TestMinimumTrueSeeds:
         ],
     )
     def test_searches_per_graph(self, monkeypatch, random_graph_factory, strategy, params):
-        # a ranked strategy searches its growing creator sets one block of
-        # _PREFIX_WIDTH at a time; random draws fresh creators for every k
+        # a ranked strategy searches every prefix of each graph's ranking in
+        # one search while _search_sums sets up, and none in sums(k); random
+        # draws fresh creators for every k
         # one usable CPU: the searches counted are the serial search's
         monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         graphs = [random_graph_factory(seed=830 + i, n=40, p=0.12)[0] for i in range(3)]
@@ -368,18 +373,26 @@ class TestMinimumTrueSeeds:
             searches.append(frontier.shape)
             return hop_distances(A, frontier, buffers)
 
+        search_sums = intervention._search_sums
+        at_setup = []
+
+        def recording(*args, **kwargs):
+            sums = search_sums(*args, **kwargs)
+            at_setup.append(len(searches))
+            return sums
+
         monkeypatch.setattr(graph_module, "hop_distances", counting)
+        monkeypatch.setattr(intervention, "_search_sums", recording)
         curve = []
-        minimum_true_seeds(
-            graphs, strategy, false_processes, params, 2 * _PREFIX_WIDTH + 3, rng_seed=3,
-            curve_out=curve,
-        )
+        minimum_true_seeds(graphs, strategy, false_processes, params, 35, rng_seed=3, curve_out=curve)
         k = len(curve)
         assert k == (3 if params.true_transmission_prob else 21)
         if strategy is CentralityKind.RANDOM:
+            assert at_setup == [0]
             assert len(searches) == len(graphs) * k
         else:
-            assert len(searches) == len(graphs) * math.ceil(k / _PREFIX_WIDTH)
+            assert at_setup == [len(graphs)]
+            assert searches == [(40, 35)] * len(graphs)
 
     def test_ranked_search_checks_creators_once_per_graph(self, monkeypatch, random_graph_factory):
         # the creator sets are checked (one np.unique each) where they are
@@ -396,12 +409,9 @@ class TestMinimumTrueSeeds:
 
         monkeypatch.setattr(np, "unique", counting)
         curve = []
-        minimum_true_seeds(
-            graphs, CentralityKind.DEGREE, false_processes, params, 2 * _PREFIX_WIDTH + 3,
-            curve_out=curve,
-        )
+        minimum_true_seeds(graphs, CentralityKind.DEGREE, false_processes, params, 35, curve_out=curve)
         assert len(curve) == 21
-        assert calls == [2 * _PREFIX_WIDTH + 3] * len(graphs)
+        assert calls == [35] * len(graphs)
 
     @pytest.mark.parametrize(
         "strategy, n, p, params",
@@ -538,7 +548,7 @@ class TestSkipBound:
         for i, g in enumerate(graphs):
             fp = _false_process(config, g, 0, i)
             order = top_k_by_score(compute_centrality(g, CentralityKind.DEGREE).scores, 80)
-            assert_bound_holds(g, fp, config.model, prefix_layerings(g, order))
+            assert_bound_holds(g, fp, config.model, prefix_views(g, order))
 
     @pytest.mark.parametrize("case", ADVERSARIAL)
     def test_holds_on_adversarial_ensembles(self, case):
@@ -550,7 +560,7 @@ class TestSkipBound:
             # the false creators among the true ones, then random sets
             overlapping = [np.union1d(fp.layers.sources, [int(ranked[-1])])]
             drawn = [rng.choice(n, k, replace=False) for k in range(1, n + 1)]
-            views = list(prefix_layerings(g, ranked))
+            views = prefix_views(g, ranked)
             assert_bound_holds(g, fp, params, views + overlapping + drawn)
 
     @pytest.mark.parametrize("strategy", ["degree", "closeness", "random"])
@@ -592,6 +602,31 @@ class TestSkipBound:
         assert per_k_minimum_true_seeds(*args, curve_out=want_curve) == 55
         assert curve == want_curve
         assert len(bounded_search_runs(*args)[0]) == made
+
+    def test_desk_search_builds_one_view_per_run(self, monkeypatch):
+        # er_min_seeds at seed 1729, serial: each combat run wraps its row of
+        # the prefix layerings, and a skipped run builds nothing
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
+        config = preset("er_intervention")
+        graphs = [g for g, _ in build_ensemble(config)]
+        false_processes = [_false_process(config, g, 0, i) for i, g in enumerate(graphs)]
+        built, runs = [], []
+        original = intervention.run_intervention
+
+        class Counting(graph_module.LayeredView):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        def counting(g, *rest):
+            runs.append(g)
+            return original(g, *rest)
+
+        monkeypatch.setattr(intervention, "LayeredView", Counting)
+        monkeypatch.setattr(intervention, "run_intervention", counting)
+        got = minimum_true_seeds(graphs, CentralityKind.DEGREE, false_processes, config.model, 80)
+        assert got == 55
+        assert len(built) == len(runs) == 1010
 
 
 def chain4_search():

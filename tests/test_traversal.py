@@ -24,7 +24,7 @@ from layercast import PRESETS, CentralityKind, centrality, forking, harness, pre
 from layercast import graph as graph_module
 from layercast.centrality import _BLOCK, _path_scores
 from layercast.harness import build_ensemble
-from layercast.graph import _PREFIX_WIDTH, SearchBuffers, hop_distances, product_into
+from layercast.graph import SearchBuffers, hop_distances, product_into
 
 from oracles import (
     dense_closeness,
@@ -396,14 +396,6 @@ class TestSharedSweep:
         assert betweenness_centrality(g).scores is _path_scores(g)[1]
 
 
-PREFIX_CASES = {
-    **CASES,
-    "n-width-minus-1": lambda: build_graph(_PREFIX_WIDTH - 1, random_graph(_PREFIX_WIDTH - 1, 0.2, 11)),
-    "n-width": lambda: build_graph(_PREFIX_WIDTH, random_graph(_PREFIX_WIDTH, 0.2, 12)),
-    "n-width-plus-1": lambda: build_graph(_PREFIX_WIDTH + 1, random_graph(_PREFIX_WIDTH + 1, 0.2, 13)),
-}
-
-
 def assert_same_view(got, want):
     for a, b in [(got.layer_of, want.layer_of), (got.sources, want.sources)]:
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
@@ -411,33 +403,52 @@ def assert_same_view(got, want):
     assert got.depth == want.depth
 
 
-class TestPrefixLayerings:
-    """Each prefix of a node order gets the view of one fresh multi-source
-    search."""
+def assert_each_row_is_a_fresh_layering(g, order, layers):
+    assert layers.shape == (len(order), g.node_count)
+    assert layers.dtype == graph_module._layer_dtype(g.node_count)
+    assert layers.flags.c_contiguous and not layers.flags.writeable
+    for k, row in enumerate(layers, 1):
+        # as the minimum-seed search wraps it for a combat run
+        view = graph_module.LayeredView(row.astype(np.int64))
+        assert_same_view(view, layer_from_sources(g, order[:k]))
 
-    @pytest.mark.parametrize("case", list(PREFIX_CASES))
+
+class TestPrefixLayerings:
+    """Row k - 1 of a node order's prefix layerings is the layering of one
+    fresh multi-source search from its first k nodes."""
+
+    @pytest.mark.parametrize("case", list(CASES))
     def test_each_prefix_equals_a_fresh_layering(self, case):
-        g = PREFIX_CASES[case]()
+        g = CASES[case]()
         n = g.node_count
         rng = np.random.default_rng(len(case))
-        # every node, then a prefix that is no multiple of the block width
-        for order in (rng.permutation(n), rng.permutation(n)[: 2 * _PREFIX_WIDTH + 3]):
-            views = list(prefix_layerings(g, order))
-            assert len(views) == len(order)
-            # each vector is its own, so a view may take it over
-            assert len({lv.layer_of.ctypes.data for lv in views}) == len(views)
-            for k, lv in enumerate(views, 1):
-                assert lv.layer_of.flags.c_contiguous
-                assert_same_view(lv, layer_from_sources(g, order[:k]))
+        # every node, then a prefix of them
+        for order in (rng.permutation(n), rng.permutation(n)[: n // 2 + 1]):
+            assert_each_row_is_a_fresh_layering(g, order, prefix_layerings(g, order))
 
     def test_isolated_and_second_component_stay_unreached(self):
         g = build_graph(7, [(0, 1), (1, 2), (4, 5)])
-        views = list(prefix_layerings(g, [2, 5, 6]))
-        assert views[0].layer_of.tolist() == [2, 1, 0, -1, -1, -1, -1]
-        assert views[1].layer_of.tolist() == [2, 1, 0, -1, 1, 0, -1]
-        assert views[2].layer_of.tolist() == [2, 1, 0, -1, 1, 0, 0]
+        layers = prefix_layerings(g, [2, 5, 6])
+        assert layers.tolist() == [
+            [2, 1, 0, -1, -1, -1, -1],
+            [2, 1, 0, -1, 1, 0, -1],
+            [2, 1, 0, -1, 1, 0, 0],
+        ]
 
-    def test_one_search_per_block_as_views_are_taken(self, monkeypatch):
+    def test_int64_above_2_to_the_15_nodes(self):
+        # a star of 2**15 + 10 nodes and one isolated node; once the hub is
+        # a source, leaf 5 changes no layer but its own
+        n = 2**15 + 11
+        g = build_graph(n, [(0, v) for v in range(1, n - 1)])
+        order = np.array([7, n - 1, 0, 5, n - 2])
+        layers = prefix_layerings(g, order)
+        assert layers.dtype == np.int64
+        assert_each_row_is_a_fresh_layering(g, order, layers)
+        assert np.flatnonzero(layers[3] != layers[2]).tolist() == [5]
+        with pytest.raises(ValueError):
+            layers[0, 0] = 0
+
+    def test_one_search_per_call(self, monkeypatch):
         calls = []
 
         def counting(A, frontier, buffers=None):
@@ -445,20 +456,15 @@ class TestPrefixLayerings:
             return hop_distances(A, frontier, buffers)
 
         monkeypatch.setattr(graph_module, "hop_distances", counting)
-        n = 3 * _PREFIX_WIDTH
+        n = 48
         g = build_graph(n, random_graph(n, 0.1, 14))
-        dists = prefix_layerings(g, np.arange(2 * _PREFIX_WIDTH + 3))
-        assert calls == []
-        for _ in range(_PREFIX_WIDTH + 1):
-            next(dists)
-        assert calls == [(n, _PREFIX_WIDTH), (n, _PREFIX_WIDTH)]
-        assert len(list(dists)) == _PREFIX_WIDTH + 2
-        assert calls == [(n, _PREFIX_WIDTH), (n, _PREFIX_WIDTH), (n, 3)]
+        prefix_layerings(g, np.arange(35))
+        assert calls == [(n, 35)]
 
     @pytest.mark.parametrize("order", [[], [4], [-1], [1.5]])
     def test_bad_order_rejected(self, chain4, order):
         with pytest.raises(InputError):
-            next(prefix_layerings(chain4, order))
+            prefix_layerings(chain4, order)
 
 
 class TestBitwiseAgainstReplacedLoops:
