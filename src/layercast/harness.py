@@ -241,11 +241,12 @@ def _graph(point: ExperimentConfig, sweep_index: int, graph_index: int, ranked=N
 
 
 def _false_process(point: ExperimentConfig, g, sweep_index: int, graph_index: int):
-    """The graph's false process, spread from creators drawn on the false-seed stream."""
+    """The graph's false process, spread from creators drawn on the false-seed
+    stream; a failure names ``graph <i>: false process``."""
     seed = derive_seed(point.master_rng_seed, _STREAM_FALSE_SEEDS, sweep_index, graph_index)
-    rng = np.random.default_rng(seed)
-    ic_f = rng.choice(g.node_count, size=point.false_info_starter, replace=False)
-    return run_false_process(g, ic_f, point.model)
+    ic_f = np.random.default_rng(seed).choice(g.node_count, size=point.false_info_starter, replace=False)
+    with failing_at(f"graph {graph_index}: false process"):
+        return run_false_process(g, ic_f, point.model)
 
 
 #: The strategies whose ranking is worth a worker process.
@@ -281,9 +282,15 @@ def _costly_scores(task):
     return scores, (g.node_count, g.edge_count)
 
 
-def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, g):
+def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, g, shared: dict):
     """All strategy runs of ``point`` on ensemble member ``graph_index``, the
     graph ``g`` (shared graph and false seeds).
+
+    ``shared`` is the member's store for every point of its sweep group: the
+    false process under its P_F, spread on first use, and each strategy's
+    true creators, replaced by their true layering after its first run.
+    Neither depends on another model field, and a strategy's creators are
+    the same at every point.
 
     A :class:`LayercastError` from ranking or spreading names the graph and
     the strategy (or the false process) it stopped at.
@@ -301,12 +308,15 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
                 zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
             )
     else:
-        with failing_at(f"graph {graph_index}: false process"):
-            fp = _false_process(point, g, sweep_index, graph_index)
+        p_f = point.model.false_transmission_prob
+        if p_f not in shared:
+            shared[p_f] = _false_process(point, g, sweep_index, graph_index)
         for strategy in point.strategies:
             with failing_at(f"graph {graph_index}: {strategy.value}"):
-                ic_t = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
-                state = run_intervention(g, fp, ic_t, point.model)
+                if strategy not in shared:
+                    shared[strategy] = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
+                state = run_intervention(g, shared[p_f], shared[strategy], point.model)
+            shared[strategy] = state.true_layers
             out[strategy.value] = dict(zip(COMBAT_METRICS, intervention_metrics(state)))
     return out
 
@@ -329,7 +339,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     raises kills its workers, even mid-graph.
 
     Each graph is generated and ranked once: every point of a model-parameter
-    sweep runs on it before the next graph is generated.
+    sweep runs on it before the next graph is generated, and shares its false
+    process and true layerings (see :func:`_run_one_graph`).
     """
     sweep = config.sweep
     if sweep is None:
@@ -348,13 +359,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         for sweep_index, group in enumerate(groups):
             rows = [(value, point, []) for value, point in group]
             for i in graph_indices:
-                g = None
+                g, shared = None, {}
                 for sweep_value, point, per_graph in rows:
                     # a failure names its sweep point, then its graph
                     with failing_at(f"{sweep.parameter}={sweep_value}") if sweep else contextlib.nullcontext():
                         if g is None:
                             g, _ = _graph(point, sweep_index, i, next(ranked))
-                        per_graph.append(_run_one_graph(point, sweep_index, i, g))
+                        per_graph.append(_run_one_graph(point, sweep_index, i, g, shared))
             per_point += rows
 
     records = []
@@ -423,10 +434,7 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     count = _ranking_workers(None, strategies, config.ensemble_size)
     with forking.ahead(_costly_scores, tasks, count) as ranked:
         graphs = [_graph(config, 0, i, next(ranked))[0] for i in indices]
-    false_processes = []
-    for i, g in enumerate(graphs):
-        with failing_at(f"graph {i}: false process"):
-            false_processes.append(_false_process(config, g, 0, i))
+    false_processes = [_false_process(config, g, 0, i) for i, g in enumerate(graphs)]
     return {
         strategy.value: minimum_true_seeds(
             graphs, strategy, false_processes, config.model, k_max, rng_seed=config.master_rng_seed
@@ -446,24 +454,37 @@ def apply_scale(config: ExperimentConfig, scale: str) -> ExperimentConfig:
     Desk mapping: node counts shrink 5x (1000 -> 200) and ensembles cap at 30
     graphs; pairwise edge probabilities scale up by the node ratio so the mean
     degree is preserved (ER: p, Gaussian partition: p_out).  Community-level
-    parameters and the diffusion model are untouched.
+    parameters and the diffusion model are untouched.  A swept generator
+    field's values map as its points would: each is that point's field after
+    the mapping, the point built and checked at paper scale first.  Two
+    values that map to one point are an :class:`InputError`.
     """
     if scale == "paper":
         return config
     if scale != "desk":
         raise InputError(f"scale must be 'desk' or 'paper', got {scale!r}")
-    gen = config.generator
+    sweep = config.sweep
+    if sweep is not None and hasattr(config.generator, sweep.parameter):
+        name = sweep.parameter
+        points = [_apply_sweep_value(config, name, value).generator for value in sweep.values]
+        values = tuple(getattr(_desk(gen), name) for gen in points)
+        if len(set(values)) < len(set(sweep.values)):
+            raise InputError(f"desk scale maps the {name} sweep {sweep.values} onto repeated points {values}")
+        sweep = SweepSpec(name, values)
+    return dataclasses.replace(
+        config, generator=_desk(config.generator), ensemble_size=min(config.ensemble_size, 30), sweep=sweep
+    )
+
+
+def _desk(gen: GeneratorParams) -> GeneratorParams:
+    """The generator at desk scale, as :func:`apply_scale` maps it."""
     n_new = max(2, gen.n // 5)
     ratio = gen.n / n_new
     if isinstance(gen, ErParams):
-        gen = ErParams(n=n_new, edge_exist_prob=min(1.0, gen.edge_exist_prob * ratio))
-    elif isinstance(gen, GaussianPartitionParams):
-        gen = dataclasses.replace(gen, n=n_new, p_out=min(1.0, gen.p_out * ratio))
-    else:
-        gen = dataclasses.replace(gen, n=n_new, min_community=min(gen.min_community, n_new))
-    return dataclasses.replace(
-        config, generator=gen, ensemble_size=min(config.ensemble_size, 30)
-    )
+        return ErParams(n=n_new, edge_exist_prob=min(1.0, gen.edge_exist_prob * ratio))
+    if isinstance(gen, GaussianPartitionParams):
+        return dataclasses.replace(gen, n=n_new, p_out=min(1.0, gen.p_out * ratio))
+    return dataclasses.replace(gen, n=n_new, min_community=min(gen.min_community, n_new))
 
 
 _SINGLE = ExperimentConfig(

@@ -656,8 +656,9 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sweep_failure_names_the_point(self, capsys, tmp_path, workers):
+        # paper values: desk scale maps them to 0.02 and 0.0025, as it maps n
         data = config_to_dict(PRESETS["sparse_er_single"])
-        data["sweep"] = {"parameter": "edge_exist_prob", "values": [0.02, 0.0025]}
+        data["sweep"] = {"parameter": "edge_exist_prob", "values": [0.004, 0.0005]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(
@@ -764,7 +765,18 @@ class TestStartup:
     """The CLI does not pay for scipy.stats unless a Wilcoxon test runs, nor
     for scipy.sparse until a graph needs its adjacency matrix, nor for
     multiprocessing until a battery ranks on worker processes or a
-    minimum-seed search forks its worker."""
+    minimum-seed search forks its worker.  A battery never loads scipy's
+    sparse eigensolvers or graph routines: either raises a paper-scale
+    battery's peak RSS by about a fifth."""
+
+    @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "scipy.sparse.csgraph"])
+    def test_batteries_leave_sparse_solvers_unloaded(self, module):
+        code = (
+            "from layercast.harness import preset, run_experiment\n"
+            "for name in ('dense_er_single', 'lfr_intervention'):\n"
+            "    run_experiment(preset(name), workers=1)"
+        )
+        assert not loaded_after(code, module)
 
     @STARTUP_CODE
     def test_scipy_stats_not_imported(self, code):

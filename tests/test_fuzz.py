@@ -135,7 +135,8 @@ def test_every_base_config_runs(tmp_path, capsys):
     for generator in GENERATORS:
         for mode in MODELS:
             assert drive(base(generator, mode), tmp_path, capsys)
-            swept = mutated(base(generator, mode), ("sweep", "values"), 40 if mode == "single" else 0.3)
+            # a swept n of 200 runs at n = 40 once desk scale maps it
+            swept = mutated(base(generator, mode), ("sweep", "values"), 200 if mode == "single" else 0.3)
             assert drive(swept, tmp_path, capsys)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 from pathlib import Path
@@ -485,6 +486,62 @@ class TestSweeps:
             run_sweep(tiny_single_config(), "edge_exist_prob", [])
 
 
+def point_rows(result, sweep_value):
+    """(strategy, graph, metrics) of each record at ``sweep_value``, as exact text."""
+    return [
+        repr((r.strategy, r.graph_index, r.metrics)) for r in result.records if r.sweep_value == sweep_value
+    ]
+
+
+class TestModelSweepSharing:
+    """The points of a model sweep share each member's false process and its
+    strategies' true layerings, and each gives the unswept battery's records."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "name, parameter, grid",
+        [
+            ("er_intervention", "decisive_threshold", (0.2, 0.4, 0.8)),
+            # two false processes per graph
+            ("lfr_intervention", "false_transmission_prob", (0.3, 0.5)),
+            ("dense_er_single", "threshold", (0.3, 0.5, 0.7)),
+        ],
+    )
+    def test_each_point_is_its_unswept_battery(self, name, parameter, grid, workers):
+        cfg = preset(name)
+        swept = run_experiment(dataclasses.replace(cfg, sweep=SweepSpec(parameter, grid)), workers=workers)
+        for value in grid:
+            point = harness._apply_sweep_value(cfg, parameter, value)
+            assert point_rows(swept, value) == point_rows(run_experiment(point, workers=workers), None)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_false_process_and_true_layering_per_graph(self, monkeypatch, workers):
+        from layercast import intervention
+
+        calls = {"false": 0, "layerings": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "run_false_process", counting(harness.run_false_process, "false"))
+        monkeypatch.setattr(
+            intervention, "layer_from_sources", counting(intervention.layer_from_sources, "layerings")
+        )
+        cfg = preset("er_intervention")
+        graphs, strategies = cfg.ensemble_size, len(cfg.strategies)
+        swept = dataclasses.replace(cfg, sweep=SweepSpec("decisive_threshold", (0.2, 0.4, 0.6, 0.8)))
+        for battery in (cfg, swept):
+            calls.update(false=0, layerings=0)
+            run_experiment(battery, workers=workers)
+            # each false process layers its creators too
+            assert calls == {"false": graphs, "layerings": graphs * (1 + strategies)}
+
+
 class TestExportImport:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_identical_records(self, tmp_path, fmt):
@@ -742,6 +799,45 @@ class TestScaleAndPresets:
     def test_bad_scale(self):
         with pytest.raises(InputError):
             apply_scale(tiny_single_config(), "galactic")
+
+    @pytest.mark.parametrize(
+        "name, parameter, paper, desk",
+        [
+            ("dense_er_single", "edge_exist_prob", (0.01, 0.04), (0.05, 0.2)),
+            ("er_intervention", "n", (500, 1000), (100, 200)),
+            ("gaussian_similar_single", "p_out", (0.001, 0.002), (0.005, 0.01)),
+            ("lfr_intervention", "min_community", (20, 300), (20, 200)),
+        ],
+    )
+    def test_desk_maps_a_swept_generator_field(self, name, parameter, paper, desk):
+        cfg = dataclasses.replace(preset(name, "paper"), sweep=SweepSpec(parameter, paper))
+        scaled = apply_scale(cfg, "desk")
+        assert scaled.sweep.values == pytest.approx(desk)
+        assert scaled.generator == preset(name, "desk").generator
+        # each value is the field of its point mapped on its own
+        for value, mapped in zip(paper, scaled.sweep.values):
+            point = harness._apply_sweep_value(cfg, parameter, value)
+            assert getattr(apply_scale(point, "desk").generator, parameter) == mapped
+
+    def test_desk_keeps_a_model_sweep_and_paper_keeps_any(self):
+        cfg = preset("er_intervention", "paper")
+        model = dataclasses.replace(cfg, sweep=SweepSpec("decisive_threshold", (0.1, 0.9)))
+        assert apply_scale(model, "desk").sweep == model.sweep
+        density = dataclasses.replace(cfg, sweep=SweepSpec("edge_exist_prob", (0.01, 0.04)))
+        assert apply_scale(density, "paper") == density
+
+    @pytest.mark.parametrize("value", [True, math.nan, None, math.inf, 0.5, -5])
+    def test_desk_checks_a_swept_value_at_paper_scale(self, value):
+        cfg = dataclasses.replace(preset("er_intervention", "paper"), sweep=SweepSpec("n", (value,)))
+        with pytest.raises(InputError, match="^n must be"):
+            apply_scale(cfg, "desk")
+
+    def test_desk_refuses_to_merge_swept_points(self):
+        # p = 0.3 and 0.5 both reach 1 at five times the density
+        cfg = preset("er_intervention", "paper")
+        cfg = dataclasses.replace(cfg, sweep=SweepSpec("edge_exist_prob", (0.3, 0.5)))
+        with pytest.raises(InputError, match=r"onto repeated points \(1\.0, 1\.0\)$"):
+            apply_scale(cfg, "desk")
 
     def test_intervention_preset_desk(self):
         desk = er_intervention_preset("desk")
