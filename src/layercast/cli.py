@@ -346,7 +346,9 @@ def build_parser() -> _Parser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--scale", choices=["desk", "paper"], default="paper",
                        help="desk shrinks node counts 5x and caps ensembles at 30 graphs")
-    p_run.add_argument("--workers", type=int, help="processes ranking graphs (default: the usable CPUs)")
+    p_run.add_argument(
+        "--workers", type=int, help="processes ranking graphs, this one included (default and cap: the usable CPUs)"
+    )
     p_run.set_defaults(handler=_cmd_experiment_run)
 
     return parser

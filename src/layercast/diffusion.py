@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_unit_interval
+from .errors import ContractError, check_unit_interval
 from .graph import Graph, LayeredView, layer_edges, layer_from_sources
 
 
@@ -127,6 +127,11 @@ def _spread(g: Graph, lv: LayeredView, P: float, halt_from=None):
     return p, p_bar, blocked
 
 
+def _check_covers(g: Graph, what: str, lv: LayeredView) -> None:
+    if len(lv.layer_of) != g.node_count:
+        raise ContractError(f"the {what} covers {len(lv.layer_of)} nodes, the graph {g.node_count}")
+
+
 def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> DiffusionState:
     """Propagate one piece of information from the creator set.
 
@@ -134,8 +139,16 @@ def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> Diffusi
     updated exactly once, when its layer is processed, accumulating over all
     previous-layer neighbors through the complement product.  The number of
     iterations equals the layering depth (further sweeps would be no-ops).
+
+    ``creators`` is node ids or their :class:`LayeredView` on this graph,
+    which is used as it is, not searched again; one from a graph of another
+    node count raises :class:`ContractError`.
     """
-    lv = layer_from_sources(g, creators)
+    lv = creators
+    if isinstance(lv, LayeredView):
+        _check_covers(g, "layering", lv)
+    else:
+        lv = layer_from_sources(g, creators)
     p_i, p_bar, _ = _spread(g, lv, params.transmission_prob)
     state = DiffusionState(
         p_i=p_i, p_i_bar=p_bar, layers=lv, iterations_run=lv.depth, labels=None

@@ -34,6 +34,14 @@ def fork_context(processes: int):
     return multiprocessing.get_context("fork")
 
 
+def _take(taken) -> int:
+    """The next task no process has taken, from the shared counter ``taken``."""
+    with taken.get_lock():
+        j = taken.value
+        taken.value = j + 1
+    return j
+
+
 def _work(fn, tasks, taken, own, ends) -> None:
     """A worker: while tasks are left, take the next, j, and send ``(j,
     fn(tasks[j]))`` on ``own``; if ``fn`` raised, send ``(j, None)`` and stop."""
@@ -42,12 +50,7 @@ def _work(fn, tasks, taken, own, ends) -> None:
             end.close()  # so a caller that dies leaves ``own`` broken, not held open
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
     try:
-        while True:
-            with taken.get_lock():
-                j = taken.value
-                taken.value = j + 1
-            if j >= len(tasks):
-                return
+        while (j := _take(taken)) < len(tasks):
             try:
                 result = fn(tasks[j])
             except Exception:
@@ -59,35 +62,64 @@ def _work(fn, tasks, taken, own, ends) -> None:
         return
 
 
-def _in_order(reads, count: int):
-    """The results of tasks 0..count-1 in order, None for one no worker sent
-    before every worker was gone."""
+def _in_order(reads, tasks, taken, here, bound: int):
+    """The results of ``tasks`` in order, None for one no worker sent before
+    every worker was gone.
+
+    With ``here``, this process takes a share: while it waits for task j,
+    and holds fewer than ``bound`` results it made ahead of j, it takes the
+    next untaken task i and keeps ``here(tasks[i])`` as i's result, or None
+    if that raised.
+    """
     from multiprocessing.connection import wait
 
     got = {}
-    for j in range(count):
-        while j not in got and reads:
-            for r in wait(reads):
+    mine = set()  # tasks this process did, not yet yielded
+    left = here is not None  # whether this process may find an untaken task
+    for j in range(len(tasks)):
+        while j not in got:
+            may_take = left and len(mine) < bound
+            if not reads and not may_take:
+                break
+            for r in wait(reads, timeout=0 if may_take else None):
                 try:
                     i, result = r.recv()
                 except (EOFError, OSError):  # the worker is gone
                     reads.remove(r)
                 else:
                     got[i] = result
+            if j in got or not may_take:
+                continue
+            i = _take(taken)
+            if i >= len(tasks):
+                left = False
+                continue
+            try:
+                got[i] = here(tasks[i])
+            except Exception:
+                got[i] = None  # the caller redoes task i in order, and meets it there
+            mine.add(i)
+        mine.discard(j)
         yield got.pop(j, None)
 
 
 @contextlib.contextmanager
-def ahead(fn, tasks, workers: int):
+def ahead(fn, tasks, workers: int, here=None):
     """An iterator over ``fn(task)`` for each of ``tasks``, in task order,
     computed ahead on ``workers`` forked processes where :func:`fork_context`
     allows ``workers + 1`` processes (the workers and this one).
 
     Each free worker takes the next task, so a slow task holds up no other.
-    An item is None where this process must do that task itself: nothing was
-    forked, ``fn`` raised there (that worker then stops), or every worker is
-    gone without sending it; so ``fn`` must not return None.  On exit every
-    worker is killed, even mid-task (it holds nothing to release), and joined.
+    Given ``here``, this process is one more: while it waits for the next
+    item it takes the next task no worker has taken, and that task's item
+    is ``here(task)``.  It holds at most ``workers`` such items ahead of the
+    one it waits for, and takes no task where nothing was forked.
+
+    An item is None where this process must do that task itself: nothing
+    was forked, ``fn`` or ``here`` raised there (a worker then stops), or
+    every worker is gone without sending it; so neither may return None.
+    On exit every worker is killed, even mid-task (it holds nothing to
+    release), and joined.
     """
     tasks = list(tasks)
     context = fork_context(workers + 1)
@@ -105,7 +137,7 @@ def ahead(fn, tasks, workers: int):
             started.append(worker)
         for _, write in pipes:
             write.close()  # so a gone worker leaves its read end at EOF
-        yield _in_order([read for read, _ in pipes], len(tasks))
+        yield _in_order([read for read, _ in pipes], tasks, taken, here, workers)
     finally:
         for worker in started:
             worker.kill()

@@ -230,7 +230,11 @@ def _apply_sweep_value(config: ExperimentConfig, parameter: str, value):
 
 def _graph(point: ExperimentConfig, sweep_index: int, graph_index: int, ranked=None):
     """Ensemble member ``graph_index``: (graph, communities) from the graph stream,
-    holding the scores of ``ranked``, its :func:`_costly_scores` or None."""
+    holding the scores of ``ranked``, its :func:`forking.ahead` item: a
+    worker's :func:`_costly_scores` or None.  The item this process made,
+    the member it ranked ahead (:func:`_ranked`), is returned as it is."""
+    if ranked is not None and not isinstance(ranked[0], dict):
+        return ranked
     with failing_at(f"graph {graph_index}"):
         g, communities = generate_graph(
             point.generator, derive_seed(point.master_rng_seed, _STREAM_GRAPH, sweep_index, graph_index)
@@ -254,31 +258,45 @@ _COSTLY = frozenset(CentralityKind) - {CentralityKind.DEGREE, CentralityKind.RAN
 
 
 def _ranking_workers(workers, strategies, graph_count: int) -> int:
-    """How many forked workers rank a battery's graphs: min(``workers``,
-    ``graph_count``), but none when that is 1 or no costly strategy is ranked.
+    """How many processes rank a battery's graphs, this one included:
+    min(``workers``, the usable CPUs, ``graph_count``), but 1 when no costly
+    strategy is ranked.  :func:`forking.ahead` forks one fewer.
 
     ``workers`` None means the usable CPUs.  ``scipy.sparse`` is loaded here,
-    before the fork, so the workers do not each load it again.
+    before a fork, so the workers do not each load it again.
     """
-    workers = forking.usable_cpus() if workers is None else as_integer("workers", workers)
+    cpus = forking.usable_cpus()
+    workers = cpus if workers is None else as_integer("workers", workers)
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
-    count = min(workers, graph_count)
-    if count < 2 or not _COSTLY.intersection(strategies):
-        return 0
-    import scipy.sparse  # noqa: F401
-
+    if not _COSTLY.intersection(strategies):
+        return 1
+    count = min(workers, cpus, graph_count)
+    if count > 1:
+        import scipy.sparse  # noqa: F401
     return count
 
 
-def _costly_scores(task):
-    """A worker's task ``(point, sweep index, graph index, strategies)``:
-    ``({kind: scores}, (node count, edge count))`` of that member, ranked by
-    its costly ``strategies``.  A :class:`LayercastError` is raised, and the
-    calling process then meets it itself."""
+def _ranked(task):
+    """The member of a ranking task ``(point, sweep index, graph index,
+    strategies)``: its (graph, communities), ranked by its costly
+    ``strategies`` into the graph's score cache.  A failure is raised as it
+    is, with no context: the calling process then meets it in order."""
     point, sweep_index, graph_index, strategies = task
-    g, _ = _graph(point, sweep_index, graph_index)
-    scores = {kind: compute_centrality(g, kind).scores for kind in strategies if kind in _COSTLY}
+    g, communities = generate_graph(
+        point.generator, derive_seed(point.master_rng_seed, _STREAM_GRAPH, sweep_index, graph_index)
+    )
+    for kind in strategies:
+        if kind in _COSTLY:
+            compute_centrality(g, kind)
+    return g, communities
+
+
+def _costly_scores(task):
+    """A worker's share of the ranking: ``({kind: scores}, (node count, edge
+    count))`` of the :func:`_ranked` member of ``task``."""
+    g, _ = _ranked(task)
+    scores = {kind: compute_centrality(g, kind).scores for kind in task[3] if kind in _COSTLY}
     return scores, (g.node_count, g.edge_count)
 
 
@@ -288,7 +306,7 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
 
     ``shared`` is the member's store for every point of its sweep group: the
     false process under its P_F, spread on first use, and each strategy's
-    true creators, replaced by their true layering after its first run.
+    (true) creators, replaced by their layering after its first run.
     Neither depends on another model field, and a strategy's creators are
     the same at every point.
 
@@ -301,8 +319,10 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
     if point.mode == "single":
         for strategy in point.strategies:
             with failing_at(f"graph {graph_index}: {strategy.value}"):
-                ic = select_seeds(g, strategy, point.info_starter, strategy_seed)
-                state = run_single_diffusion(g, ic, point.model)
+                if strategy not in shared:
+                    shared[strategy] = select_seeds(g, strategy, point.info_starter, strategy_seed)
+                state = run_single_diffusion(g, shared[strategy], point.model)
+            shared[strategy] = state.layers
             infected = label_counts(state.labels)[Label.INFECTED]
             out[strategy.value] = dict(
                 zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
@@ -331,12 +351,15 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 
     Graphs (and, in intervention mode, the random false creators) are shared
     across strategies within each ensemble member, so the per-strategy metric
-    columns form paired samples.  Where :func:`forking.ahead` forks the
-    :func:`_ranking_workers`, they rank each graph by the costly strategies
-    ahead of this process, which takes those scores in graph order: the
-    output is the same for any count.  A graph whose ranking failed on a
-    worker, or that no live worker sent, is ranked here.  A battery that
-    raises kills its workers, even mid-graph.
+    columns form paired samples.  ``workers`` counts the processes that rank
+    the graphs by the costly strategies, this one included, at most the
+    usable CPUs (:func:`_ranking_workers`).  Where :func:`forking.ahead`
+    forks the others, this process takes their scores in graph order and,
+    while it waits, ranks the next untaken graph itself and keeps it
+    (:func:`_ranked`): the output is the same for any count, and this
+    process generates each graph once.  A graph whose ranking failed, or
+    that no live worker sent, is ranked again when the battery gets to it.
+    A battery that raises kills its workers, even mid-graph.
 
     Each graph is generated and ranked once: every point of a model-parameter
     sweep runs on it before the next graph is generated, and shares its false
@@ -355,7 +378,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     count = _ranking_workers(workers, config.strategies, config.ensemble_size)
 
     per_point = []  # (sweep value, point, its per-graph results), in point order
-    with forking.ahead(_costly_scores, tasks, count) as ranked:
+    with forking.ahead(_costly_scores, tasks, count - 1, here=_ranked) as ranked:
         for sweep_index, group in enumerate(groups):
             rows = [(value, point, []) for value, point in group]
             for i in graph_indices:
@@ -432,7 +455,7 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     indices = range(config.ensemble_size)
     tasks = [(config, 0, i, strategies) for i in indices]
     count = _ranking_workers(None, strategies, config.ensemble_size)
-    with forking.ahead(_costly_scores, tasks, count) as ranked:
+    with forking.ahead(_costly_scores, tasks, count - 1, here=_ranked) as ranked:
         graphs = [_graph(config, 0, i, next(ranked))[0] for i in indices]
     false_processes = [_false_process(config, g, 0, i) for i, g in enumerate(graphs)]
     return {

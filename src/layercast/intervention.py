@@ -18,7 +18,7 @@ import numpy as np
 
 from . import forking
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
-from .diffusion import Label, _spread, label_counts
+from .diffusion import Label, _check_covers, _spread, label_counts
 from .errors import (
     ContractError, InputError, as_integer, as_real, as_seed, check_unit_interval, failing_at,
 )
@@ -101,11 +101,6 @@ def run_false_process(g: Graph, false_creators, params: CombatParams) -> FalsePr
     p_if, _, _ = _spread(g, lv, params.false_transmission_prob)
     p_if.setflags(write=False)
     return FalseProcess(layers=lv, p_if=p_if, transmission_prob=params.false_transmission_prob)
-
-
-def _check_covers(g: Graph, what: str, lv: LayeredView) -> None:
-    if len(lv.layer_of) != g.node_count:
-        raise ContractError(f"the {what} covers {len(lv.layer_of)} nodes, the graph {g.node_count}")
 
 
 def _check_false_process(g: Graph, false_process: FalseProcess, params: CombatParams) -> None:

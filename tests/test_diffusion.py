@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from layercast import (
+    ContractError,
     DiffusionParams,
     InputError,
     Label,
@@ -98,6 +99,26 @@ class TestRunSingleDiffusion:
         state = run_single_diffusion(g, [0, 1], DiffusionParams(0.6, 0.5))
         assert np.all(np.abs(state.p_i + state.p_i_bar - 1.0) <= 1e-12)
         assert np.all((state.p_i >= 0) & (state.p_i <= 1))
+
+    def test_given_layering_is_bitwise_equal(self, random_graph_factory):
+        params = DiffusionParams(0.6, 0.5)
+        for seed in range(3):
+            g, _ = random_graph_factory(seed=640 + seed, n=45, p=0.09)
+            creators = np.random.default_rng(seed).choice(45, 4, replace=False)
+            view = layer_from_sources(g, creators)
+            fresh = run_single_diffusion(g, creators, params)
+            given = run_single_diffusion(g, view, params)
+            assert given.layers is view
+            assert given.iterations_run == fresh.iterations_run
+            for name in ("p_i", "p_i_bar", "labels"):
+                a, b = getattr(fresh, name), getattr(given, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+    def test_layering_of_another_graph_is_a_contract_error(self, chain4):
+        view = layer_from_sources(build_graph(5, [(0, 1)]), [0])
+        with pytest.raises(ContractError, match="covers 5 nodes, the graph 4"):
+            run_single_diffusion(chain4, view, DiffusionParams(0.5, 0.5))
 
 
 class TestLabels:

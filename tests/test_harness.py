@@ -203,7 +203,7 @@ class TestRunExperiment:
         if case == "model-sweep":
             cfg = dataclasses.replace(cfg, sweep=SweepSpec("decisive_threshold", (0.3, 0.5)))
         outputs = set()
-        for workers in (1, 2, None):
+        for workers in (1, 2, 3, None):
             outputs.add(records_to_csv_text(run_experiment(cfg, workers=workers)))
             assert multiprocessing.active_children() == []
         assert len(outputs) == 1
@@ -308,11 +308,73 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg, workers=workers)
         assert len(result.records) == 4 * 3 * cfg.ensemble_size
-        # n = 60 is one block of sources per graph: one path sweep each
+        # n = 60 is one block of sources per graph: one path sweep each, in
+        # this process or a worker, and this process is one of `workers`
         pids = log.read_text(encoding="ascii").split()
         assert len(pids) == cfg.ensemble_size
-        assert (str(os.getpid()) in pids) == (workers == 1)
+        assert len(set(pids) - {str(os.getpid())}) <= min(workers, forking.usable_cpus()) - 1
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3, None])
+    def test_this_process_generates_each_graph_once(self, monkeypatch, workers):
+        # whichever process ranks a graph, this one generates it exactly once
+        # per battery, so the calls it makes do not depend on the timing
+        generated = []  # a worker appends to its own copy
+        gen_er = harness.gen_er
+
+        def counting(params, seed):
+            generated.append(seed.spawn_key)
+            return gen_er(params, seed)
+
+        monkeypatch.setattr(harness, "gen_er", counting)
+        costly = (CentralityKind.CLOSENESS, CentralityKind.EIGENVECTOR, CentralityKind.RANDOM)
+        plain = tiny_intervention_config(strategies=costly)
+        for cfg, groups in [
+            (plain, 1),
+            (dataclasses.replace(plain, sweep=SweepSpec("decisive_threshold", (0.3, 0.5))), 1),
+            (dataclasses.replace(plain, sweep=SweepSpec("edge_exist_prob", (0.1, 0.2))), 2),
+            (tiny_single_config(strategies=costly), 1),
+        ]:
+            generated.clear()
+            run_experiment(cfg, workers=workers)
+            # the calling process may generate a graph it ranks ahead of order
+            assert sorted(generated) == [(0, s, i) for s in range(groups) for i in range(cfg.ensemble_size)]
+            assert multiprocessing.active_children() == []
+
+    def test_processes_capped_at_the_usable_cpus(self, monkeypatch, tmp_path):
+        # workers counts the processes, this one included, and no more run
+        # than the usable CPUs
+        log = tmp_path / "rankings"
+        ranked = harness._ranked
+
+        def logging(task):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return ranked(task)
+
+        forked = []
+        ahead = forking.ahead
+
+        def recording_ahead(fn, tasks, workers, here=None):
+            forked.append(workers)
+            return ahead(fn, tasks, workers, here)
+
+        monkeypatch.setattr(harness, "_ranked", logging)
+        monkeypatch.setattr(forking, "ahead", recording_ahead)
+        cfg = tiny_intervention_config(strategies=(CentralityKind.BETWEENNESS, CentralityKind.RANDOM))
+        for cpus in (1, 2):
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+            assert harness._ranking_workers(8, cfg.strategies, 30) == cpus
+            log.unlink(missing_ok=True)
+            forked.clear()
+            run_experiment(cfg, workers=8)
+            # the calling process ranks in _ranked, a worker through _costly_scores
+            assert forked == [cpus - 1]
+            # each graph is ranked ahead once, by one of the processes; on one
+            # CPU nothing is ranked ahead, but in the run that first needs it
+            pids = log.read_text(encoding="ascii").split() if log.exists() else []
+            assert len(set(pids)) <= cpus and len(pids) == (cfg.ensemble_size if cpus > 1 else 0)
+            assert multiprocessing.active_children() == []
 
     def test_single_mode_metric_columns(self):
         res = run_experiment(tiny_single_config())
@@ -373,6 +435,33 @@ class TestRunExperiment:
         cfg = dataclasses.replace(cfg, generator=dataclasses.replace(cfg.generator, min_community=250))
         with pytest.raises(GenerationError, match=r"^graph 0: infeasible: "):
             entry(cfg)
+
+    def test_a_graph_ranked_ahead_here_fails_in_order(self, monkeypatch):
+        # the worker fails its one task and stops, so this process ranks the
+        # other graphs ahead, graph 21 among them; the battery meets graph
+        # 21's failure again when it gets there, as the serial battery does
+        started = multiprocessing.get_context("fork").Event()
+        ranked, here = harness._ranked, []
+
+        def failing(task):
+            started.set()
+            raise NumericError("the worker's")
+
+        def logging(task):
+            assert started.wait(30)  # so the worker takes task 0 or 1
+            here.append(task[2])
+            return ranked(task)
+
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_costly_scores", failing)
+        monkeypatch.setattr(harness, "_ranked", logging)
+        with pytest.raises(NumericError) as info:
+            run_experiment(preset("sparse_er_single"), workers=2)
+        assert str(info.value) == (
+            "graph 21: eigenvector: eigenvector centrality did not converge in 1000 iterations"
+        )
+        assert 21 in here
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ranking_failure_names_graph_and_strategy(self, workers):
@@ -540,6 +629,31 @@ class TestModelSweepSharing:
             run_experiment(battery, workers=workers)
             # each false process layers its creators too
             assert calls == {"false": graphs, "layerings": graphs * (1 + strategies)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_layering_per_strategy_and_graph_in_single_mode(self, monkeypatch, workers):
+        from layercast import diffusion
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return layer_from_sources(*args, **kwargs)
+
+        layer_from_sources = diffusion.layer_from_sources
+        monkeypatch.setattr(diffusion, "layer_from_sources", counting)
+        cfg = preset("dense_er_single")
+        swept = dataclasses.replace(cfg, sweep=SweepSpec("threshold", (0.2, 0.4, 0.6, 0.8)))
+        for battery in (cfg, swept):
+            calls.clear()
+            run_experiment(battery, workers=workers)
+            assert len(calls) == cfg.ensemble_size * len(cfg.strategies)
+
+    def test_single_mode_sweep_output_does_not_depend_on_workers(self):
+        cfg = preset("dense_er_single")
+        swept = dataclasses.replace(cfg, sweep=SweepSpec("threshold", (0.2, 0.4, 0.6, 0.8)))
+        csv = {records_to_csv_text(run_experiment(swept, workers=workers)) for workers in (1, 2)}
+        assert len(csv) == 1
 
 
 class TestExportImport:
@@ -928,14 +1042,18 @@ class TestMinimumSeedBattery:
 
     def test_costly_rankings_on_workers_only(self, monkeypatch):
         # the searches give the same k either way; ranking by degree or
-        # random alone forks no worker.  Each forking.ahead asks fork_context
-        # once, so calls holds each ahead's fn, then whether it forked
+        # random alone forks no worker, and a costly ranking shares its
+        # graphs between the workers and this process.  Each forking.ahead
+        # asks fork_context once, so calls holds each ahead's fn, then
+        # whether it forked
         calls = []
         ahead, fork_context = forking.ahead, forking.fork_context
 
-        def recording_ahead(fn, tasks, workers):
+        def recording_ahead(fn, tasks, workers, here=None):
             calls.append(fn)
-            return ahead(fn, tasks, workers)
+            if fn is harness._costly_scores:
+                assert here is harness._ranked
+            return ahead(fn, tasks, workers, here)
 
         def recording_fork_context(processes):
             calls.append(fork_context(processes))

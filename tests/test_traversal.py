@@ -538,13 +538,15 @@ class TestTwoWorkerSweep:
         assert betweenness.tobytes() == per_source_betweenness(fresh).scores.tobytes()
 
     def test_no_worker_below_the_rule_off_the_main_thread_or_on_one_cpu(self, monkeypatch):
-        # one worker, one graph or no costly strategy: ranking stays here
+        # one process, one graph or no costly strategy: ranking stays here,
+        # the one ranking process
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         for workers, strategies, graphs in [
             (1, self.COSTLY, 8),
             (2, self.COSTLY, 1),
             (2, [CentralityKind.DEGREE, CentralityKind.RANDOM], 8),
         ]:
-            assert harness._ranking_workers(workers, strategies, graphs) == 0
+            assert harness._ranking_workers(workers, strategies, graphs) == 1
         # off the main thread another thread is live, and a fork would copy
         # the locks it holds
         results = []
@@ -557,12 +559,13 @@ class TestTwoWorkerSweep:
         off_main.start()
         off_main.join(timeout=60)
         assert not off_main.is_alive() and results == [None] * 8
-        # the default worker count is the usable CPUs
+        # the default process count is the usable CPUs, this process one of
+        # them: 2 usable CPUs fork 1 worker
         monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
-        assert harness._ranking_workers(None, self.COSTLY, 8) == 0
+        assert harness._ranking_workers(None, self.COSTLY, 8) == 1
         monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         assert harness._ranking_workers(None, self.COSTLY, 8) == 2
-        with forking.ahead(lambda task: task, range(8), 2) as ranked:
+        with forking.ahead(lambda task: task, range(8), 2 - 1) as ranked:
             assert list(ranked) == list(range(8))
         assert multiprocessing.active_children() == []
 
