@@ -20,7 +20,7 @@ import numpy as np
 from . import harness
 from .centrality import CentralityKind, compute_centrality, select_seeds
 from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
-from .errors import ContractError, GenerationError, InputError, LayercastError, NumericError
+from .errors import ContractError, GenerationError, InputError, LayercastError, NumericError, is_int_field
 from .generators import ErParams, GaussianPartitionParams, LfrParams
 from .graph import format_edge_list, load_edge_list
 from .intervention import COMBAT_METRICS, CombatParams, intervention_metrics, run_intervention
@@ -213,6 +213,45 @@ def _cmd_experiment_run(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+#: (help, alias, metavar) of each params field's option; the alias is the paper's
+#: symbol.  An alias with a metavar leads (``--pf PF, --false-transmission-prob PF``).
+_FIELD_OPTIONS = {
+    "n": ("node count", None, None),
+    "edge_exist_prob": ("pairwise edge probability (edge_exist_prob)", "--p", "P"),
+    "mean_size": ("mean community size (s)", "--s", None),
+    "shape": ("shape parameter (v); community-size variance = s/v", "--v", None),
+    "p_in": ("intra-community edge probability", None, None),
+    "p_out": ("inter-community edge probability", None, None),
+    "tau1": ("degree power-law exponent", None, None),
+    "tau2": ("community-size power-law exponent", None, None),
+    "mu": ("mixing fraction", None, None),
+    "transmission_prob": ("per-edge transmission probability (P)", "--p", None),
+    "threshold": ("believer threshold (T)", None, None),
+    "false_transmission_prob": ("false-information transmission probability (P_F)", "--pf", "PF"),
+    "true_transmission_prob": ("true-information transmission probability (P_T)", "--pt", "PT"),
+    "decisive_threshold": (
+        "decisive threshold (T_D): false-belief level that blocks the true process", "--td", "TD"
+    ),
+    "comparative_threshold": (
+        "comparative threshold (T_C): belief gap that labels a node infected", "--tc", "TC"
+    ),
+}
+
+
+def _add_params(parser, params) -> None:
+    """One ``--<field-name>`` option per field of the dataclass ``params``, typed
+    as the field and required unless it has a default; ``_params`` reads them."""
+    for f in dataclasses.fields(params):
+        help_, alias, metavar = _FIELD_OPTIONS.get(f.name, (None, None, None))
+        flag = "--" + f.name.replace("_", "-")
+        flags = [flag] if alias is None else [alias, flag] if metavar else [flag, alias]
+        required = f.default is dataclasses.MISSING
+        parser.add_argument(
+            *flags, dest=f.name, metavar=metavar, type=int if is_int_field(f) else float,
+            required=required, default=None if required else f.default, help=help_,
+        )
+    parser.set_defaults(params=params)
+
 
 def build_parser() -> _Parser:
     parser = _Parser(
@@ -226,43 +265,24 @@ def build_parser() -> _Parser:
     gen_sub = p_gen.add_subparsers(dest="family", required=True, parser_class=_Parser)
 
     p_er = gen_sub.add_parser("er", help="Erdős–Rényi G(n, p)")
-    p_er.add_argument("--n", type=int, required=True, help="node count")
-    p_er.add_argument(
-        "--p", "--edge-exist-prob", dest="edge_exist_prob", metavar="P", type=float, required=True,
-        help="pairwise edge probability (edge_exist_prob)",
-    )
+    _add_params(p_er, ErParams)
     p_er.add_argument("--seed", type=_seed, required=True, help="RNG seed")
     p_er.add_argument("--out", help="edge-list output path (default: stdout)")
-    p_er.set_defaults(handler=_cmd_generate, params=ErParams)
+    p_er.set_defaults(handler=_cmd_generate)
 
     p_ga = gen_sub.add_parser("gaussian", help="Gaussian random partition graph")
-    p_ga.add_argument("--n", type=int, required=True)
-    p_ga.add_argument(
-        "--mean-size", "--s", dest="mean_size", type=float, required=True,
-        help="mean community size (s)",
-    )
-    p_ga.add_argument(
-        "--shape", "--v", dest="shape", type=float, required=True,
-        help="shape parameter (v); community-size variance = s/v",
-    )
-    p_ga.add_argument("--p-in", type=float, required=True, help="intra-community edge probability")
-    p_ga.add_argument("--p-out", type=float, required=True, help="inter-community edge probability")
+    _add_params(p_ga, GaussianPartitionParams)
     p_ga.add_argument("--seed", type=_seed, required=True)
     p_ga.add_argument("--out")
     p_ga.add_argument("--community-out", help="write 'node community_id' lines here")
-    p_ga.set_defaults(handler=_cmd_generate, params=GaussianPartitionParams)
+    p_ga.set_defaults(handler=_cmd_generate)
 
     p_lfr = gen_sub.add_parser("lfr", help="LFR benchmark graph")
-    p_lfr.add_argument("--n", type=int, required=True)
-    p_lfr.add_argument("--tau1", type=float, required=True, help="degree power-law exponent")
-    p_lfr.add_argument("--tau2", type=float, required=True, help="community-size power-law exponent")
-    p_lfr.add_argument("--mu", type=float, required=True, help="mixing fraction")
-    p_lfr.add_argument("--average-degree", type=float, required=True)
-    p_lfr.add_argument("--min-community", type=int, required=True)
+    _add_params(p_lfr, LfrParams)
     p_lfr.add_argument("--seed", type=_seed, required=True)
     p_lfr.add_argument("--out")
     p_lfr.add_argument("--community-out")
-    p_lfr.set_defaults(handler=_cmd_generate, params=LfrParams)
+    p_lfr.set_defaults(handler=_cmd_generate)
 
     # centrality
     p_cent = sub.add_parser("centrality", help="score nodes by a centrality measure")
@@ -274,44 +294,19 @@ def build_parser() -> _Parser:
     # diffuse
     p_diff = sub.add_parser("diffuse", help="run the single-information diffusion")
     p_diff.add_argument("--graph", required=True)
-    p_diff.add_argument(
-        "--transmission-prob", "--p", dest="transmission_prob",
-        type=float, required=True, help="per-edge transmission probability (P)",
-    )
-    p_diff.add_argument(
-        "--threshold", type=float, required=True, help="believer threshold (T)"
-    )
+    _add_params(p_diff, DiffusionParams)
     p_diff.add_argument("--ic", help="explicit creator nodes, comma-separated")
     p_diff.add_argument("--strategy", choices=_STRATEGY_CHOICES, help="creator-selection strategy")
     p_diff.add_argument("--count", type=int, help="number of creators for --strategy")
     p_diff.add_argument("--seed", type=_seed, help="RNG seed (required for random strategy)")
     p_diff.add_argument("--out", help="per-node CSV path (default: stdout)")
     p_diff.add_argument("--metrics-out", help="metrics JSON path")
-    p_diff.set_defaults(handler=_cmd_diffuse, params=DiffusionParams)
+    p_diff.set_defaults(handler=_cmd_diffuse)
 
     # intervene
     p_int = sub.add_parser("intervene", help="run the true-vs-false intervention")
     p_int.add_argument("--graph", required=True)
-    p_int.add_argument(
-        "--pf", "--false-transmission-prob",
-        dest="false_transmission_prob", metavar="PF", type=float, required=True,
-        help="false-information transmission probability (P_F)",
-    )
-    p_int.add_argument(
-        "--pt", "--true-transmission-prob",
-        dest="true_transmission_prob", metavar="PT", type=float, required=True,
-        help="true-information transmission probability (P_T)",
-    )
-    p_int.add_argument(
-        "--td", "--decisive-threshold",
-        dest="decisive_threshold", metavar="TD", type=float, required=True,
-        help="decisive threshold (T_D): false-belief level that blocks the true process",
-    )
-    p_int.add_argument(
-        "--tc", "--comparative-threshold",
-        dest="comparative_threshold", metavar="TC", type=float, required=True,
-        help="comparative threshold (T_C): belief gap that labels a node infected",
-    )
+    _add_params(p_int, CombatParams)
     p_int.add_argument("--ic-f", help="explicit false creators, comma-separated")
     p_int.add_argument("--ic-t", help="explicit true creators, comma-separated")
     p_int.add_argument("--false-strategy", choices=_STRATEGY_CHOICES)
@@ -321,7 +316,7 @@ def build_parser() -> _Parser:
     p_int.add_argument("--seed", type=_seed, help="RNG seed (required for random strategies)")
     p_int.add_argument("--out", help="per-node CSV path (default: stdout)")
     p_int.add_argument("--metrics-out", help="metrics JSON path")
-    p_int.set_defaults(handler=_cmd_intervene, params=CombatParams)
+    p_int.set_defaults(handler=_cmd_intervene)
 
     # stats
     p_stats = sub.add_parser("stats", help="engagement statistics")

@@ -70,6 +70,11 @@ def as_real(name: str, value):
     return value
 
 
+def is_int_field(field: dataclasses.Field) -> bool:
+    """Whether a dataclass field holds a count (``int``) rather than a real."""
+    return field.type in (int, "int")  # annotations may be postponed
+
+
 def check_int_fields(params) -> None:
     """Make every ``int`` field of the frozen dataclass ``params`` a Python int.
 
@@ -78,7 +83,7 @@ def check_int_fields(params) -> None:
     NaN, a string) raises :class:`InputError`.
     """
     for field in dataclasses.fields(params):
-        if field.type in (int, "int"):  # annotations may be postponed
+        if is_int_field(field):
             value = as_integer(field.name, getattr(params, field.name))
             object.__setattr__(params, field.name, value)
 

@@ -57,14 +57,7 @@ _STREAM_FALSE_SEEDS = 1
 _STREAM_RANDOM_STRATEGY = 2
 
 #: Strategy order used by the preset batteries.
-ALL_STRATEGIES = (
-    CentralityKind.DEGREE,
-    CentralityKind.EIGENVECTOR,
-    CentralityKind.CLOSENESS,
-    CentralityKind.BETWEENNESS,
-    CentralityKind.PAGERANK,
-    CentralityKind.RANDOM,
-)
+ALL_STRATEGIES = tuple(CentralityKind)
 
 #: Which direction means "the strategy beats the baseline" per metric.
 METRIC_ALTERNATIVE = {

@@ -198,21 +198,22 @@ def _surely_infected(false_process: FalseProcess, params: CombatParams) -> int:
     return int(np.count_nonzero((f >= 0) & (f <= 1) & (false_process.p_if >= level)))
 
 
-def _search_sums(graphs, strategy, false_processes, params, orders, rng_seed, skip: bool):
+def _search_sums(graphs, strategy, false_processes, params, k_max, rng_seed, skip: bool):
     """One process's ``sums(k)``: ``(protected sum, infected sum, qualified)`` at k.
 
-    ``orders`` holds each graph's ranking, or is None for the random
-    strategy; each ranking's :func:`prefix_layerings` are taken here, once,
-    so a process forked after this searches no prefix again.  With ``skip``,
-    graph i's run is skipped once the runs before it plus U(k) of it and
-    every later graph sum to at most 0 (see :func:`minimum_true_seeds`).
+    A ranked strategy ranks each graph here, once, and takes the
+    :func:`prefix_layerings` of its first ``k_max`` nodes, so a process
+    forked after this searches no prefix again.  With ``skip``, graph i's
+    run is skipped once the runs before it plus U(k) of it and every later
+    graph sum to at most 0 (see :func:`minimum_true_seeds`).
     """
     surely_infected = [_surely_infected(fp, params) for fp in false_processes]
     layerings = None
-    if orders is not None:
+    if strategy is not CentralityKind.RANDOM:
         layerings = []
-        for i, (g, order) in enumerate(zip(graphs, orders)):
+        for i, g in enumerate(graphs):
             with failing_at(f"graph {i}: {strategy.value}"):
+                order = top_k_by_score(compute_centrality(g, strategy).scores, k_max)
                 layerings.append(prefix_layerings(g, order))
 
     def sums(k):
@@ -308,16 +309,8 @@ def minimum_true_seeds(
                 raise ContractError(f"expected a FalseProcess, got {type(fp).__name__}")
             _check_false_process(g, fp, params)
 
-    orders = None
-    if strategy is not CentralityKind.RANDOM:
-        # each graph's ranking once; its first k entries are top_k_by_score(scores, k)
-        orders = []
-        for i, g in enumerate(graphs):
-            with failing_at(f"graph {i}: {strategy.value}"):
-                orders.append(top_k_by_score(compute_centrality(g, strategy).scores, k_max))
-
     sums = _search_sums(
-        graphs, strategy, false_processes, params, orders, rng_seed, skip=curve_out is None
+        graphs, strategy, false_processes, params, k_max, rng_seed, skip=curve_out is None
     )
     # one worker beside this process, which takes the odd k; more were never measured
     worker = int(min(forking.usable_cpus(), k_max) > 1)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
@@ -591,6 +594,33 @@ class TestErrorContract:
                              ("td", "decisive-threshold"), ("tc", "comparative-threshold")]:
             assert f"--{short} {short.upper()}, --{long_} {short.upper()}" in out
 
+    def test_params_options_are_the_fields(self):
+        # each params subcommand has one option per field of its class,
+        # required unless the field has a default, and typed as the field;
+        # its only other required option is --seed or --graph
+        parser = cli.build_parser()
+        found = {path: sub.get_default("params") for path, sub in params_parsers(parser)}
+        assert found == {
+            ("generate", "er"): ErParams,
+            ("generate", "gaussian"): GaussianPartitionParams,
+            ("generate", "lfr"): LfrParams,
+            ("diffuse",): DiffusionParams,
+            ("intervene",): CombatParams,
+        }
+        for path, sub in params_parsers(parser):
+            params = sub.get_default("params")
+            fields = dataclasses.fields(params)
+            options = {a.dest: a for a in sub._actions}
+            assert {f.name: options[f.name].required for f in fields} == {
+                f.name: f.default is dataclasses.MISSING for f in fields
+            }
+            required = [a for a in sub._actions if a.required]
+            other = {"seed"} if path[0] == "generate" else {"graph"}
+            assert {a.dest for a in required} - {f.name for f in fields} == other
+            args = parser.parse_args([*path, *(t for a in required for t in (a.option_strings[0], "1"))])
+            types = typing.get_type_hints(params)
+            assert {f.name: type(getattr(args, f.name)) for f in fields} == {f.name: types[f.name] for f in fields}
+
     def test_identical_invocations_identical_stdout(self, capsys, chain_file):
         args = (
             "intervene", "--graph", chain_file, "--ic-f", "0", "--ic-t", "3",
@@ -670,6 +700,16 @@ class TestErrorContract:
             "error: numeric: edge_exist_prob=0.0025: graph 16: eigenvector: "
             "eigenvector centrality did not converge in 1000 iterations\n"
         )
+
+
+def params_parsers(parser, path=()):
+    """(subcommand path, parser) of each subcommand that builds a params dataclass."""
+    if parser.get_default("params") is not None:
+        yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from params_parsers(sub, (*path, name))
 
 
 def child_env():

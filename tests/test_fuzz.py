@@ -15,6 +15,7 @@ exception, or any warning, fails the test.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -50,6 +51,20 @@ MODELS = {
 SWEEPS = {"single": "n", "intervention": "decisive_threshold"}
 
 SEEDS = 200
+
+
+def field_names(params) -> set:
+    return {f.name for f in dataclasses.fields(params)}
+
+
+def test_every_params_field_is_fuzzed():
+    # a field added to a params class is fuzzed with the others
+    assert {name: GENERATORS[name].keys() - {"type"} for name in GENERATORS} == {
+        name: field_names(params) for name, params in harness._GENERATOR_TYPES.items()
+    }
+    assert {mode: MODELS[mode].keys() for mode in MODELS} == {
+        mode: field_names(params) for mode, params in harness._MODEL_TYPES.items()
+    }
 
 
 def base(generator: str, mode: str) -> dict:
