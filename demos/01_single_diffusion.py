@@ -26,7 +26,7 @@ for v in range(4):
         f"  node {v}: layer {state.layers.layer_of[v]}, "
         f"belief {state.p_i[v]:.3f}, {Label(state.labels[v]).name.lower()}"
     )
-iterations, total = diffusion_metrics(state)
+iterations, total, _, _ = diffusion_metrics(state)
 print(f"  iterations: {iterations}, total belief: {total:.3f}")
 
 # Closed triplets boost a transmission.  In a triangle, the two non-creator

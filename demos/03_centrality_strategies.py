@@ -21,7 +21,7 @@ print(f"\n{'strategy':<14}{'creators':<22}{'iterations':>10}{'sum of beliefs':>1
 for kind in CentralityKind:
     seeds = select_seeds(g, kind, 3, rng_seed=11 if kind is CentralityKind.RANDOM else None)
     state = run_single_diffusion(g, seeds, params)
-    iterations, total = diffusion_metrics(state)
+    iterations, total, _, _ = diffusion_metrics(state)
     print(f"{kind.value:<14}{str(sorted(seeds.tolist())):<22}{iterations:>10}{total:>16.2f}")
 
 print("\nhighly central creators reach more of the network in fewer hops;")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .centrality import CentralityKind, compute_centrality, select_seeds
-from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
+from .diffusion import DiffusionParams, Label, diffusion_metrics, run_single_diffusion
 from .errors import ContractError, GenerationError, InputError, LayercastError, NumericError, is_int_field
 from .generators import ErParams, GaussianPartitionParams, LfrParams
 from .graph import format_edge_list, load_edge_list
@@ -136,13 +136,8 @@ def _cmd_diffuse(args) -> int:
         lines.append(
             f"{v},{int(state.layers.layer_of[v])},{float(state.p_i[v])!r},{_label_name(state.labels[v])}"
         )
-    iterations, sum_p_i = diffusion_metrics(state)
-    metrics = {
-        "iterations": iterations,
-        "sum_p_i": sum_p_i,
-        "infected_count": label_counts(state.labels)[Label.INFECTED],
-    }
-    _emit_run(lines, metrics, args)
+    iterations, sum_p_i, infected, _ = diffusion_metrics(state)
+    _emit_run(lines, {"iterations": iterations, "sum_p_i": sum_p_i, "infected_count": infected}, args)
     return 0
 
 

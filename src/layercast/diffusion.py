@@ -127,9 +127,14 @@ def _spread(g: Graph, lv: LayeredView, P: float, halt_from=None):
     return p, p_bar, blocked
 
 
-def _check_covers(g: Graph, what: str, lv: LayeredView) -> None:
-    if len(lv.layer_of) != g.node_count:
-        raise ContractError(f"the {what} covers {len(lv.layer_of)} nodes, the graph {g.node_count}")
+def _given_layering(g: Graph, what: str, creators):
+    """``creators`` if a :class:`LayeredView` of ``g``'s node count, None for node ids:
+    each caller layers those through its own module's :func:`layer_from_sources`."""
+    if not isinstance(creators, LayeredView):
+        return None
+    if len(creators.layer_of) != g.node_count:
+        raise ContractError(f"the {what} covers {len(creators.layer_of)} nodes, the graph {g.node_count}")
+    return creators
 
 
 def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> DiffusionState:
@@ -140,14 +145,11 @@ def run_single_diffusion(g: Graph, creators, params: DiffusionParams) -> Diffusi
     previous-layer neighbors through the complement product.  The number of
     iterations equals the layering depth (further sweeps would be no-ops).
 
-    ``creators`` is node ids or their :class:`LayeredView` on this graph,
-    which is used as it is, not searched again; one from a graph of another
-    node count raises :class:`ContractError`.
+    ``creators`` is node ids or their :class:`LayeredView` on this graph
+    (:func:`_given_layering`).
     """
-    lv = creators
-    if isinstance(lv, LayeredView):
-        _check_covers(g, "layering", lv)
-    else:
+    lv = _given_layering(g, "layering", creators)
+    if lv is None:
         lv = layer_from_sources(g, creators)
     p_i, p_bar, _ = _spread(g, lv, params.transmission_prob)
     state = DiffusionState(
@@ -162,10 +164,15 @@ def label_nodes(state: DiffusionState, threshold: float) -> np.ndarray:
     return np.where(state.p_i >= threshold, Label.INFECTED, Label.SUSCEPTIBLE).astype(np.int8)
 
 
+#: The names of the values :func:`diffusion_metrics` returns, in its order.
+SINGLE_METRICS = ("iterations", "sum_p_i", "infected", "susceptible")
+
+
 def diffusion_metrics(state: DiffusionState):
-    """(iterations, sum of p_i) — diffusion speed and accumulated belief.
+    """(iterations, sum of p_i, infected count, susceptible count).
 
     The sum is correctly rounded (order-invariant), so symmetric runs that
     differ only in node labeling report identical totals.
     """
-    return state.iterations_run, math.fsum(state.p_i)
+    tally = label_counts(state.labels)
+    return state.iterations_run, math.fsum(state.p_i), tally[Label.INFECTED], tally[Label.SUSCEPTIBLE]

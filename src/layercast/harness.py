@@ -15,6 +15,7 @@ random selection strategy.  Adding strategies never perturbs other streams.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import forking
 from .centrality import CentralityKind, compute_centrality, keep_scores, select_seeds
-from .diffusion import DiffusionParams, Label, diffusion_metrics, label_counts, run_single_diffusion
+from .diffusion import SINGLE_METRICS, DiffusionParams, diffusion_metrics, run_single_diffusion
 from .errors import (
     DegenerateSampleError, InputError, as_integer, check_int_fields, failing_at,
     read_text,
@@ -59,35 +60,35 @@ _STREAM_RANDOM_STRATEGY = 2
 #: Strategy order used by the preset batteries.
 ALL_STRATEGIES = tuple(CentralityKind)
 
-#: Which direction means "the strategy beats the baseline" per metric.
-METRIC_ALTERNATIVE = {
-    "iterations": "x_less",
-    "sum_p_i": "x_greater",
-    "sum_p_it": "x_greater",
-    "infected": "x_less",
-    "susceptible": "x_less",
-    "protected": "x_greater",
-}
-
-_SINGLE_COLUMNS = ("iterations", "sum_p_i", "infected", "susceptible")
-_SINGLE_TESTED = ("iterations", "sum_p_i")
-
 GeneratorParams = ErParams | GaussianPartitionParams | LfrParams
 
-#: The model parameters each mode runs on.
-_MODEL_TYPES = {"single": DiffusionParams, "intervention": CombatParams}
+#: Per mode: its model parameters, the config fields counting its creators (a
+#: strategy seeds the last), its metric columns, and the metrics tested against
+#: the random baseline, each with the alternative under which a strategy wins.
+_Mode = collections.namedtuple("_Mode", "model starters metrics tested")
+_MODES = {
+    "single": _Mode(
+        DiffusionParams, ("info_starter",), SINGLE_METRICS, {"iterations": "x_less", "sum_p_i": "x_greater"}
+    ),
+    "intervention": _Mode(
+        CombatParams,
+        ("false_info_starter", "true_info_starter"),
+        COMBAT_METRICS,
+        {"sum_p_it": "x_greater", "infected": "x_less", "susceptible": "x_less", "protected": "x_greater"},
+    ),
+}
 
 
-def _model_type(mode):
-    """The model class of ``mode``; an unknown mode is an InputError naming it."""
-    if not isinstance(mode, str) or mode not in _MODEL_TYPES:
-        raise InputError(f"mode must be 'single' or 'intervention', got {mode!r}")
-    return _MODEL_TYPES[mode]
+def _mode(name) -> _Mode:
+    """The :class:`_Mode` named ``name``; an unknown mode is an InputError naming it."""
+    if not isinstance(name, str) or name not in _MODES:
+        raise InputError(f"mode must be 'single' or 'intervention', got {name!r}")
+    return _MODES[name]
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of values for one generator or model parameter."""
+    """Grid of distinct values for one generator or model parameter."""
 
     parameter: str
     values: tuple
@@ -100,6 +101,12 @@ class SweepSpec:
             raise InputError(f"sweep parameter must be a field name, got {self.parameter!r}")
         if len(self.values) == 0:
             raise InputError("sweep grid must be non-empty")
+        try:
+            repeated = [v for v, count in collections.Counter(self.values).items() if count > 1]
+        except TypeError:
+            raise InputError(f"sweep values must be numbers, got {self.values}") from None
+        if repeated:
+            raise InputError(f"sweep values must be distinct; {repeated[0]!r} repeats in {self.values}")
 
 
 @dataclass(frozen=True)
@@ -122,22 +129,18 @@ class ExperimentConfig:
         check_int_fields(self)
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        model_cls = _model_type(self.mode)
+        mode = _mode(self.mode)
         if not self.strategies:
             raise InputError("at least one strategy is required")
         if len(set(self.strategies)) != len(self.strategies):
             raise InputError("strategies must be unique")
         if self.master_rng_seed < 0:
             raise InputError(f"master_rng_seed must be >= 0, got {self.master_rng_seed}")
-        n = self.generator.n
-        if not isinstance(self.model, model_cls):
-            raise InputError(f"{self.mode} mode requires {model_cls.__name__}")
-        if self.mode == "single":
-            if not 1 <= self.info_starter <= n:
-                raise InputError(f"single mode requires info_starter in [1, generator.n = {n}]")
-        else:
-            if not (1 <= self.false_info_starter <= n and 1 <= self.true_info_starter <= n):
-                raise InputError(f"both starter counts must be in [1, generator.n = {n}]")
+        if not isinstance(self.model, mode.model):
+            raise InputError(f"{self.mode} mode requires {mode.model.__name__}")
+        for name in mode.starters:
+            if not 1 <= getattr(self, name) <= self.generator.n:
+                raise InputError(f"{self.mode} mode requires {name} in [1, generator.n = {self.generator.n}]")
 
 
 @dataclass(frozen=True)
@@ -306,31 +309,30 @@ def _run_one_graph(point: ExperimentConfig, sweep_index: int, graph_index: int, 
     A :class:`LayercastError` from ranking or spreading names the graph and
     the strategy (or the false process) it stopped at.
     """
-    # select_seeds reads the stream-2 seed only for the random strategy
-    strategy_seed = derive_seed(point.master_rng_seed, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
-    out = {}
+    # each call looks the runner up in this module, where a tracer may patch it
     if point.mode == "single":
-        for strategy in point.strategies:
-            with failing_at(f"graph {graph_index}: {strategy.value}"):
-                if strategy not in shared:
-                    shared[strategy] = select_seeds(g, strategy, point.info_starter, strategy_seed)
-                state = run_single_diffusion(g, shared[strategy], point.model)
-            shared[strategy] = state.layers
-            infected = label_counts(state.labels)[Label.INFECTED]
-            out[strategy.value] = dict(
-                zip(_SINGLE_COLUMNS, (*diffusion_metrics(state), infected, g.node_count - infected))
-            )
+        def run(creators):
+            state = run_single_diffusion(g, creators, point.model)
+            return state.layers, diffusion_metrics(state)
     else:
         p_f = point.model.false_transmission_prob
         if p_f not in shared:
             shared[p_f] = _false_process(point, g, sweep_index, graph_index)
-        for strategy in point.strategies:
-            with failing_at(f"graph {graph_index}: {strategy.value}"):
-                if strategy not in shared:
-                    shared[strategy] = select_seeds(g, strategy, point.true_info_starter, strategy_seed)
-                state = run_intervention(g, shared[p_f], shared[strategy], point.model)
-            shared[strategy] = state.true_layers
-            out[strategy.value] = dict(zip(COMBAT_METRICS, intervention_metrics(state)))
+
+        def run(creators):
+            state = run_intervention(g, shared[p_f], creators, point.model)
+            return state.true_layers, intervention_metrics(state)
+
+    mode = _MODES[point.mode]
+    # select_seeds reads the stream-2 seed only for the random strategy
+    strategy_seed = derive_seed(point.master_rng_seed, _STREAM_RANDOM_STRATEGY, sweep_index, graph_index)
+    out = {}
+    for strategy in point.strategies:
+        with failing_at(f"graph {graph_index}: {strategy.value}"):
+            if strategy not in shared:
+                shared[strategy] = select_seeds(g, strategy, getattr(point, mode.starters[-1]), strategy_seed)
+            shared[strategy], values = run(shared[strategy])
+        out[strategy.value] = dict(zip(mode.metrics, values))
     return out
 
 
@@ -397,14 +399,14 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         for strategy in point.strategies:
             if strategy is CentralityKind.RANDOM:
                 continue
-            for metric in _SINGLE_TESTED if point.mode == "single" else COMBAT_METRICS:
+            for metric, alternative in _MODES[point.mode].tested.items():
                 try:
                     res = compare_strategies(
                         PairedSample(
                             x=_column(per_graph, strategy, metric),
                             y=_column(per_graph, CentralityKind.RANDOM, metric),
                         ),
-                        METRIC_ALTERNATIVE[metric],
+                        alternative,
                     )
                     p, method = res.p_one_tailed, res.method
                 except DegenerateSampleError:
@@ -435,19 +437,21 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
     Reuses the config's ensemble and false-creator draws so every strategy
     faces identical conditions; each graph's false process is spread once.
     The graphs are ranked as in :func:`run_experiment`, on the default
-    workers.  Returns ``{strategy name: k or None}``.  A swept config is an
-    :class:`InputError`: the search runs one point.  A
-    :class:`LayercastError` from a false process names its graph; one from
-    the search names what :func:`minimum_true_seeds` names.
+    workers.  Returns ``{strategy name: k or None}``.  ``strategies``, None
+    for the config's own, must pass the config's rule.  A swept config is an
+    :class:`InputError`: the search runs one point.  A :class:`LayercastError`
+    from a false process names its graph; one from the search names what
+    :func:`minimum_true_seeds` names.
     """
     if config.mode != "intervention":
         raise InputError("minimum_seed_battery requires an intervention config")
     if config.sweep is not None:
         raise InputError("minimum_seed_battery searches one point; the config has a sweep")
-    strategies = [CentralityKind(s) for s in (strategies or config.strategies)]
+    if strategies is not None:  # checked as the config's own list is
+        config = dataclasses.replace(config, strategies=strategies)
     indices = range(config.ensemble_size)
-    tasks = [(config, 0, i, strategies) for i in indices]
-    count = _ranking_workers(None, strategies, config.ensemble_size)
+    tasks = [(config, 0, i, config.strategies) for i in indices]
+    count = _ranking_workers(None, config.strategies, config.ensemble_size)
     with forking.ahead(_costly_scores, tasks, count - 1, here=_ranked) as ranked:
         graphs = [_graph(config, 0, i, next(ranked))[0] for i in indices]
     false_processes = [_false_process(config, g, 0, i) for i, g in enumerate(graphs)]
@@ -455,7 +459,7 @@ def minimum_seed_battery(config: ExperimentConfig, k_max: int, strategies=None):
         strategy.value: minimum_true_seeds(
             graphs, strategy, false_processes, config.model, k_max, rng_seed=config.master_rng_seed
         )
-        for strategy in strategies
+        for strategy in config.strategies
     }
 
 
@@ -484,7 +488,7 @@ def apply_scale(config: ExperimentConfig, scale: str) -> ExperimentConfig:
         name = sweep.parameter
         points = [_apply_sweep_value(config, name, value).generator for value in sweep.values]
         values = tuple(getattr(_desk(gen), name) for gen in points)
-        if len(set(values)) < len(set(sweep.values)):
+        if len(set(values)) < len(values):
             raise InputError(f"desk scale maps the {name} sweep {sweep.values} onto repeated points {values}")
         sweep = SweepSpec(name, values)
     return dataclasses.replace(
@@ -597,7 +601,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 f"generator.type must be one of {sorted(_GENERATOR_TYPES)}, got {gen_type!r}"
             )
         fields["generator"] = _GENERATOR_TYPES[gen_type](**gen_data)
-        fields["model"] = _model_type(fields["mode"])(**fields["model"])
+        fields["model"] = _mode(fields["mode"]).model(**fields["model"])
         fields["sweep"] = SweepSpec(**fields["sweep"]) if fields.get("sweep") else None
         return ExperimentConfig(**fields)
     except KeyError as exc:
@@ -619,13 +623,8 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _csv_columns(mode: str):
-    metrics = _SINGLE_COLUMNS if mode == "single" else COMBAT_METRICS
-    return ("strategy", "graph_index", "sweep_value") + metrics
-
-
 def write_records_csv(result: ExperimentResult, stream) -> None:
-    columns = _csv_columns(result.config.mode)
+    columns = ("strategy", "graph_index", "sweep_value") + _MODES[result.config.mode].metrics
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for rec in result.records:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import forking
 from .centrality import CentralityKind, compute_centrality, top_k_by_score
-from .diffusion import Label, _check_covers, _spread, label_counts
+from .diffusion import Label, _given_layering, _spread, label_counts
 from .errors import (
     ContractError, InputError, as_integer, as_real, as_seed, check_unit_interval, failing_at,
 )
@@ -109,7 +109,7 @@ def _check_false_process(g: Graph, false_process: FalseProcess, params: CombatPa
         raise ContractError(
             "the false process was spread with another false transmission probability"
         )
-    _check_covers(g, "false process", false_process.layers)
+    _given_layering(g, "false process", false_process.layers)
 
 
 def _halt_from(false_process: FalseProcess, decisive_threshold: float) -> np.ndarray:
@@ -152,10 +152,8 @@ def run_intervention(g: Graph, false_creators, true_creators, params: CombatPara
         _check_false_process(g, false_process, params)
     else:
         false_process = run_false_process(g, false_creators, params)
-    true_layers = true_creators
-    if isinstance(true_layers, LayeredView):
-        _check_covers(g, "true layering", true_layers)
-    else:
+    true_layers = _given_layering(g, "true layering", true_creators)
+    if true_layers is None:
         true_layers = layer_from_sources(g, true_creators)
     p_if = false_process.p_if
     halt_from = _halt_from(false_process, params.decisive_threshold)

@@ -409,6 +409,19 @@ class TestExperiment:
         path.write_text(json.dumps(config_to_dict(cfg)))
         return str(path)
 
+    @pytest.mark.parametrize(
+        "parameter, values", [("threshold", [0.5, 0.5]), ("edge_exist_prob", [0.2, 0.2])]
+    )
+    def test_repeated_sweep_value_is_an_input_error(self, capsys, config_file, tmp_path, parameter, values):
+        data = json.loads(Path(config_file).read_text())
+        data["sweep"] = {"parameter": parameter, "values": values}
+        Path(config_file).write_text(json.dumps(data))
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(capsys, "experiment", "run", "--config", config_file, "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error: input: sweep values must be distinct; {values[0]} repeats in {tuple(values)}\n"
+        assert not out_dir.exists()
+
     def test_run_writes_outputs(self, capsys, config_file, tmp_path):
         out_dir = tmp_path / "results"
         code, out, _ = run_cli(

@@ -139,16 +139,16 @@ class TestLabels:
 class TestMetrics:
     def test_chain(self, chain4):
         state = run_single_diffusion(chain4, [0], DiffusionParams(0.5, 0.5))
-        assert diffusion_metrics(state) == (3, pytest.approx(1.875))
+        assert diffusion_metrics(state) == (3, pytest.approx(1.875), 2, 2)
 
     def test_all_creators(self, k4):
         state = run_single_diffusion(k4, [0, 1, 2, 3], DiffusionParams(0.5, 0.5))
-        assert diffusion_metrics(state) == (0, pytest.approx(4.0))
+        assert diffusion_metrics(state) == (0, pytest.approx(4.0), 4, 0)
 
     def test_isolated_creator(self):
         g = build_graph(5, [])
         state = run_single_diffusion(g, [2], DiffusionParams(0.5, 0.5))
-        assert diffusion_metrics(state) == (0, pytest.approx(1.0))
+        assert diffusion_metrics(state) == (0, pytest.approx(1.0), 1, 4)
 
 
 class TestProperties:

@@ -63,7 +63,7 @@ def test_every_params_field_is_fuzzed():
         name: field_names(params) for name, params in harness._GENERATOR_TYPES.items()
     }
     assert {mode: MODELS[mode].keys() for mode in MODELS} == {
-        mode: field_names(params) for mode, params in harness._MODEL_TYPES.items()
+        mode: field_names(spec.model) for mode, spec in harness._MODES.items()
     }
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,23 @@ class TestConfigValidation:
     def test_empty_sweep_grid(self):
         with pytest.raises(InputError):
             SweepSpec(parameter="edge_exist_prob", values=())
+
+    @pytest.mark.parametrize("parameter", ["edge_exist_prob", "threshold"])
+    def test_repeated_sweep_value_named(self, parameter):
+        # two points of one value would give records no one can tell apart
+        message = "sweep values must be distinct; 0.2 repeats in (0.2, 0.3, 0.2)"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            SweepSpec(parameter, (0.2, 0.3, 0.2))
+        # equal values of two types, or a NumPy scalar, repeat too
+        with pytest.raises(InputError, match="; 1 repeats in"):
+            SweepSpec(parameter, (1, 1.0))
+        with pytest.raises(InputError, match="; 0.2 repeats in"):
+            SweepSpec(parameter, (np.float64(0.2), 0.2))
+
+    @pytest.mark.parametrize("parameter", ["n", "threshold"])
+    def test_unhashable_sweep_value_is_an_input_error(self, parameter):
+        with pytest.raises(InputError, match=r"^sweep values must be numbers, got \(\[0\.5\],\)$"):
+            SweepSpec(parameter, ([0.5],))
 
     def test_unknown_sweep_parameter(self):
         cfg = tiny_single_config(sweep=SweepSpec(parameter="nonsense", values=(1.0,)))
@@ -476,15 +494,20 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "name, where",
-        [("run_false_process", "false process"), ("run_intervention", "degree")],
+        [
+            ("run_false_process", "false process"),
+            ("run_intervention", "degree"),
+            ("run_single_diffusion", "degree"),
+        ],
     )
     def test_spreading_failure_names_graph_and_stage(self, monkeypatch, name, where):
         def fail(*args, **kwargs):
             raise ContractError("boom")
 
         monkeypatch.setattr(harness, name, fail)
+        config = tiny_single_config() if name == "run_single_diffusion" else tiny_intervention_config()
         with pytest.raises(ContractError, match=rf"^graph 0: {where}: boom$"):
-            run_experiment(tiny_intervention_config())
+            run_experiment(config)
 
     def test_lfr_battery_end_to_end(self):
         # the full pipeline over LFR ensembles: generation, pairing, p-values
@@ -507,7 +530,7 @@ class TestRunExperiment:
         g, _ = generate_graph(cfg.generator, derive_seed(cfg.master_rng_seed, 0, 0, 3))
         ic = select_seeds(g, CentralityKind.DEGREE, cfg.info_starter)
         assert len(ic) == cfg.info_starter
-        _, sum_p_i = diffusion_metrics(run_single_diffusion(g, ic, cfg.model))
+        _, sum_p_i, _, _ = diffusion_metrics(run_single_diffusion(g, ic, cfg.model))
         assert res.metric_column(CentralityKind.DEGREE, "sum_p_i")[3] == sum_p_i
 
 
@@ -1005,6 +1028,16 @@ class TestMinimumSeedBattery:
     def test_requires_intervention_mode(self):
         with pytest.raises(InputError):
             minimum_seed_battery(tiny_single_config(), k_max=5)
+
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [((), "at least one strategy is required"), (("degree", "degree"), "strategies must be unique")],
+        ids=["empty", "repeated"],
+    )
+    def test_strategies_follow_the_config_rule(self, strategies, message):
+        # an empty list is not the config's strategies, and a repeat is not searched twice
+        with pytest.raises(InputError, match=f"^{message}$"):
+            minimum_seed_battery(tiny_intervention_config(), k_max=5, strategies=strategies)
 
     def test_small_battery_orders_strategies(self):
         cfg = tiny_intervention_config(
